@@ -1,11 +1,11 @@
-"""Exact perturbed-leader selection probabilities, three ways.
+"""Exact perturbed-leader selection probabilities against sampling.
 
 The probability that expert j minimizes s_j - xi_j / eps over i.i.d. Exp(1)
-perturbations has a closed form for two experts, an exact finite expansion
-up to a dozen experts, and a quadrature fallback beyond that.  This demo
-cross-checks all of them against brute-force sampling and shows how the
-learning rate eps interpolates between uniform choice (eps -> 0) and
-follow-the-leader (eps -> infinity).
+perturbations is a one-dimensional integral of a polynomial of degree N - 1,
+which a Gauss-Legendre rule with ceil(N/2) nodes evaluates exactly for any
+number of experts.  This demo cross-checks it against brute-force sampling
+and shows how the learning rate eps interpolates between uniform choice
+(eps -> 0) and follow-the-leader (eps -> infinity).
 
 Run:  python3 demos/demo_selection_probabilities.py
 """

@@ -10,12 +10,11 @@ follow-the-leader.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .game import GameError, LossMatrix, scaled_fluctuation
 from .perturbation import as_generator, sample_exponential_array
@@ -216,67 +215,40 @@ def ifpl_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
 # ---------------------------------------------------------------------------
 # Selection probabilities
 
-_EXACT_SUBSET_LIMIT = 12
+@lru_cache(maxsize=None)
+def _gauss_legendre_unit(k: int):
+    """k-node Gauss-Legendre rule on [0, 1]: exact for degree <= 2k - 1."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def selection_probabilities_exact(cumulative, eps: float) -> np.ndarray:
+def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     """P{argmin_i (s_i - xi_i / eps) = j} for i.i.d. Exp(1) perturbations.
 
-    N = 2 uses the closed form with d = eps (s_1 - s_2):
-    P{I=1} = e^{-d}/2 for d >= 0, else 1 - e^{d}/2.  Larger N expands the
-    product integral over subsets (exact) up to N = 12, then falls back to
-    adaptive quadrature.
+    With b_i = exp(-eps (s_i - min_k s_k)) in [0, 1] (1 for the leader),
+    P{I=j} = int_0^1 b_j prod_{i != j} (1 - b_i u) du.  The integrand is a
+    polynomial of degree N - 1 in u, so ceil(N/2) Gauss-Legendre nodes give
+    it exactly; the product is taken as exp of a sum of log1p terms.
+
+    ``cumulative`` has shape (..., N) and ``eps`` is a scalar or has shape
+    (...): leading axes are independent problems.  Non-finite scores and
+    rates that are not finite and positive raise GameError.
     """
     s = np.asarray(cumulative, dtype=float)
-    n = len(s)
-    if n < 1:
+    eps = np.asarray(eps, dtype=float)
+    if s.ndim < 1 or s.shape[-1] < 1:
         raise GameError("need at least one expert")
-    if not (math.isfinite(eps) and eps > 0):
+    if not np.all(np.isfinite(s)):
+        raise GameError(f"cumulative scores must be finite, got {s}")
+    if not np.all(np.isfinite(eps) & (eps > 0)):
         raise GameError(f"eps must be finite and positive, got {eps}")
-    if n == 1:
-        return np.ones(1)
-    if n == 2:
-        d = eps * (s[0] - s[1])
-        p1 = 0.5 * math.exp(-d) if d >= 0 else 1.0 - 0.5 * math.exp(d)
-        return np.array([p1, 1.0 - p1])
-    if n <= _EXACT_SUBSET_LIMIT:
-        return np.array([_prob_subset_expansion(s, eps, j) for j in range(n)])
-    return np.array([_prob_quadrature(s, eps, j) for j in range(n)])
-
-
-def _prob_subset_expansion(s, eps, j):
-    # P{I=j} = int_0^inf e^-x prod_{i != j} max(0, 1 - e^{-(d_i + x)}) dx with
-    # d_i = eps (s_i - s_j).  The product vanishes below x0 = max(0, -min d_i);
-    # above it, expand into 2^(n-1) exponential terms.
-    d = eps * (np.delete(s, j) - s[j])
-    x0 = max(0.0, float(np.max(-d))) if len(d) else 0.0
-    terms = []
-    for r in range(len(d) + 1):
-        for subset in itertools.combinations(range(len(d)), r):
-            expo = -float(sum(d[list(subset)])) - (1.0 + r) * x0
-            terms.append((-1.0) ** r * math.exp(expo) / (1.0 + r))
-    return math.fsum(terms)
-
-
-def _prob_quadrature(s, eps, j):
-    d = eps * (np.delete(s, j) - s[j])
-    x0 = max(0.0, float(np.max(-d)))
-
-    def integrand(x):
-        with np.errstate(over="ignore"):
-            factors = -np.expm1(-(d + x))
-        if np.any(factors <= 0):
-            return 0.0
-        return math.exp(-x + float(np.sum(np.log(factors))))
-
-    kinks = sorted({x0} | {float(-di) for di in d if -di > x0})
-    value = 0.0
-    points = kinks + [kinks[-1] + 40.0]
-    for lo, hi in zip(points, points[1:]):
-        part, _ = integrate.quad(integrand, lo, hi, epsabs=1e-12, limit=200)
-        value += part
-    tail, _ = integrate.quad(integrand, points[-1], np.inf, epsabs=1e-12, limit=200)
-    return value + tail
+    u, w = _gauss_legendre_unit((s.shape[-1] + 1) // 2)
+    with np.errstate(over="ignore"):
+        b = np.exp(-eps[..., None] * (s - s.min(axis=-1, keepdims=True)))
+    logs = np.log1p(-b[..., None] * u)
+    terms = np.exp(logs.sum(axis=-2, keepdims=True) - logs) * w
+    # Rounding can lift the leader's probability a few ulps above 1.
+    return np.minimum(b * terms.sum(axis=-1), 1.0)
 
 
 def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) -> np.ndarray:
@@ -316,8 +288,6 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     if fluc > g:
         raise GameError(f"fluc({t}) = {fluc:.6g} exceeds gamma({t}) = {g:.6g}")
     factor = math.exp((3.0 / params.a) * g ** (1.0 - alpha_t(params, t)))
-    if len(cumulative_prev) == 1:
-        return True
     p_prot = selection_probabilities_exact(cumulative_prev, epsilon_t(params, t, v_prev))
     p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t,
                                            epsilon_prime_t(params, t, v_t))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .engine import selection_probabilities_exact
-from .game import GameError
+from .game import GameError, LossMatrix, volume_trace
 from .perturbation import as_generator
 from .schedule import ScheduleParams, mu_values
 
@@ -133,18 +133,13 @@ def learner_gain(prices: PriceSeries, config: TradingConfig):
     schedule.  Returns (per-step gains, cumulative gains).
     """
     s1, _ = expert_gains(prices, config.c)
-    T = len(s1)
     params = config.schedule
-    mu = mu_values(params, T)
-    gains = np.empty(T)
-    cum_loss = np.zeros(2)
-    v_prev = params.v0
-    for t in range(1, T + 1):
-        eps = 1.0 / (mu[t - 1] * v_prev)
-        p = selection_probabilities_exact(cum_loss, eps)
-        gains[t - 1] = (p[0] - p[1]) * s1[t - 1]
-        cum_loss = cum_loss + np.array([-s1[t - 1], s1[t - 1]])
-        v_prev += abs(s1[t - 1])
+    game = LossMatrix(np.column_stack([-s1, s1]))
+    v, _, _ = volume_trace(game, params.v0)
+    cum_prev = np.cumsum(np.vstack([np.zeros(2), game.values[:-1]]), axis=0)
+    eps = 1.0 / (mu_values(params, len(s1)) * v[:-1])
+    p = selection_probabilities_exact(cum_prev, eps)
+    gains = (p[:, 0] - p[:, 1]) * s1
     return gains, np.cumsum(gains)
 
 
@@ -196,10 +191,7 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries,
     than rejected; the hypothesis is asymptotic.
     """
     s1, s2 = expert_gains(prices, config.c)
-    delta_v = np.abs(s1)
-    volume = config.schedule.v0 + np.cumsum(delta_v)
-    with np.errstate(invalid="ignore"):
-        fluc = np.where(volume > 0, delta_v / volume, 0.0)
+    v, _, fluc = volume_trace(LossMatrix(np.column_stack([-s1, s1])), config.schedule.v0)
     gamma = config.schedule.gamma
     ts = np.arange(1, len(s1) + 1)
     violations = ts[fluc > gamma.values(ts)]
@@ -209,7 +201,7 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries,
         s1_cum=np.cumsum(s1),
         s2_cum=np.cumsum(s2),
         learner_cum=learner_cum,
-        volume=volume,
+        volume=v[1:],
         fluc=fluc,
         fluc_violations=violations,
         identity_residual=volatility_identity_check(prices),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volfpl import (
     GameError,
@@ -139,14 +141,17 @@ class TestExactProbabilities:
     def test_single_expert(self):
         assert selection_probabilities_exact([4.0], 1.0)[0] == 1.0
 
-    def test_three_experts_vs_direct_integral(self):
+    @pytest.mark.parametrize("n", [3, 8, 20])
+    def test_three_experts_vs_direct_integral(self, n):
         from scipy import integrate
 
-        s = np.array([0.0, 0.7, -0.4])
+        s = np.array([0.0, 0.7, -0.4]) if n == 3 else np.random.default_rng(n).normal(0, 1, n)
         eps = 1.3
 
         def p_direct(j):
             d = eps * (np.delete(s, j) - s[j])
+            # the integrand vanishes below x0 and is smooth above it
+            x0 = max(0.0, float(np.max(-d)))
 
             def f(x):
                 fac = 1 - np.exp(-(d + x))
@@ -154,11 +159,11 @@ class TestExactProbabilities:
                     return 0.0
                 return math.exp(-x) * float(np.prod(fac))
 
-            val, _ = integrate.quad(f, 0, np.inf, limit=200)
+            val, _ = integrate.quad(f, x0, np.inf, limit=200)
             return val
 
         p = selection_probabilities_exact(s, eps)
-        for j in range(3):
+        for j in range(n):
             assert p[j] == pytest.approx(p_direct(j), abs=1e-9)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -196,6 +201,72 @@ class TestExactProbabilities:
     def test_rejects_bad_eps(self):
         with pytest.raises(GameError):
             selection_probabilities_exact([1.0, 2.0], math.inf)
+
+    def test_rejects_bad_eps_entry(self):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(GameError):
+                selection_probabilities_exact(np.zeros((3, 2)), np.array([1.0, bad, 1.0]))
+
+    def test_rejects_nan_score(self):
+        with pytest.raises(GameError):
+            selection_probabilities_exact([math.nan, 0.0], 1.0)
+
+    def test_rejects_infinite_scores(self):
+        with pytest.raises(GameError):
+            selection_probabilities_exact([math.inf, math.inf, 0.0], 1.0)
+
+    def test_extreme_spread(self):
+        p = selection_probabilities_exact([0.0, 1e300, 2e300], 1e10)
+        assert np.array_equal(p, [1.0, 0.0, 0.0])
+
+    def test_batched_matches_rows(self):
+        gen = np.random.default_rng(15)
+        s = gen.normal(0, 3, (40, 6))
+        eps = gen.uniform(0.1, 2.0, 40)
+        rows = np.array([selection_probabilities_exact(s[t], eps[t]) for t in range(40)])
+        np.testing.assert_allclose(selection_probabilities_exact(s, eps), rows, rtol=0, atol=1e-15)
+
+
+def _score_vectors(elements):
+    return st.lists(elements, min_size=1, max_size=30).map(np.array)
+
+
+# Scores whose pairwise differences stay normal floats under 2^-30 scaling.
+_MODERATE_SCORES = st.floats(-1e6, 1e6, allow_subnormal=False).filter(
+    lambda x: x == 0 or abs(x) >= 1e-100)
+
+
+class TestExactProbabilityProperties:
+    @settings(deadline=None)
+    @given(s=_score_vectors(st.floats(allow_nan=False, allow_infinity=False)),
+           eps=st.floats(1e-6, 1e6))
+    def test_probabilities_sum_to_one(self, s, eps):
+        p = selection_probabilities_exact(s, eps)
+        assert np.all((p >= 0) & (p <= 1))
+        assert abs(float(p.sum()) - 1.0) <= 1e-12
+
+    @settings(deadline=None)
+    @given(s=_score_vectors(_MODERATE_SCORES), eps=st.floats(1e-3, 1e3),
+           k=st.integers(-30, 30))
+    def test_power_of_two_scale_is_bit_identical(self, s, eps, k):
+        assert np.array_equal(
+            selection_probabilities_exact(s, eps),
+            selection_probabilities_exact(np.ldexp(s, k), math.ldexp(eps, -k)),
+        )
+
+    @settings(deadline=None)
+    @given(s=_score_vectors(st.floats(-100, 100)), eps=st.floats(0.01, 10),
+           c=st.floats(-100, 100))
+    def test_shift_changes_little(self, s, eps, c):
+        diff = selection_probabilities_exact(s, eps) - selection_probabilities_exact(s + c, eps)
+        assert np.max(np.abs(diff)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(s=_score_vectors(st.floats(allow_nan=False, allow_infinity=False)),
+           eps=st.floats(1e-6, 1e6))
+    def test_leader_is_most_likely(self, s, eps):
+        p = selection_probabilities_exact(s, eps)
+        assert p[np.argmin(s)] == np.max(p)
 
 
 class TestMcProbabilities:

@@ -121,6 +121,26 @@ class TestLearnerGain:
         se = totals.std(ddof=1) / math.sqrt(runs)
         assert abs(cum[-1] - totals.mean()) <= 4 * se
 
+    def test_matches_per_tick_reference(self):
+        from volfpl import mu_values, selection_probabilities_exact
+
+        for h, seed in ((0.3, 21), (0.5, 22), (0.8, 23)):
+            ps = fbm_generate(h, 1024, seed=seed)
+            cfg = make_config(gamma_const=0.02, v0=0.5)
+            _, cum = learner_gain(ps, cfg)
+            s1, _ = expert_gains(ps, cfg.c)
+            mu = mu_values(cfg.schedule, len(s1))
+            ref = np.empty(len(s1))
+            cum_loss = np.zeros(2)
+            v_prev = cfg.schedule.v0
+            for t in range(len(s1)):
+                p = selection_probabilities_exact(cum_loss, 1.0 / (mu[t] * v_prev))
+                ref[t] = (p[0] - p[1]) * s1[t]
+                cum_loss = cum_loss + np.array([-s1[t], s1[t]])
+                v_prev += abs(s1[t])
+            ref_cum = np.cumsum(ref)
+            assert np.max(np.abs(cum - ref_cum)) <= 1e-13 * np.max(np.abs(ref_cum))
+
     def test_gain_bounded_by_expert_gap(self):
         ps = fbm_generate(0.6, 128, seed=4)
         cfg = make_config()
