@@ -15,11 +15,9 @@ from .engine import (
 )
 from .game import (
     GameError,
-    GameState,
     LossMatrix,
     check_fluctuation_bound,
     scaled_fluctuation,
-    update_state,
     volume_trace,
 )
 from .harness import (
@@ -46,7 +44,6 @@ from .schedule import (
     ScheduleParams,
     alpha_t,
     choose_a,
-    epsilon_prime_t,
     epsilon_t,
     fpl_ifpl_gap_bound,
     general_bound,

@@ -9,13 +9,13 @@ necessary for consistency, not just convenient.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import selection_probabilities_exact
+from .game import write_csv
 from .schedule import ScheduleParams, epsilon_t
 
 
@@ -71,15 +71,9 @@ class Prop1Trace:
     min_cum: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "M_t", "s1", "s2", "p1", "E_loss", "v", "fluc", "norm_regret_lb"])
-            for t in range(len(self.m)):
-                writer.writerow(
-                    [t + 1] + [repr(float(x)) for x in (self.m[t], self.s1[t], self.s2[t],
-                                                 self.p1[t], self.e_loss[t], self.v[t],
-                                                 self.fluc[t], self.norm_regret_lb[t])]
-                )
+        write_csv(path, ["t", "M_t", "s1", "s2", "p1", "E_loss", "v", "fluc", "norm_regret_lb"],
+                  [np.arange(1, len(self.m) + 1), self.m, self.s1, self.s2, self.p1,
+                   self.e_loss, self.v, self.fluc, self.norm_regret_lb])
 
 
 def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:

@@ -1,33 +1,32 @@
-"""PROT and IFPL decision rules, game loops, and selection probabilities.
+"""PROT and IFPL decision rule, game runs, and selection probabilities.
 
 PROT picks ``argmin_i (s^i_{1:t-1} - xi^i / eps_t)`` with
 ``eps_t = 1 / (mu_t v_{t-1})``; its analysis twin IFPL peeks at the current
 step and uses ``s^i_{1:t}`` with ``eps'_t = 1 / (mu_t v_t)``.  An infinite
 rate (zero volume so far) makes the perturbation term vanish: pure
 follow-the-leader.
+
+For a fixed loss matrix the volumes and rates depend only on the game, so a
+whole run, or a batch of seeded runs, is one vectorized argmin.  Only
+callback (adaptive) games step through a Python loop.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .game import GameError, LossMatrix, scaled_fluctuation
+from .game import GameError, LossMatrix, scaled_fluctuation, volume_trace, write_csv
 from .perturbation import as_generator, sample_exponential_array
-from .schedule import (
-    ScheduleParams,
-    alpha_t,
-    epsilon_prime_t,
-    epsilon_t,
-    mu_t,
-    mu_values,
-)
+from .schedule import ScheduleParams, alpha_t, epsilon_t, mu_values
 
 REGIMES = ("per-step", "once")
+
+# Draws per Monte-Carlo chunk: bounds the kernel's full-size temporaries.
+_MAX_CHUNK_ELEMS = 20_000_000
 
 
 @dataclass
@@ -60,156 +59,153 @@ class RunRecord:
         return self.total_loss - float(np.min(self.expert_cum))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "chosen", "loss", "cum_loss", "v", "delta_v", "fluc", "mu", "eps"])
-            for t in range(self.num_steps):
-                writer.writerow(
-                    [
-                        t + 1,
-                        int(self.chosen[t]) + 1,
-                        repr(float(self.loss[t])),
-                        repr(float(self.cum_loss[t])),
-                        repr(float(self.v[t])),
-                        repr(float(self.delta_v[t])),
-                        repr(float(self.fluc[t])),
-                        repr(float(self.mu[t])),
-                        repr(float(self.eps[t])),
-                    ]
-                )
+        write_csv(path, ["t", "chosen", "loss", "cum_loss", "v", "delta_v", "fluc", "mu", "eps"],
+                  [np.arange(1, self.num_steps + 1), self.chosen + 1, self.loss, self.cum_loss,
+                   self.v, self.delta_v, self.fluc, self.mu, self.eps])
 
 
-def prot_select(cumulative, eps_t: float, xi) -> int:
-    """argmin_i { s^i_{1:t-1} - xi^i / eps_t }, ties to the lowest index.
+def prot_select(cumulative, eps, xi):
+    """argmin_i (eps s^i - xi^i), ties to the lowest index: PROT's choice.
 
-    With an infinite rate the perturbation term vanishes (follow the leader).
+    This is ``argmin_i (s^i - xi^i / eps)`` written so that no draw is
+    divided.  An infinite rate makes the perturbation term vanish (follow
+    the leader).  ``cumulative`` has shape (..., N), ``eps`` is a scalar or
+    has shape (...), and ``xi`` broadcasts against (..., N); the argmin runs
+    over the last axis.
     """
-    cumulative = np.asarray(cumulative, dtype=float)
+    s = np.asarray(cumulative, dtype=float)
+    eps = np.asarray(eps, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != cumulative.shape:
-        raise GameError(f"shape mismatch: {cumulative.shape} vs {xi.shape}")
-    if math.isinf(eps_t):
-        return int(np.argmin(cumulative))
-    return int(np.argmin(cumulative - xi / eps_t))
+    if s.ndim < 1 or xi.shape[-1:] != s.shape[-1:]:
+        raise GameError(f"shape mismatch: {s.shape} vs {xi.shape}")
+    ftl = np.isinf(eps)
+    choice = np.argmin(np.where(ftl, 1.0, eps)[..., None] * s - xi, axis=-1)
+    if ftl.any():
+        # [()] turns where's 0-d result back into a scalar for one row
+        choice = np.where(ftl, np.argmin(s, axis=-1), choice)[()]
+    return choice
 
 
-def _resolve_losses(losses):
-    """Return (step_fn, T, N).  Accepts a LossMatrix, an array, or a callback
-    ``fn(t, chosen_history, cumulative) -> vector`` paired with (T, N)."""
-    if isinstance(losses, LossMatrix):
-        values = losses.values
-        return (lambda t, chosen, cum: values[t - 1]), values.shape[0], values.shape[1]
-    values = np.asarray(losses, dtype=float)
-    return (lambda t, chosen, cum: values[t - 1]), values.shape[0], values.shape[1]
+def _rate(mu, vol):
+    """eps = 1 / (mu vol); a zero volume gives an infinite rate."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (mu * vol)
 
 
-def _run_loop(losses, params, rng, regime, perturbations, infeasible,
-              num_steps=None, num_experts=None):
+def _schedule_mu(params: ScheduleParams, T: int) -> np.ndarray:
+    """mu_t for t = 1..T; a gamma(t) that underflows to 0 leaves no rate."""
+    mu = mu_values(params, T)
+    bad = np.flatnonzero(~(mu > 0))
+    if bad.size:
+        raise GameError(f"schedule invalid at step {bad[0] + 1}: mu_t = {mu[bad[0]]}")
+    return mu
+
+
+def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: bool):
+    """Pre-selection cumulative scores and rates for every step: for a fixed
+    loss matrix neither depends on the perturbations."""
+    v, _, _ = volume_trace(game, params.v0)
+    cum = np.vstack([np.zeros(game.num_experts), np.cumsum(game.values, axis=0)])
+    mu = _schedule_mu(params, game.num_steps)
+    if infeasible:
+        return cum[1:], _rate(mu, v[1:])
+    return cum[:-1], _rate(mu, v[:-1])
+
+
+def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasible: bool):
+    """Step through an adaptive game; returns its losses, choices and rates.
+
+    The volume is v0 plus a running sum of the steps' maxima, which rounds
+    exactly like the ``cumsum`` in :func:`volume_trace`.
+    """
+    mu = _schedule_mu(params, T)
+    values = np.empty((T, N))
+    chosen = np.empty(T, dtype=int)
+    eps = np.empty(T)
+    cum = np.zeros(N)
+    total_dv = 0.0
+    history: list[int] = []
+    for t in range(T):
+        v_prev = params.v0 + total_dv
+        s_t = np.asarray(step_fn(t + 1, history, cum), dtype=float)
+        if s_t.shape != (N,) or not np.all(np.isfinite(s_t)):
+            raise GameError(f"callback returned invalid losses at step {t + 1}")
+        total_dv += float(np.max(np.abs(s_t)))
+        v_t = params.v0 + total_dv
+        if not math.isfinite(v_t):
+            raise GameError(f"volume is not finite at step {t + 1}: losses overflow")
+        if infeasible:
+            eps[t] = _rate(mu[t], v_t)
+            chosen[t] = prot_select(cum + s_t, eps[t], xi[t])
+        else:
+            eps[t] = _rate(mu[t], v_prev)
+            chosen[t] = prot_select(cum, eps[t], xi[t])
+        values[t] = s_t
+        cum = cum + s_t
+        history.append(int(chosen[t]))
+    return LossMatrix(values), chosen, eps
+
+
+def _record(game: LossMatrix, params: ScheduleParams, chosen, eps, xi) -> RunRecord:
+    """The trace of a finished run; matrix and callback runs both end here."""
+    values = game.values
+    v, delta_v, fluc = volume_trace(game, params.v0)
+    loss = values[np.arange(game.num_steps), chosen]
+    cum = np.vstack([np.zeros(game.num_experts), np.cumsum(values, axis=0)])
+    return RunRecord(chosen=chosen, loss=loss, cum_loss=np.cumsum(loss), v=v[1:],
+                     delta_v=delta_v, fluc=fluc, mu=mu_values(params, game.num_steps),
+                     eps=eps, expert_cum=cum[-1], perturbations=np.array(xi))
+
+
+def _run(losses, params, rng, regime, perturbations, infeasible, num_steps, num_experts):
+    if rng is None and perturbations is None:
+        raise GameError("provide rng or explicit perturbations")
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
     if callable(losses):
         if num_steps is None or num_experts is None:
             raise GameError("callback games need num_steps and num_experts")
-        step_fn, T, N = losses, num_steps, num_experts
-        callback = True
+        T, N = num_steps, num_experts
     else:
-        step_fn, T, N = _resolve_losses(losses)
-        callback = False
+        game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
+        T, N = game.values.shape
     if N != params.num_experts:
         raise GameError(f"params expect {params.num_experts} experts, game has {N}")
 
     if perturbations is not None:
-        perturbations = np.asarray(perturbations, dtype=float)
-        if regime == "once":
-            xi_all = np.broadcast_to(perturbations, (T, N))
-        else:
-            xi_all = perturbations.reshape(T, N)
+        xi = np.asarray(perturbations, dtype=float)
+        xi = np.broadcast_to(xi, (T, N)) if regime == "once" else xi.reshape(T, N)
+    elif regime == "once":
+        xi = np.broadcast_to(sample_exponential_array(N, as_generator(rng)), (T, N))
     else:
-        gen = as_generator(rng)
-        if regime == "once":
-            xi_all = np.broadcast_to(sample_exponential_array(N, gen), (T, N))
-        else:
-            xi_all = sample_exponential_array((T, N), gen)
+        xi = sample_exponential_array((T, N), as_generator(rng))
 
-    chosen = np.empty(T, dtype=int)
-    loss = np.empty(T)
-    v = np.empty(T)
-    delta_v = np.empty(T)
-    fluc = np.empty(T)
-    mu = np.empty(T)
-    eps = np.empty(T)
-    cum = np.zeros(N)
-    v_prev = params.v0
-    total = 0.0
-    cum_loss = np.empty(T)
-    history: list[int] = []
-
-    for t in range(1, T + 1):
-        mu[t - 1] = mu_t(params, t)
-        if not (math.isfinite(mu[t - 1]) and mu[t - 1] > 0):
-            raise GameError(f"schedule invalid at step {t}: mu_t = {mu[t - 1]}")
-        if infeasible:
-            s_t = np.asarray(step_fn(t, history, cum), dtype=float)
-            dv = float(np.max(np.abs(s_t)))
-            v_t = v_prev + dv
-            rate = epsilon_prime_t(params, t, v_t)
-            idx = prot_select(cum + s_t, rate, xi_all[t - 1])
-        else:
-            rate = epsilon_t(params, t, v_prev)
-            idx = prot_select(cum, rate, xi_all[t - 1])
-            s_t = np.asarray(step_fn(t, history, cum), dtype=float)
-            dv = float(np.max(np.abs(s_t)))
-            v_t = v_prev + dv
-        if callback and (s_t.shape != (N,) or not np.all(np.isfinite(s_t))):
-            raise GameError(f"callback returned invalid losses at step {t}")
-
-        chosen[t - 1] = idx
-        loss[t - 1] = s_t[idx]
-        total += s_t[idx]
-        cum_loss[t - 1] = total
-        cum = cum + s_t
-        delta_v[t - 1] = dv
-        v[t - 1] = v_t
-        fluc[t - 1] = scaled_fluctuation(dv, v_t)
-        eps[t - 1] = rate
-        v_prev = v_t
-        history.append(idx)
-
-    return RunRecord(
-        chosen=chosen,
-        loss=loss,
-        cum_loss=cum_loss,
-        v=v,
-        delta_v=delta_v,
-        fluc=fluc,
-        mu=mu,
-        eps=eps,
-        expert_cum=cum,
-        perturbations=np.array(xi_all),
-    )
+    if callable(losses):
+        game, chosen, eps = _callback_run(losses, T, N, params, xi, infeasible)
+    else:
+        base, eps = _deterministic_rates(game, params, infeasible)
+        chosen = prot_select(base, eps, xi)
+    return _record(game, params, chosen, eps, xi)
 
 
 def prot_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
              perturbations=None, num_steps=None, num_experts=None) -> RunRecord:
-    """Run the full PROT loop over a loss matrix (or a non-oblivious callback).
+    """Run PROT over a loss matrix (or a non-oblivious callback).
 
+    A loss matrix is played in one vectorized selection over all steps; a
+    callback ``fn(t, chosen_history, cumulative) -> vector`` is stepped
+    through, and needs ``num_steps`` and ``num_experts``.
     ``perturbations`` overrides sampling with fixed values (shape (N,) for the
     ``once`` regime, (T, N) for ``per-step``); otherwise ``rng`` drives an
     inverse-CDF exponential sampler.
     """
-    if rng is None and perturbations is None:
-        raise GameError("provide rng or explicit perturbations")
-    return _run_loop(losses, params, rng, regime, perturbations, infeasible=False,
-                     num_steps=num_steps, num_experts=num_experts)
+    return _run(losses, params, rng, regime, perturbations, False, num_steps, num_experts)
 
 
 def ifpl_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
              perturbations=None, num_steps=None, num_experts=None) -> RunRecord:
     """Run the infeasible twin: selection sees s^i_{1:t} and uses eps'_t."""
-    if rng is None and perturbations is None:
-        raise GameError("provide rng or explicit perturbations")
-    return _run_loop(losses, params, rng, regime, perturbations, infeasible=True,
-                     num_steps=num_steps, num_experts=num_experts)
+    return _run(losses, params, rng, regime, perturbations, True, num_steps, num_experts)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,7 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     while done < num_samples:
         m = min(chunk, num_samples - done)
         xi = sample_exponential_array((m, n), gen)
-        picks = np.argmin(s[None, :] - xi / eps, axis=1)
-        counts += np.bincount(picks, minlength=n)
+        counts += np.bincount(prot_select(s, eps, xi), minlength=n)
         done += m
     return counts / num_samples
 
@@ -289,70 +284,42 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
         raise GameError(f"fluc({t}) = {fluc:.6g} exceeds gamma({t}) = {g:.6g}")
     factor = math.exp((3.0 / params.a) * g ** (1.0 - alpha_t(params, t)))
     p_prot = selection_probabilities_exact(cumulative_prev, epsilon_t(params, t, v_prev))
-    p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t,
-                                           epsilon_prime_t(params, t, v_t))
+    p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t, epsilon_t(params, t, v_t))
     return bool(np.all(p_prot <= factor * p_ifpl + slack))
 
 
 # ---------------------------------------------------------------------------
 # Vectorized Monte Carlo over many seeds (oblivious games)
 
-def _deterministic_rates(values: np.ndarray, params: ScheduleParams, infeasible: bool):
-    """Pre-step cumulative scores and rates, all seed-independent for a fixed
-    loss matrix."""
-    T, _ = values.shape
-    delta_v = np.max(np.abs(values), axis=1)
-    v = np.concatenate([[params.v0], params.v0 + np.cumsum(delta_v)])
-    cum = np.vstack([np.zeros(values.shape[1]), np.cumsum(values, axis=0)])
-    mu = mu_values(params, T)
-    if infeasible:
-        base, vol = cum[1:], v[1:]
-    else:
-        base, vol = cum[:-1], v[:-1]
-    with np.errstate(divide="ignore"):
-        rate = np.where(vol > 0, 1.0 / (mu * np.where(vol > 0, vol, 1.0)), np.inf)
-    return base, rate, delta_v, cum[-1]
-
-
 def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
                             regime: str = "per-step", infeasible: bool = False,
-                            checkpoints=None, max_chunk_elems: int = 20_000_000):
+                            checkpoints=None):
     """Learner cumulative losses for many independent seeded runs at once.
 
     Returns an array of shape (num_runs, len(checkpoints)); ``checkpoints``
     defaults to [T].  Only valid for oblivious games (fixed loss matrix),
-    where volumes and rates do not depend on the perturbations.
+    where volumes and rates do not depend on the perturbations.  A single
+    run draws the doubles ``prot_run`` draws from the same ``rng``, so it
+    reproduces that run's total loss exactly.
     """
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
-    values = losses.values if isinstance(losses, LossMatrix) else np.asarray(losses, float)
-    T, N = values.shape
+    game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
+    T, N = game.values.shape
     if N != params.num_experts:
         raise GameError(f"params expect {params.num_experts} experts, game has {N}")
     checkpoints = [T] if checkpoints is None else list(checkpoints)
-    base, rate, _, _ = _deterministic_rates(values, params, infeasible)
-
-    finite = np.isfinite(rate)
-    scores_det = np.where(finite[:, None], rate[:, None], 1.0) * base
-    ftl_choice = np.argmin(base, axis=1)
+    base, rate = _deterministic_rates(game, params, infeasible)
 
     gen = as_generator(rng)
     out = np.empty((num_runs, len(checkpoints)))
-    chunk = max(1, min(num_runs, max_chunk_elems // (T * N)))
-    done = 0
+    chunk = max(1, min(num_runs, _MAX_CHUNK_ELEMS // (T * N)))
     cp_idx = np.asarray(checkpoints, dtype=int) - 1
-    while done < num_runs:
+    for done in range(0, num_runs, chunk):
         m = min(chunk, num_runs - done)
-        if regime == "once":
-            xi = sample_exponential_array((m, 1, N), gen)
-        else:
-            xi = sample_exponential_array((m, T, N), gen)
-        choice = np.argmin(scores_det[None, :, :] - xi, axis=2)
-        if not finite.all():
-            choice[:, ~finite] = ftl_choice[~finite]
-        picked = values[np.arange(T)[None, :], choice]
+        xi = sample_exponential_array((m, 1 if regime == "once" else T, N), gen)
+        picked = game.values[np.arange(T), prot_select(base, rate, xi)]
         out[done:done + m] = np.cumsum(picked, axis=1)[:, cp_idx]
-        done += m
     return out
 
 

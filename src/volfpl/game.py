@@ -14,7 +14,7 @@ import numpy as np
 
 
 class GameError(ValueError):
-    """Invalid loss data or game-state update."""
+    """Invalid loss data or game input."""
 
 
 @dataclass(frozen=True)
@@ -68,50 +68,19 @@ class LossMatrix:
         return cls(values)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"expert_{i}" for i in range(1, self.num_experts + 1)])
-            for row in self.values:
-                writer.writerow([repr(float(x)) for x in row])
+        write_csv(path, [f"expert_{i}" for i in range(1, self.num_experts + 1)], self.values.T)
 
 
-@dataclass(frozen=True)
-class GameState:
-    """Evolving game quantities: step index, cumulative losses, volume."""
+def write_csv(path, header, columns, lineterminator="\r\n") -> None:
+    """Write equal-length numeric columns under ``header``.
 
-    step: int
-    cumulative: np.ndarray
-    volume: float
-    v0: float = 0.0
-
-    @classmethod
-    def initial(cls, num_experts: int, v0: float = 0.0) -> "GameState":
-        if num_experts < 1:
-            raise GameError("need at least one expert")
-        if not (np.isfinite(v0) and v0 >= 0):
-            raise GameError(f"v0 must be finite and nonnegative, got {v0}")
-        return cls(step=0, cumulative=np.zeros(num_experts), volume=float(v0), v0=float(v0))
-
-    @property
-    def num_experts(self) -> int:
-        return len(self.cumulative)
-
-
-def update_state(state: GameState, losses_t) -> GameState:
-    """Apply one step of losses: cumulate and grow the volume by max_i |s^i_t|."""
-    losses_t = np.asarray(losses_t, dtype=float)
-    if losses_t.shape != (state.num_experts,):
-        raise GameError(
-            f"expected {state.num_experts} losses, got shape {losses_t.shape}"
-        )
-    if not np.all(np.isfinite(losses_t)):
-        raise GameError("one-step losses must be finite")
-    return GameState(
-        step=state.step + 1,
-        cumulative=state.cumulative + losses_t,
-        volume=state.volume + float(np.max(np.abs(losses_t))),
-        v0=state.v0,
-    )
+    Integer columns are written as integers and float columns by ``repr``,
+    so every value reads back exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def scaled_fluctuation(delta_v: float, v: float) -> float:
@@ -131,10 +100,16 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     """Per-step (volume, delta_v, fluc) arrays for a whole game.
 
     Returns ``v`` of length T+1 (``v[0] = v0``), and ``delta_v``, ``fluc`` of
-    length T, all indexed so entry t-1 belongs to step t.
+    length T, all indexed so entry t-1 belongs to step t.  A volume that
+    overflows raises GameError naming the first step where it is not finite.
     """
     delta_v = np.max(np.abs(losses.values), axis=1)
-    v = np.concatenate([[v0], v0 + np.cumsum(delta_v)])
+    with np.errstate(over="ignore"):
+        v = np.concatenate([[v0], v0 + np.cumsum(delta_v)])
+    # v never decreases, so its last entry is finite only if all are.
+    if not np.isfinite(v[-1]):
+        bad = np.argmax(~np.isfinite(v))
+        raise GameError(f"volume is not finite at step {bad}: losses overflow")
     with np.errstate(invalid="ignore"):
         fluc = np.where(v[1:] > 0, delta_v / v[1:], 0.0)
     return v, delta_v, fluc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import RunRecord, ifpl_run, prot_run
-from .game import GameError, LossMatrix, check_fluctuation_bound, volume_trace
+from .game import GameError, LossMatrix, check_fluctuation_bound, volume_trace, write_csv
 from .perturbation import RngSpec, as_generator
 from .schedule import ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -103,6 +103,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        missing = [key for key in ("game", "schedule") if key not in cfg]
+        if missing:
+            raise GameError(f"experiment config is missing {', '.join(map(repr, missing))}")
         seeds = cfg.get("seeds", [0])
         if isinstance(seeds, dict):
             seeds = [seeds.get("base", 0) + i for i in range(seeds["count"])]
@@ -182,10 +185,9 @@ class AggregateReport:
             fh.write("\n")
         if self.first_trace is not None:
             self.first_trace.to_csv(os.path.join(out_dir, "trace.csv"))
-        with open(os.path.join(out_dir, "aggregate.csv"), "w") as fh:
-            fh.write("t,mean_cum_loss,se_cum_loss\n")
-            for t in range(len(self.mean_cum_loss)):
-                fh.write(f"{t + 1},{self.mean_cum_loss[t]!r},{self.se_cum_loss[t]!r}\n")
+        write_csv(os.path.join(out_dir, "aggregate.csv"), ["t", "mean_cum_loss", "se_cum_loss"],
+                  [np.arange(1, len(self.mean_cum_loss) + 1), self.mean_cum_loss,
+                   self.se_cum_loss], lineterminator="\n")
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:

@@ -212,17 +212,15 @@ def mu_values(params: ScheduleParams, T: int) -> np.ndarray:
 
 
 def epsilon_t(params: ScheduleParams, t: int, v_prev: float) -> float:
-    """Learning rate 1 / (mu_t * v_{t-1}); ``inf`` signals the zero-volume case."""
+    """Learning rate 1 / (mu_t * v_{t-1}); ``inf`` signals the zero-volume case.
+
+    IFPL's eps'_t is the same formula at the end-of-step volume v_t.
+    """
     if v_prev < 0:
         raise ScheduleError(f"volume must be nonnegative, got {v_prev}")
     if v_prev == 0:
         return math.inf
     return 1.0 / (mu_t(params, t) * v_prev)
-
-
-def epsilon_prime_t(params: ScheduleParams, t: int, v_t: float) -> float:
-    """IFPL learning rate 1 / (mu_t * v_t), using the end-of-step volume."""
-    return epsilon_t(params, t, v_t)
 
 
 def _rate_fn(loss_mode: str):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .engine import selection_probabilities_exact
-from .game import GameError, LossMatrix, volume_trace
+from .game import GameError, LossMatrix, volume_trace, write_csv
 from .perturbation import as_generator
 from .schedule import ScheduleParams, mu_values
 
@@ -49,15 +49,20 @@ class PriceSeries:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["price"]:
                 raise GameError(f"{path}: expected single-column CSV with header 'price'")
-            prices = [float(row[0]) for row in reader if row]
+            prices = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 1:
+                    raise GameError(f"{path}:{lineno}: expected 1 cell, got {len(row)}")
+                try:
+                    prices.append(float(row[0]))
+                except ValueError as exc:
+                    raise GameError(f"{path}:{lineno}: {exc}") from None
         return cls(np.array(prices))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["price"])
-            for p in self.prices:
-                writer.writerow([repr(float(p))])
+        write_csv(path, ["price"], [self.prices])
 
 
 @lru_cache(maxsize=8)
@@ -171,15 +176,9 @@ class TradingReport:
     defensive_bound: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "S", "s1_cum", "s2_cum", "learner_cum", "volume", "fluc"])
-            for t in range(len(self.s1_cum)):
-                writer.writerow(
-                    [t + 1] + [repr(float(x)) for x in (self.prices[t + 1], self.s1_cum[t],
-                                                 self.s2_cum[t], self.learner_cum[t],
-                                                 self.volume[t], self.fluc[t])]
-                )
+        write_csv(path, ["t", "S", "s1_cum", "s2_cum", "learner_cum", "volume", "fluc"],
+                  [np.arange(1, len(self.s1_cum) + 1), self.prices[1:], self.s1_cum,
+                   self.s2_cum, self.learner_cum, self.volume, self.fluc])
 
 
 def run_trading_experiment(config: TradingConfig, prices: PriceSeries,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,17 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volfpl import engine
 from volfpl import (
     GameError,
     GammaSchedule,
     LossMatrix,
     RngSpec,
+    RunRecord,
     ScheduleParams,
     batch_cumulative_losses,
     choose_a,
     epsilon_t,
     ifpl_run,
     monte_carlo_regret,
+    mu_values,
     probability_ratio_check,
     prot_run,
     prot_select,
@@ -26,6 +30,9 @@ from volfpl import (
 INTRO_GAME = np.array(
     [[0.5, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0]], dtype=float
 )
+
+# alternating losses of 1e307 from v0 = 1: the volume overflows at t = 18
+OVERFLOW_GAME = np.tile([[1e307, 0.0], [0.0, 1e307]], (20, 1))
 
 
 def power_params(n=2, a=None, **kw):
@@ -125,6 +132,56 @@ class TestRunLoops:
     def test_expert_count_mismatch(self):
         with pytest.raises(GameError):
             prot_run(INTRO_GAME, power_params(n=3), rng=RngSpec(0))
+
+    def test_callback_rejects_length_mismatch(self):
+        with pytest.raises(GameError, match="step 1"):
+            prot_run(lambda t, history, cum: np.ones(3), power_params(v0=1.0), rng=RngSpec(0),
+                     num_steps=4, num_experts=2)
+
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    @pytest.mark.parametrize("v0", [0.0, 0.3])
+    def test_callback_replay_is_bit_identical(self, run, regime, v0):
+        # a callback that replays a matrix goes through the step loop, the
+        # matrix through one vectorized selection; v0 = 0 starts PROT with
+        # an infinite rate
+        losses = LossMatrix(np.random.default_rng(31).uniform(-2, 2, (300, 4)))
+        p = power_params(n=4, v0=v0)
+        matrix = run(losses, p, rng=RngSpec(7), regime=regime)
+        replay = run(lambda t, history, cum: losses.row(t), p, rng=RngSpec(7), regime=regime,
+                     num_steps=300, num_experts=4)
+        for f in dataclasses.fields(RunRecord):
+            assert np.array_equal(getattr(matrix, f.name), getattr(replay, f.name)), f.name
+
+    @pytest.mark.parametrize("callback", [False, True])
+    def test_exact_tie_of_scaled_scores(self, callback):
+        # at step 2, eps*s - xi is (0, 0) exactly while s - xi/eps rounds
+        # expert 2 below expert 1: both paths apply the first form and
+        # break the tie to expert 1
+        p = power_params(v0=1.0)
+        mu2 = mu_values(p, 2)[1]
+        for d in np.linspace(1.0, 2.0, 10001):
+            eps = 1.0 / (mu2 * (1.0 + d))
+            x = eps * d
+            if d - x / eps < 0:
+                break
+        else:
+            pytest.fail("no step where the two forms round apart")
+        losses = np.array([[0.0, d], [1.0, 1.0]])
+        game = (lambda t, history, cum: losses[t - 1]) if callback else losses
+        rec = prot_run(game, p, perturbations=[[0.0, 0.0], [0.0, x]], num_steps=2,
+                       num_experts=2)
+        assert rec.eps[1] == eps
+        assert rec.chosen[1] == 0
+
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    def test_volume_overflow_raises(self, run):
+        p = power_params(v0=1.0)
+        with pytest.raises(GameError, match="step 18"):
+            run(OVERFLOW_GAME, p, rng=RngSpec(0))
+        with pytest.raises(GameError, match="step 18"):
+            run(lambda t, history, cum: OVERFLOW_GAME[t - 1], p, rng=RngSpec(0),
+                num_steps=40, num_experts=2)
 
 
 class TestExactProbabilities:
@@ -269,6 +326,36 @@ class TestExactProbabilityProperties:
         assert p[np.argmin(s)] == np.max(p)
 
 
+@st.composite
+def _selection_rows(draw):
+    """Scores (R, N), rates (R,) with some infinite, draws (2, R, N)."""
+    r, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    s = draw(st.lists(_MODERATE_SCORES, min_size=r * n, max_size=r * n))
+    eps = draw(st.lists(st.floats(1e-3, 1e3) | st.just(math.inf), min_size=r, max_size=r))
+    xi = draw(st.lists(st.floats(0, 50), min_size=2 * r * n, max_size=2 * r * n))
+    return np.reshape(s, (r, n)), np.array(eps), np.reshape(xi, (2, r, n))
+
+
+class TestProtSelectProperties:
+    @settings(deadline=None)
+    @given(rows=_selection_rows(), k=st.integers(-30, 30))
+    def test_power_of_two_scale_keeps_choice(self, rows, k):
+        s, eps, xi = rows
+        for r in range(len(s)):
+            assert prot_select(s[r], eps[r], xi[0, r]) == prot_select(
+                np.ldexp(s[r], k), math.ldexp(eps[r], -k), xi[0, r])
+
+    @settings(deadline=None)
+    @given(rows=_selection_rows())
+    def test_batched_matches_rows(self, rows):
+        s, eps, xi = rows
+        batched = prot_select(s, eps, xi)
+        assert batched.shape == xi.shape[:-1]
+        for j in range(xi.shape[0]):
+            for r in range(len(s)):
+                assert batched[j, r] == prot_select(s[r], eps[r], xi[j, r])
+
+
 class TestMcProbabilities:
     def test_agrees_with_exact(self):
         s = [0.0, 1.0, -0.5]
@@ -331,13 +418,28 @@ class TestBatchMonteCarlo:
         # cumulative losses are nondecreasing for nonnegative games
         assert np.all(np.diff(out, axis=1) >= 0)
 
-    def test_chunking_is_bit_exact(self):
+    def test_chunking_is_bit_exact(self, monkeypatch):
         losses = np.random.default_rng(2).uniform(-1, 1, (64, 4))
         p = power_params(n=4, v0=1.0)
         full = batch_cumulative_losses(losses, p, 500, RngSpec(9))
-        small = batch_cumulative_losses(losses, p, 500, RngSpec(9),
-                                        max_chunk_elems=64 * 4 * 7)
+        monkeypatch.setattr(engine, "_MAX_CHUNK_ELEMS", 64 * 4 * 7)
+        small = batch_cumulative_losses(losses, p, 500, RngSpec(9))
         assert np.array_equal(full, small)
+
+    @pytest.mark.parametrize("infeasible", [False, True])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    def test_single_run_matches_prot_run(self, infeasible, regime):
+        losses = np.random.default_rng(4).uniform(-1, 1, (200, 3))
+        p = power_params(n=3, v0=1.0)
+        run = ifpl_run if infeasible else prot_run
+        rec = run(losses, p, rng=RngSpec(12), regime=regime)
+        batch = batch_cumulative_losses(losses, p, 1, RngSpec(12), regime=regime,
+                                        infeasible=infeasible)
+        assert rec.cum_loss[-1] == batch[0, 0]
+
+    def test_volume_overflow_raises(self):
+        with pytest.raises(GameError, match="step 18"):
+            monte_carlo_regret(OVERFLOW_GAME, power_params(v0=1.0), 10, RngSpec(0))
 
     def test_monte_carlo_regret_scalar(self):
         losses = np.random.default_rng(3).uniform(0, 1, (64, 2))

@@ -3,12 +3,10 @@ import pytest
 
 from volfpl import (
     GameError,
-    GameState,
     LossMatrix,
     GammaSchedule,
     check_fluctuation_bound,
     scaled_fluctuation,
-    update_state,
     volume_trace,
 )
 
@@ -50,49 +48,6 @@ class TestLossMatrix:
             LossMatrix.from_csv(path)
 
 
-class TestUpdateState:
-    def test_first_step(self):
-        s = GameState.initial(2, v0=0.0)
-        s = update_state(s, [0.5, 0])
-        assert s.volume == 0.5
-        assert np.array_equal(s.cumulative, [0.5, 0])
-
-    def test_second_step(self):
-        s = GameState(step=1, cumulative=np.array([0.5, 0.0]), volume=0.5)
-        s = update_state(s, [0, 1])
-        assert s.volume == 1.5
-        assert np.array_equal(s.cumulative, [0.5, 1])
-
-    def test_volume_uses_absolute_value(self):
-        s = GameState(step=2, cumulative=np.array([0.5, 1.0]), volume=1.5)
-        s = update_state(s, [-1, 0])
-        assert s.volume == 2.5
-        assert np.array_equal(s.cumulative, [-0.5, 1])
-
-    def test_rejects_non_finite(self):
-        s = GameState.initial(2)
-        with pytest.raises(GameError):
-            update_state(s, [np.nan, 0.0])
-
-    def test_rejects_length_mismatch(self):
-        s = GameState.initial(2)
-        with pytest.raises(GameError):
-            update_state(s, [1.0, 2.0, 3.0])
-
-    def test_initial_state_is_zero(self):
-        s = GameState.initial(3, v0=2.0)
-        assert s.step == 0
-        assert s.volume == 2.0
-        assert np.all(s.cumulative == 0)
-
-    def test_cumulative_dominated_by_volume(self):
-        gen = np.random.default_rng(0)
-        s = GameState.initial(4, v0=0.5)
-        for _ in range(50):
-            s = update_state(s, gen.uniform(-3, 3, 4))
-            assert np.all(np.abs(s.cumulative) <= s.volume + 1e-12)
-
-
 class TestScaledFluctuation:
     def test_plain_division(self):
         assert scaled_fluctuation(1.0, 2.5) == pytest.approx(0.4)
@@ -130,7 +85,44 @@ class TestFluctuationBound:
         assert not ok and step == 2
 
 
+# the first three steps of a game worked by hand: the volume grows by the
+# largest absolute loss of each step
+HAND_GAME = np.array([[0.5, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+
+
 class TestVolumeTrace:
+    def test_initial_state_is_zero(self):
+        v, _, _ = volume_trace(LossMatrix(np.zeros((0, 3))), 2.0)
+        assert np.array_equal(v, [2.0])
+
+    def test_first_step(self):
+        v, delta_v, fluc = volume_trace(LossMatrix(HAND_GAME[:1]), 0.0)
+        assert np.array_equal(v, [0.0, 0.5])
+        assert np.array_equal(delta_v, [0.5]) and np.array_equal(fluc, [1.0])
+
+    def test_second_step(self):
+        v, delta_v, fluc = volume_trace(LossMatrix(HAND_GAME[:2]), 0.0)
+        assert np.array_equal(v, [0.0, 0.5, 1.5])
+        assert fluc[1] == 1.0 / 1.5
+
+    def test_volume_uses_absolute_value(self):
+        v, delta_v, fluc = volume_trace(LossMatrix(HAND_GAME), 0.0)
+        assert np.array_equal(v, [0.0, 0.5, 1.5, 2.5])
+        assert np.array_equal(delta_v, [0.5, 1.0, 1.0])
+        assert np.array_equal(fluc, [1.0, 1.0 / 1.5, 0.4])
+
+    def test_rejects_non_finite(self):
+        # alternating losses of 1e307 from v0 = 1: the volume overflows at t = 18
+        game = LossMatrix(np.tile([[1e307, 0.0], [0.0, 1e307]], (20, 1)))
+        with pytest.raises(GameError, match="step 18"):
+            volume_trace(game, 1.0)
+
+    def test_cumulative_dominated_by_volume(self):
+        gen = np.random.default_rng(0)
+        lm = LossMatrix(gen.uniform(-3, 3, (50, 4)))
+        v, _, _ = volume_trace(lm, 0.5)
+        assert np.all(np.abs(np.cumsum(lm.values, axis=0)) <= v[1:, None] + 1e-12)
+
     def test_intro_game_total_volume(self):
         # per-step maxima are (1/2, 1, 1, 1, 1, 1, 1): v_7 = 6.5
         v, delta_v, fluc = volume_trace(LossMatrix(INTRO_GAME), 0.0)

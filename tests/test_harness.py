@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from volfpl import (
+    AggregateReport,
     ExperimentConfig,
+    GameError,
     GammaSchedule,
     LossMatrix,
+    PriceSeries,
+    Prop1Trace,
+    RunRecord,
+    TradingReport,
     RngSpec,
     ScheduleParams,
     bounded_unit_game,
@@ -79,6 +85,13 @@ class TestRunExperiment:
         b = run_experiment(base_config(seeds=[4, 2, 0, 3, 1]))
         assert a.mean_regret == pytest.approx(b.mean_regret, rel=1e-12)
 
+    @pytest.mark.parametrize("key", ["game", "schedule"])
+    def test_config_missing_key(self, key):
+        cfg = base_config().to_dict()
+        del cfg[key]
+        with pytest.raises(GameError, match=key):
+            ExperimentConfig.from_dict(cfg)
+
     def test_seed_count_expansion(self):
         cfg = base_config(seeds={"count": 3, "base": 10})
         assert cfg.seeds == [10, 11, 12]
@@ -114,6 +127,40 @@ class TestRunExperiment:
         lm.to_csv(path)
         back = resolve_game({"kind": "csv", "path": str(path)})
         assert np.array_equal(back.values, lm.values)
+
+
+def test_csv_files_exact_text(tmp_path):
+    # every writer on a two-row example: integers as integers, floats by
+    # repr, CRLF line ends except aggregate.csv
+    a, b = np.array([0.5, -1e-05]), np.array([1 / 3, 2.0])
+    RunRecord(chosen=np.array([1, 0]), loss=a, cum_loss=b, v=a, delta_v=b, fluc=a, mu=b,
+              eps=np.array([math.inf, 0.25])).to_csv(tmp_path / "trace.csv")
+    LossMatrix(np.column_stack([a, b])).to_csv(tmp_path / "losses.csv")
+    PriceSeries(np.array([1.0, 1.5, 0.75])).to_csv(tmp_path / "prices.csv")
+    Prop1Trace(m=a, s1=b, s2=a, p1=b, e_loss=a, v=b, fluc=a, norm_regret_lb=b,
+               expected_cum=a, min_cum=b).to_csv(tmp_path / "adversary.csv")
+    TradingReport(prices=np.array([1.0, 1.5, 0.75]), s1_cum=a, s2_cum=b, learner_cum=a,
+                  volume=b, fluc=a, fluc_violations=np.array([], dtype=int),
+                  identity_residual=0.0, defensive_bound=0.0).to_csv(tmp_path / "trading.csv")
+    AggregateReport(mean_cum_loss=a, se_cum_loss=b, mean_regret=0.0, se_regret=0.0,
+                    best_expert_loss=0.0, bounds={}, checks={}, config={}).write(tmp_path)
+    expected = {
+        "trace.csv": "t,chosen,loss,cum_loss,v,delta_v,fluc,mu,eps\r\n"
+                     "1,2,0.5,0.3333333333333333,0.5,0.3333333333333333,0.5,0.3333333333333333,inf\r\n"
+                     "2,1,-1e-05,2.0,-1e-05,2.0,-1e-05,2.0,0.25\r\n",
+        "losses.csv": "expert_1,expert_2\r\n0.5,0.3333333333333333\r\n-1e-05,2.0\r\n",
+        "prices.csv": "price\r\n1.0\r\n1.5\r\n0.75\r\n",
+        "adversary.csv": "t,M_t,s1,s2,p1,E_loss,v,fluc,norm_regret_lb\r\n"
+                         "1,0.5,0.3333333333333333,0.5,0.3333333333333333,0.5,0.3333333333333333,"
+                         "0.5,0.3333333333333333\r\n"
+                         "2,-1e-05,2.0,-1e-05,2.0,-1e-05,2.0,-1e-05,2.0\r\n",
+        "trading.csv": "t,S,s1_cum,s2_cum,learner_cum,volume,fluc\r\n"
+                       "1,1.5,0.5,0.3333333333333333,0.5,0.3333333333333333,0.5\r\n"
+                       "2,0.75,-1e-05,2.0,-1e-05,2.0,-1e-05\r\n",
+        "aggregate.csv": "t,mean_cum_loss,se_cum_loss\n1,0.5,0.3333333333333333\n2,-1e-05,2.0\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 class TestHannanCheck:

@@ -9,7 +9,6 @@ from volfpl import (
     ScheduleParams,
     alpha_t,
     choose_a,
-    epsilon_prime_t,
     epsilon_t,
     fpl_ifpl_gap_bound,
     general_bound,
@@ -119,11 +118,6 @@ class TestEpsilon:
 
     def test_zero_volume_gives_infinity(self):
         assert epsilon_t(params_power(), 5, 0.0) == math.inf
-
-    def test_prime_uses_current_volume(self):
-        p = params_power()
-        assert epsilon_prime_t(p, 100, 10.0) == epsilon_t(p, 100, 10.0)
-        assert epsilon_prime_t(p, 100, 20.0) < epsilon_t(p, 100, 10.0)
 
     def test_monotone_in_volume(self):
         p = params_power()

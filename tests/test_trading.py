@@ -40,6 +40,13 @@ class TestPriceSeries:
         back = PriceSeries.from_csv(path)
         assert np.array_equal(back.prices, ps.prices)
 
+    @pytest.mark.parametrize("body", ["1.0\nabc\n", "1.0\n2.0,3\n"])
+    def test_csv_bad_row_names_line(self, tmp_path, body):
+        path = tmp_path / "prices.csv"
+        path.write_text("price\n" + body)
+        with pytest.raises(GameError, match="prices.csv:3"):
+            PriceSeries.from_csv(path)
+
 
 class TestFbm:
     def test_reproducible(self):
