@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import selection_probabilities_exact
-from .game import write_csv
+from .game import GameError, LossMatrix, volume_trace, write_csv
 from .schedule import ScheduleParams, epsilon_t
 
 
@@ -82,53 +82,41 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
     ``algorithm(t, cumulative, v_prev) -> p1`` reports the probability of
     following expert 1 given the experts' cumulative losses and the volume so
     far.  Expectations use the reported probabilities directly; no choices
-    are ever sampled.
+    are ever sampled.  A volume that overflows raises GameError naming the
+    step.
     """
     T = config.horizon
-    m = np.empty(T)
-    s1 = np.empty(T)
-    s2 = np.empty(T)
+    s = np.empty((T, 2))
     p1 = np.empty(T)
-    e_loss = np.empty(T)
-    v = np.empty(T)
-    fluc = np.empty(T)
-    nrl = np.empty(T)
-    expected_cum = np.empty(T)
-    min_cum = np.empty(T)
-
     cum = np.zeros(2)
-    v_prev = config.v0
-    e_total = 0.0
+    total = 0.0
     for t in range(1, T + 1):
+        # v0 + running sum of M_t rounds like volume_trace's cumsum
+        v_prev = config.v0 + total
         p = float(algorithm(t, cum.copy(), v_prev))
         if not 0 <= p <= 1 or not math.isfinite(p):
             raise AdversaryError(f"callback returned invalid probability {p} at step {t}")
         a, b, mt = prop1_step(v_prev, p, config.eps)
-        cum = cum + np.array([a, b])
-        v_t = v_prev + mt
-        e_step = a * p + b * (1.0 - p)
-        e_total += e_step
+        total += mt
+        if not math.isfinite(config.v0 + total):
+            raise GameError(f"volume is not finite at step {t}: losses overflow")
+        s[t - 1] = a, b
+        p1[t - 1] = p
+        cum = cum + s[t - 1]
 
-        i = t - 1
-        m[i], s1[i], s2[i], p1[i] = mt, a, b, p
-        e_loss[i] = e_step
-        v[i] = v_t
-        fluc[i] = mt / v_t
-        expected_cum[i] = e_total
-        min_cum[i] = float(np.min(cum))
-        nrl[i] = (e_total - min_cum[i]) / v_t
-        v_prev = v_t
-    return Prop1Trace(m=m, s1=s1, s2=s2, p1=p1, e_loss=e_loss, v=v, fluc=fluc,
-                      norm_regret_lb=nrl, expected_cum=expected_cum, min_cum=min_cum)
+    v, m, fluc = volume_trace(LossMatrix(s), config.v0)
+    e_loss = s[:, 0] * p1 + s[:, 1] * (1.0 - p1)
+    expected_cum = np.cumsum(e_loss)
+    min_cum = np.min(np.cumsum(s, axis=0), axis=1)
+    return Prop1Trace(m=m, s1=s[:, 0], s2=s[:, 1], p1=p1, e_loss=e_loss, v=v[1:], fluc=fluc,
+                      norm_regret_lb=(expected_cum - min_cum) / v[1:],
+                      expected_cum=expected_cum, min_cum=min_cum)
 
 
 def prot_probability_callback(params: ScheduleParams):
     """Adapter exposing PROT's exact selection probabilities to prop1_run."""
 
     def callback(t, cumulative, v_prev):
-        eps = epsilon_t(params, t, v_prev)
-        if math.isinf(eps):
-            return 0.5 if cumulative[0] == cumulative[1] else float(cumulative[0] < cumulative[1])
-        return float(selection_probabilities_exact(cumulative, eps)[0])
+        return float(selection_probabilities_exact(cumulative, epsilon_t(params, t, v_prev))[0])
 
     return callback

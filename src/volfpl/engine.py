@@ -86,10 +86,16 @@ def prot_select(cumulative, eps, xi):
     return choice
 
 
-def _rate(mu, vol):
-    """eps = 1 / (mu vol); a zero volume gives an infinite rate."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / (mu * vol)
+def _rate(mu, vol, step=1):
+    """eps = 1 / (mu vol) for steps ``step``, ``step + 1``, ...; a zero volume
+    gives an infinite rate, and a product mu vol that overflows raises."""
+    with np.errstate(over="ignore", divide="ignore"):
+        eps = 1.0 / (mu * vol)
+    # mu > 0 and a finite vol >= 0, so eps is 0 only where mu vol overflowed
+    if not np.all(eps > 0):
+        bad = step + np.argmin(np.atleast_1d(eps) > 0)
+        raise GameError(f"rate 1/(mu_t v) is 0 at step {bad}: mu_t * v overflows")
+    return eps
 
 
 def _schedule_mu(params: ScheduleParams, T: int) -> np.ndarray:
@@ -102,21 +108,29 @@ def _schedule_mu(params: ScheduleParams, T: int) -> np.ndarray:
 
 
 def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: bool):
-    """Pre-selection cumulative scores and rates for every step: for a fixed
-    loss matrix neither depends on the perturbations."""
-    v, _, _ = volume_trace(game, params.v0)
+    """Scores and rates of every step of a loss matrix: neither depends on
+    the perturbations.
+
+    Returns ``(scores, eps, trace)``: the (T, N) cumulative losses each
+    step's choice sees, the (T,) rates, and the ``(v, delta_v, fluc, mu,
+    expert_cum)`` tuple that :func:`_record` reads.
+    """
+    v, delta_v, fluc = volume_trace(game, params.v0)
     cum = np.vstack([np.zeros(game.num_experts), np.cumsum(game.values, axis=0)])
     mu = _schedule_mu(params, game.num_steps)
+    trace = (v, delta_v, fluc, mu, cum[-1])
     if infeasible:
-        return cum[1:], _rate(mu, v[1:])
-    return cum[:-1], _rate(mu, v[:-1])
+        return cum[1:], _rate(mu, v[1:]), trace
+    return cum[:-1], _rate(mu, v[:-1]), trace
 
 
 def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasible: bool):
-    """Step through an adaptive game; returns its losses, choices and rates.
+    """Step through an adaptive game; returns the game, choices, rates and
+    the trace tuple of :func:`_deterministic_rates`.
 
-    The volume is v0 plus a running sum of the steps' maxima, which rounds
-    exactly like the ``cumsum`` in :func:`volume_trace`.
+    The loop keeps only the running scores and ``v0 + sum of the steps'
+    maxima``, which rounds exactly like the ``cumsum`` in
+    :func:`volume_trace`; the trace is read from the finished game.
     """
     mu = _schedule_mu(params, T)
     values = np.empty((T, N))
@@ -135,26 +149,25 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
         if not math.isfinite(v_t):
             raise GameError(f"volume is not finite at step {t + 1}: losses overflow")
         if infeasible:
-            eps[t] = _rate(mu[t], v_t)
+            eps[t] = _rate(mu[t], v_t, t + 1)
             chosen[t] = prot_select(cum + s_t, eps[t], xi[t])
         else:
-            eps[t] = _rate(mu[t], v_prev)
+            eps[t] = _rate(mu[t], v_prev, t + 1)
             chosen[t] = prot_select(cum, eps[t], xi[t])
         values[t] = s_t
         cum = cum + s_t
         history.append(int(chosen[t]))
-    return LossMatrix(values), chosen, eps
+    game = LossMatrix(values)
+    return game, chosen, eps, volume_trace(game, params.v0) + (mu, cum)
 
 
-def _record(game: LossMatrix, params: ScheduleParams, chosen, eps, xi) -> RunRecord:
-    """The trace of a finished run; matrix and callback runs both end here."""
-    values = game.values
-    v, delta_v, fluc = volume_trace(game, params.v0)
-    loss = values[np.arange(game.num_steps), chosen]
-    cum = np.vstack([np.zeros(game.num_experts), np.cumsum(values, axis=0)])
+def _record(game: LossMatrix, chosen, eps, xi, trace) -> RunRecord:
+    """The record of a finished run; matrix and callback runs both end here."""
+    v, delta_v, fluc, mu, expert_cum = trace
+    loss = game.values[np.arange(game.num_steps), chosen]
     return RunRecord(chosen=chosen, loss=loss, cum_loss=np.cumsum(loss), v=v[1:],
-                     delta_v=delta_v, fluc=fluc, mu=mu_values(params, game.num_steps),
-                     eps=eps, expert_cum=cum[-1], perturbations=np.array(xi))
+                     delta_v=delta_v, fluc=fluc, mu=mu, eps=eps, expert_cum=expert_cum,
+                     perturbations=np.array(xi))
 
 
 def _run(losses, params, rng, regime, perturbations, infeasible, num_steps, num_experts):
@@ -181,11 +194,11 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps, num_
         xi = sample_exponential_array((T, N), as_generator(rng))
 
     if callable(losses):
-        game, chosen, eps = _callback_run(losses, T, N, params, xi, infeasible)
+        game, chosen, eps, trace = _callback_run(losses, T, N, params, xi, infeasible)
     else:
-        base, eps = _deterministic_rates(game, params, infeasible)
+        base, eps, trace = _deterministic_rates(game, params, infeasible)
         chosen = prot_select(base, eps, xi)
-    return _record(game, params, chosen, eps, xi)
+    return _record(game, chosen, eps, xi, trace)
 
 
 def prot_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
@@ -297,10 +310,11 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     """Learner cumulative losses for many independent seeded runs at once.
 
     Returns an array of shape (num_runs, len(checkpoints)); ``checkpoints``
-    defaults to [T].  Only valid for oblivious games (fixed loss matrix),
-    where volumes and rates do not depend on the perturbations.  A single
-    run draws the doubles ``prot_run`` draws from the same ``rng``, so it
-    reproduces that run's total loss exactly.
+    lie in 1..T and default to [T] (zeros for a game with no steps).  Only
+    valid for oblivious games (fixed loss matrix), where volumes and rates
+    do not depend on the perturbations.  A single run draws the doubles
+    ``prot_run`` draws from the same ``rng``, so it reproduces that run's
+    total loss exactly.
     """
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
@@ -308,13 +322,17 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     T, N = game.values.shape
     if N != params.num_experts:
         raise GameError(f"params expect {params.num_experts} experts, game has {N}")
-    checkpoints = [T] if checkpoints is None else list(checkpoints)
-    base, rate = _deterministic_rates(game, params, infeasible)
+    cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
+    if checkpoints is not None and not np.all((cps >= 1) & (cps <= T)):
+        raise GameError(f"checkpoints must lie in 1..{T}, got {cps.tolist()}")
+    if T == 0:
+        return np.zeros((num_runs, 1))
+    base, rate, _ = _deterministic_rates(game, params, infeasible)
 
     gen = as_generator(rng)
-    out = np.empty((num_runs, len(checkpoints)))
+    out = np.empty((num_runs, len(cps)))
     chunk = max(1, min(num_runs, _MAX_CHUNK_ELEMS // (T * N)))
-    cp_idx = np.asarray(checkpoints, dtype=int) - 1
+    cp_idx = cps - 1
     for done in range(0, num_runs, chunk):
         m = min(chunk, num_runs - done)
         xi = sample_exponential_array((m, 1 if regime == "once" else T, N), gen)
@@ -333,12 +351,11 @@ def monte_carlo_regret(losses, params: ScheduleParams, num_runs: int, rng,
     """
     values = losses.values if isinstance(losses, LossMatrix) else np.asarray(losses, float)
     T = values.shape[0]
-    cps = [T] if checkpoints is None else list(checkpoints)
     totals = batch_cumulative_losses(losses, params, num_runs, rng, regime=regime,
-                                     infeasible=infeasible, checkpoints=cps)
-    cum = np.cumsum(values, axis=0)
-    best = np.array([np.min(cum[c - 1]) for c in cps])
-    regrets = totals - best[None, :]
+                                     infeasible=infeasible, checkpoints=checkpoints)
+    cps = [T] if checkpoints is None else list(checkpoints)
+    cum = np.vstack([np.zeros(values.shape[1]), np.cumsum(values, axis=0)])
+    regrets = totals - np.min(cum[cps], axis=1)[None, :]
     mean = regrets.mean(axis=0)
     se = regrets.std(axis=0, ddof=1) / math.sqrt(num_runs) if num_runs > 1 else np.zeros(len(cps))
     if checkpoints is None:

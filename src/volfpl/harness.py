@@ -28,31 +28,32 @@ def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
                              delta: float = 1.0) -> LossMatrix:
     """Random game whose scaled fluctuation obeys fluc(t) <= t^-delta.
 
-    Each step scales the loss row so that max_i |s^i_t| stays at or below
-    v_{t-1} / (t^delta - (t-1)... conservatively v_{t-1} * ((t)^delta - ...);
-    for delta = 1 the cap is v_{t-1} / (t - 1).
+    Step t's row has peak magnitude max_i |s^i_t| = U_t cap_t with U_t
+    uniform on [0.1, 1), where cap_t = g v_{t-1} / (1 - g) for g = t^-delta
+    is the largest volume step with fluc(t) <= g (cap_t = v_{t-1} when g >= 1).
+    So v_t = v_{t-1} (1 + U_t cap_t / v_{t-1}) has a closed form, and the
+    whole game comes from one block of uniform draws: per step, U_t and then
+    the N row entries, uniform on [-1, 1) (or [0, 1) for nonnegative
+    losses).
     """
     gen = as_generator(rng)
     if v0 <= 0:
         raise GameError("generator needs v0 > 0 to seed the volume")
-    rows = np.empty((num_steps, num_experts))
-    v_prev = v0
-    for t in range(1, num_steps + 1):
-        g = float(t) ** -delta
-        # fluc = dv / (v_prev + dv) <= g  <=>  dv <= g v_prev / (1 - g)
-        cap = v_prev if g >= 1.0 else g * v_prev / (1.0 - g)
-        magnitude = gen.uniform(0.1, 1.0) * cap
-        if loss_mode == "nonnegative":
-            row = gen.uniform(0.0, 1.0, num_experts)
-        else:
-            row = gen.uniform(-1.0, 1.0, num_experts)
-        peak = np.max(np.abs(row))
-        if peak == 0:
-            row[0] = 1.0
-            peak = 1.0
-        rows[t - 1] = row / peak * magnitude
-        v_prev += magnitude
-    return LossMatrix(rows)
+    draws = gen.random((num_steps, num_experts + 1))
+    # the doubles Generator.uniform(low, high) would draw: low + (high - low) * r
+    u = 0.1 + 0.9 * draws[:, 0]
+    rows = draws[:, 1:] if loss_mode == "nonnegative" else -1.0 + 2.0 * draws[:, 1:]
+    g = np.arange(1, num_steps + 1, dtype=float) ** -delta
+    # fluc = dv / (v_prev + dv) <= g  <=>  dv <= g v_prev / (1 - g)
+    free = g >= 1.0
+    denom = np.where(free, 1.0, 1.0 - g)
+    v_prev = np.cumprod(np.concatenate([[v0], 1.0 + u[:-1] * np.where(free, 1.0, g / denom)[:-1]]))
+    cap = np.where(free, v_prev, g * v_prev / denom)
+    peak = np.max(np.abs(rows), axis=1)
+    zero = peak == 0
+    rows[zero, 0] = 1.0
+    peak[zero] = 1.0
+    return LossMatrix(rows / peak[:, None] * (u * cap)[:, None])
 
 
 def bounded_unit_game(num_experts: int, num_steps: int, rng,

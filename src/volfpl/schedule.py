@@ -258,21 +258,34 @@ def choose_a(target_eps: float, loss_mode: str = "general") -> float:
     return hi
 
 
+def _weighted_volume(params: ScheduleParams, T: int, delta_v) -> float:
+    """sum_t gamma(t)^{1/2} dv_t, the sum every regret bound is a multiple of.
+
+    ``delta_v`` must have shape (T,) and no negative entry.
+    """
+    delta_v = np.asarray(delta_v, dtype=float)
+    if delta_v.shape != (T,):
+        raise ScheduleError(f"delta_v must have length {T}, got shape {delta_v.shape}")
+    if not np.all(delta_v >= 0):
+        raise ScheduleError("delta_v entries must be nonnegative")
+    if T == 0:
+        return 0.0
+    return float(np.sum(np.sqrt(params.gamma.values(np.arange(1, T + 1))) * delta_v))
+
+
+def _tuned_coef(params: ScheduleParams) -> float:
+    """sqrt(2a(e^{3/a}-1)(1+ln N)) = (1+ln N) mu_t / gamma(t)^{1/2}."""
+    return math.sqrt(
+        2.0 * params.a * math.expm1(3.0 / params.a) * (1.0 + math.log(params.num_experts))
+    )
+
+
 def regret_bound(params: ScheduleParams, T: int, delta_v, target_eps: float) -> float:
     """Main expected-regret bound 2 sqrt((6+eps)(1+ln N)) sum gamma(t)^{1/2} dv_t
     (with 2+eps in nonnegative mode)."""
-    delta_v = np.asarray(delta_v, dtype=float)
-    if delta_v.shape != (T,):
-        raise ScheduleError(f"delta_v must have length {T}")
-    if T == 0:
-        return 0.0
-    if np.any(delta_v < 0):
-        raise ScheduleError("delta_v entries must be nonnegative")
     c = _bound_constant(params.loss_mode) + target_eps
-    g = params.gamma.values(np.arange(1, T + 1))
-    return 2.0 * math.sqrt(c * (1.0 + math.log(params.num_experts))) * float(
-        np.sum(np.sqrt(g) * delta_v)
-    )
+    return 2.0 * math.sqrt(c * (1.0 + math.log(params.num_experts))) * _weighted_volume(
+        params, T, delta_v)
 
 
 def general_bound(params: ScheduleParams, T: int, delta_v) -> float:
@@ -297,41 +310,22 @@ def general_bound(params: ScheduleParams, T: int, delta_v) -> float:
 
 def optimized_bound(params: ScheduleParams, T: int, delta_v) -> float:
     """Tuned form 2 sqrt(2a(e^{3/a}-1)(1+ln N)) sum gamma(t)^{1/2} dv_t."""
-    delta_v = np.asarray(delta_v, dtype=float)
-    if T == 0:
-        return 0.0
-    g = params.gamma.values(np.arange(1, T + 1))
-    coef = 2.0 * math.sqrt(
-        2.0 * params.a * math.expm1(3.0 / params.a) * (1.0 + math.log(params.num_experts))
-    )
-    return coef * float(np.sum(np.sqrt(g) * delta_v))
+    return 2.0 * _tuned_coef(params) * _weighted_volume(params, T, delta_v)
 
 
 def fpl_ifpl_gap_bound(params: ScheduleParams, delta_v) -> float:
     """Bound on l_{1:T} - r_{1:T}: 2(e^{3/a}-1) sum gamma(t)^{1-alpha_t} dv_t.
 
-    Evaluated through gamma^{1-alpha_t} = a*gamma(t)/mu_t, which is defined
-    for every gamma in (0, 1].
+    With gamma^{1-alpha_t} = a gamma(t) / mu_t this is half of
+    :func:`optimized_bound` for every gamma in (0, 1].
     """
-    delta_v = np.asarray(delta_v, dtype=float)
-    T = len(delta_v)
-    if T == 0:
-        return 0.0
-    g = params.gamma.values(np.arange(1, T + 1))
-    mu = mu_values(params, T)
-    return 2.0 * math.expm1(3.0 / params.a) * float(
-        np.sum(params.a * g / mu * delta_v)
-    )
+    return _tuned_coef(params) * _weighted_volume(params, np.size(delta_v), delta_v)
 
 
 def ifpl_regret_bound(params: ScheduleParams, delta_v) -> float:
-    """IFPL bound term a(1+ln N) sum gamma(t)^{alpha_t} dv_t = (1+ln N) sum mu_t dv_t."""
-    delta_v = np.asarray(delta_v, dtype=float)
-    T = len(delta_v)
-    if T == 0:
-        return 0.0
-    mu = mu_values(params, T)
-    return (1.0 + math.log(params.num_experts)) * float(np.sum(mu * delta_v))
+    """IFPL bound term a(1+ln N) sum gamma(t)^{alpha_t} dv_t = (1+ln N) sum mu_t dv_t,
+    half of :func:`optimized_bound`."""
+    return _tuned_coef(params) * _weighted_volume(params, np.size(delta_v), delta_v)
 
 
 def poly_bound(N: int, T: int, alpha: float, delta: float, target_eps: float) -> float:

@@ -17,10 +17,10 @@ from functools import lru_cache
 import numpy as np
 from scipy import linalg
 
-from .engine import selection_probabilities_exact
+from .engine import _deterministic_rates, selection_probabilities_exact
 from .game import GameError, LossMatrix, volume_trace, write_csv
 from .perturbation import as_generator
-from .schedule import ScheduleParams, mu_values
+from .schedule import ScheduleParams
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,14 @@ class TradingConfig:
 def learner_gain(prices: PriceSeries, config: TradingConfig):
     """Derandomized learner gain G_t = (P{I_t=1} - P{I_t=2}) s1_t.
 
-    Gains are losses with the sign flipped, so PROT's probabilities are
-    computed from cumulative losses -s^i_{1:t-1} with eps_t from the
-    schedule.  Returns (per-step gains, cumulative gains).
+    Gains are losses with the sign flipped, so PROT's probabilities come
+    from the engine's scores and rates on the loss matrix (-s1, s1).
+    Returns (per-step gains, cumulative gains).
     """
     s1, _ = expert_gains(prices, config.c)
-    params = config.schedule
-    game = LossMatrix(np.column_stack([-s1, s1]))
-    v, _, _ = volume_trace(game, params.v0)
-    cum_prev = np.cumsum(np.vstack([np.zeros(2), game.values[:-1]]), axis=0)
-    eps = 1.0 / (mu_values(params, len(s1)) * v[:-1])
-    p = selection_probabilities_exact(cum_prev, eps)
+    scores, eps, _ = _deterministic_rates(LossMatrix(np.column_stack([-s1, s1])),
+                                          config.schedule, False)
+    p = selection_probabilities_exact(scores, eps)
     gains = (p[:, 0] - p[:, 1]) * s1
     return gains, np.cumsum(gains)
 

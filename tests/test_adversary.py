@@ -3,12 +3,15 @@ import pytest
 
 from volfpl import (
     AdversaryConfig,
+    GameError,
     GammaSchedule,
+    LossMatrix,
     ScheduleParams,
     choose_a,
     prop1_run,
     prop1_step,
     prot_probability_callback,
+    volume_trace,
 )
 from volfpl.adversary import AdversaryError
 
@@ -79,6 +82,41 @@ class TestProp1Run:
         trace = prop1_run(prot_probability_callback(params), cfg)
         assert np.all(trace.norm_regret_lb >= 0.25 - 1e-12)
         assert np.allclose(trace.fluc, 1 / (1 + 0.5 / 4), rtol=1e-12)
+
+    @pytest.mark.parametrize("callback", ["half", "prot"])
+    def test_fields_come_from_volume_trace(self, callback):
+        cfg = AdversaryConfig(eps=0.3, v0=2.0, horizon=40)
+        params = ScheduleParams(a=choose_a(1.0), num_experts=2,
+                                gamma=GammaSchedule.constant(0.999), v0=2.0)
+        prot = prot_probability_callback(params)
+        seen = []
+
+        def algorithm(t, cum, v):
+            seen.append(v)
+            return 0.5 if callback == "half" else prot(t, cum, v)
+
+        trace = prop1_run(algorithm, cfg)
+        s = np.column_stack([trace.s1, trace.s2])
+        v, m, fluc = volume_trace(LossMatrix(s), cfg.v0)
+        cum = np.cumsum(s, axis=0)
+        e_loss = trace.s1 * trace.p1 + trace.s2 * (1.0 - trace.p1)
+        assert np.array_equal(trace.v, v[1:])
+        assert np.array_equal(trace.m, m)
+        assert np.array_equal(trace.fluc, fluc)
+        assert np.array_equal(trace.e_loss, e_loss)
+        assert np.array_equal(trace.expected_cum, np.cumsum(e_loss))
+        assert np.array_equal(trace.min_cum, np.min(cum, axis=1))
+        assert np.array_equal(trace.norm_regret_lb,
+                              (np.cumsum(e_loss) - np.min(cum, axis=1)) / v[1:])
+        # the callback is handed the same volume the trace reports
+        assert seen == v[:-1].tolist()
+        assert np.array_equal(trace.m, 4.0 * v[:-1] / cfg.eps)
+
+    def test_volume_overflow_raises(self):
+        # v_t = 9^t from v0 = 1 at eps = 0.5 overflows at t = 324
+        cfg = AdversaryConfig(eps=0.5, v0=1.0, horizon=400)
+        with pytest.raises(GameError, match="step 324:"):
+            prop1_run(lambda t, cum, v: 0.5, cfg)
 
     def test_rejects_invalid_probability(self):
         cfg = AdversaryConfig(eps=0.5, horizon=3)

@@ -183,6 +183,29 @@ class TestRunLoops:
             run(lambda t, history, cum: OVERFLOW_GAME[t - 1], p, rng=RngSpec(0),
                 num_steps=40, num_experts=2)
 
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @pytest.mark.parametrize("callback", [False, True])
+    def test_one_volume_trace_per_run(self, monkeypatch, run, callback):
+        calls = []
+        real = engine.volume_trace
+        monkeypatch.setattr(engine, "volume_trace", lambda *a: calls.append(a) or real(*a))
+        game = (lambda t, history, cum: INTRO_GAME[t - 1]) if callback else INTRO_GAME
+        run(game, power_params(v0=0.5), rng=RngSpec(3), num_steps=7, num_experts=2)
+        assert len(calls) == 1
+
+    def test_rate_overflow_raises(self):
+        # v_1 = 1.5e308 is finite, but mu_1 v_1 with mu_1 > 1 overflows
+        p = power_params()
+        game = [[1.5e308, 0.0]]
+        assert mu_values(p, 1)[0] > 1
+        with pytest.raises(GameError, match="step 1:"):
+            ifpl_run(game, p, rng=RngSpec(0))
+        with pytest.raises(GameError, match="step 1:"):
+            ifpl_run(lambda t, history, cum: game[t - 1], p, rng=RngSpec(0),
+                     num_steps=1, num_experts=2)
+        with pytest.raises(GameError, match="step 1:"):
+            batch_cumulative_losses(game, p, 4, RngSpec(0), infeasible=True)
+
 
 class TestExactProbabilities:
     def test_two_expert_reference(self):
@@ -440,6 +463,25 @@ class TestBatchMonteCarlo:
     def test_volume_overflow_raises(self):
         with pytest.raises(GameError, match="step 18"):
             monte_carlo_regret(OVERFLOW_GAME, power_params(v0=1.0), 10, RngSpec(0))
+
+    def test_zero_step_game(self):
+        p = power_params(v0=1.0)
+        empty = np.zeros((0, 2))
+        assert np.array_equal(batch_cumulative_losses(empty, p, 5, RngSpec(0)),
+                              np.zeros((5, 1)))
+        assert monte_carlo_regret(empty, p, 5, RngSpec(0)) == (0.0, 0.0)
+        assert prot_run(empty, p, rng=RngSpec(0)).regret == 0.0
+
+    @pytest.mark.parametrize("checkpoint", [0, 4, -1])
+    def test_checkpoint_outside_game_raises(self, checkpoint):
+        p = power_params(v0=1.0)
+        losses = np.ones((3, 2))
+        with pytest.raises(GameError, match="checkpoints"):
+            batch_cumulative_losses(losses, p, 5, RngSpec(0), checkpoints=[checkpoint])
+        with pytest.raises(GameError, match="checkpoints"):
+            monte_carlo_regret(losses, p, 5, RngSpec(0), checkpoints=[1, checkpoint])
+        with pytest.raises(GameError, match="checkpoints"):
+            batch_cumulative_losses(np.zeros((0, 2)), p, 5, RngSpec(0), checkpoints=[0])
 
     def test_monte_carlo_regret_scalar(self):
         losses = np.random.default_rng(3).uniform(0, 1, (64, 2))

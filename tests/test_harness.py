@@ -28,7 +28,58 @@ from volfpl.cli import main as cli_main
 from volfpl.harness import resolve_game
 
 
+def reference_fluc_bounded_rows(num_experts, num_steps, gen, v0, loss_mode, delta):
+    """The step-by-step form of random_fluc_bounded_game: one uniform draw
+    for the magnitude, then the row, and a running volume."""
+    rows = np.empty((num_steps, num_experts))
+    v_prev = v0
+    for t in range(1, num_steps + 1):
+        g = float(t) ** -delta
+        cap = v_prev if g >= 1.0 else g * v_prev / (1.0 - g)
+        magnitude = gen.uniform(0.1, 1.0) * cap
+        if loss_mode == "nonnegative":
+            row = gen.uniform(0.0, 1.0, num_experts)
+        else:
+            row = gen.uniform(-1.0, 1.0, num_experts)
+        peak = np.max(np.abs(row))
+        if peak == 0:
+            row[0] = 1.0
+            peak = 1.0
+        rows[t - 1] = row / peak * magnitude
+        v_prev += magnitude
+    return rows
+
+
+class ZeroGenerator(np.random.Generator):
+    """A generator whose uniform block is all zeros."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.zeros(size)
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("loss_mode", ["general", "nonnegative"])
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_random_game_matches_step_loop(self, delta, loss_mode, n):
+        T = 2000
+        ref = reference_fluc_bounded_rows(n, T, RngSpec(11, n).generator(), 1.5,
+                                          loss_mode, delta)
+        lm = random_fluc_bounded_game(n, T, RngSpec(11, n), v0=1.5,
+                                      loss_mode=loss_mode, delta=delta)
+        assert np.array_equal(np.sign(lm.values), np.sign(ref))
+        rel = np.max(np.abs(lm.values - ref), axis=1) / np.max(np.abs(ref), axis=1)
+        assert np.all(rel <= 1e-13)
+        _, _, fluc = volume_trace(lm, 1.5)
+        assert np.all(fluc <= np.arange(1, T + 1.0) ** -delta)
+
+    def test_random_game_zero_row_guard(self):
+        # all-zero draws give a zero row, whose peak moves to expert 1
+        lm = random_fluc_bounded_game(3, 4, ZeroGenerator(np.random.PCG64(0)), v0=1.0,
+                                      loss_mode="nonnegative")
+        assert np.all(lm.values[:, 1:] == 0)
+        assert np.allclose(lm.values[:, 0], [0.1, 0.11, 0.0605, 0.04235], rtol=1e-13, atol=0)
+
     def test_random_game_respects_fluc_cap(self):
         lm = random_fluc_bounded_game(4, 200, RngSpec(1), v0=1.0, delta=1.0)
         _, _, fluc = volume_trace(lm, 1.0)

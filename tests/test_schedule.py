@@ -193,6 +193,48 @@ class TestBounds:
         p = params_power(n=3)
         assert fpl_ifpl_gap_bound(p, np.ones(10)) > 0
 
+    @pytest.mark.parametrize("gamma", [
+        GammaSchedule.power(0.7),
+        GammaSchedule.constant(0.01),
+        GammaSchedule.from_table(np.linspace(1.0, 0.05, 30)),
+    ], ids=["power", "constant", "table"])
+    def test_half_of_optimized_bound(self, gamma):
+        # gamma^{1-alpha_t} = a gamma / mu_t and gamma^{alpha_t} = mu_t / a, so
+        # the gap and IFPL bounds are both half the tuned bound for every gamma
+        gen = np.random.default_rng(41)
+        ts = np.arange(1, 31)
+        for n in (2, 10):
+            for a in (3.0, choose_a(1.0), 40.0):
+                p = ScheduleParams(a=a, num_experts=n, gamma=gamma)
+                dv = gen.uniform(0.0, 5.0, 30)
+                mu = mu_values(p, 30)
+                half = optimized_bound(p, 30, dv) / 2
+                gap_direct = 2 * math.expm1(3 / a) * float(np.sum(a * gamma.values(ts) / mu * dv))
+                ifpl_direct = (1 + math.log(n)) * float(np.sum(mu * dv))
+                for value in (fpl_ifpl_gap_bound(p, dv), ifpl_regret_bound(p, dv),
+                              gap_direct, ifpl_direct):
+                    assert value == pytest.approx(half, rel=1e-12)
+
+    @pytest.mark.parametrize("bound", [
+        lambda p, dv: regret_bound(p, 3, dv, 1.0),
+        lambda p, dv: optimized_bound(p, 3, dv),
+        fpl_ifpl_gap_bound,
+        ifpl_regret_bound,
+    ], ids=["regret", "optimized", "gap", "ifpl"])
+    def test_rejects_bad_delta_v(self, bound):
+        p = params_power()
+        assert bound(p, [1.0, 0.0, 2.0]) > 0
+        for dv in ([1.0, -0.5, 2.0], [1.0, float("nan"), 2.0], [[1.0, 0.0, 2.0]]):
+            with pytest.raises(ScheduleError):
+                bound(p, dv)
+
+    def test_rejects_wrong_length(self):
+        p = params_power()
+        with pytest.raises(ScheduleError, match="length 5"):
+            optimized_bound(p, 5, [1.0])
+        with pytest.raises(ScheduleError, match="length 5"):
+            regret_bound(p, 5, np.ones(4), 1.0)
+
     def test_poly_bound_value(self):
         # N = 2, T = 1024, alpha = 0.1, delta = 1: exponent 1 - 1/2 + 0.1
         val = poly_bound(2, 1024, 0.1, 1.0, 1.0)
