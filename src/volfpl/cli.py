@@ -19,6 +19,7 @@ from .engine import selection_probabilities_exact, selection_probabilities_mc
 from .harness import ExperimentConfig, hannan_check, resolve_game, run_experiment
 from .perturbation import RngSpec
 from .schedule import (
+    LOSS_MODES,
     GammaSchedule,
     ScheduleParams,
     choose_a,
@@ -41,7 +42,7 @@ def _parse_gamma(spec: str) -> dict:
 def _schedule_flags(parser):
     parser.add_argument("--gamma", type=_parse_gamma, help="power:DELTA or const:C")
     parser.add_argument("--target-eps", type=float, dest="target_eps")
-    parser.add_argument("--loss-mode", choices=["general", "nonnegative"], dest="loss_mode")
+    parser.add_argument("--loss-mode", choices=LOSS_MODES, dest="loss_mode")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -25,8 +25,10 @@ from .schedule import ScheduleParams, alpha_t, epsilon_t, mu_values
 
 REGIMES = ("per-step", "once")
 
-# Draws per Monte-Carlo chunk: bounds the kernel's full-size temporaries.
-_MAX_CHUNK_ELEMS = 20_000_000
+# Draws per Monte-Carlo chunk: 1 MB of doubles, so that a chunk's draws and
+# its scores fit in a 2 MB L2 cache together; the kernel's memory does not
+# grow with the number of runs.
+_MAX_CHUNK_ELEMS = 1 << 17
 
 
 @dataclass
@@ -268,7 +270,7 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     gen = as_generator(rng)
     n = len(s)
     counts = np.zeros(n, dtype=np.int64)
-    chunk = max(1, min(num_samples, 2_000_000 // max(n, 1)))
+    chunk = max(1, min(num_samples, _MAX_CHUNK_ELEMS // max(n, 1)))
     done = 0
     while done < num_samples:
         m = min(chunk, num_samples - done)
@@ -332,12 +334,13 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     gen = as_generator(rng)
     out = np.empty((num_runs, len(cps)))
     chunk = max(1, min(num_runs, _MAX_CHUNK_ELEMS // (T * N)))
+    steps = np.arange(T)
     cp_idx = cps - 1
     for done in range(0, num_runs, chunk):
         m = min(chunk, num_runs - done)
         xi = sample_exponential_array((m, 1 if regime == "once" else T, N), gen)
-        picked = game.values[np.arange(T), prot_select(base, rate, xi)]
-        out[done:done + m] = np.cumsum(picked, axis=1)[:, cp_idx]
+        picked = game.values[steps, prot_select(base, rate, xi)]
+        out[done:done + m] = np.cumsum(picked, axis=1, out=picked)[:, cp_idx]
     return out
 
 

@@ -103,7 +103,10 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     length T, all indexed so entry t-1 belongs to step t.  A volume that
     overflows raises GameError naming the first step where it is not finite.
     """
-    delta_v = np.max(np.abs(losses.values), axis=1)
+    # Row maxima as a reduction over the rows of the (N, T) transpose: one
+    # vectorized maximum per expert instead of a short reduction per step
+    # (exact in any order, so the same doubles).
+    delta_v = np.abs(losses.values.T, order="C").max(axis=0)
     with np.errstate(over="ignore"):
         v = np.concatenate([[v0], v0 + np.cumsum(delta_v)])
     # v never decreases, so its last entry is finite only if all are.

@@ -17,11 +17,16 @@ import numpy as np
 from .engine import RunRecord, ifpl_run, prot_run
 from .game import GameError, LossMatrix, check_fluctuation_bound, volume_trace, write_csv
 from .perturbation import RngSpec, as_generator
-from .schedule import ScheduleParams, ifpl_regret_bound, regret_bound
+from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
 
 # ---------------------------------------------------------------------------
 # Game generators
+
+def _check_loss_mode(loss_mode: str) -> None:
+    if loss_mode not in LOSS_MODES:
+        raise GameError(f"unknown loss mode {loss_mode!r}")
+
 
 def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
                              v0: float = 1.0, loss_mode: str = "general",
@@ -36,6 +41,7 @@ def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
     the N row entries, uniform on [-1, 1) (or [0, 1) for nonnegative
     losses).
     """
+    _check_loss_mode(loss_mode)
     gen = as_generator(rng)
     if v0 <= 0:
         raise GameError("generator needs v0 > 0 to seed the volume")
@@ -60,6 +66,7 @@ def bounded_unit_game(num_experts: int, num_steps: int, rng,
                       loss_mode: str = "general") -> LossMatrix:
     """Losses in [-1, 1] (or [0, 1]) with max_i |s^i_t| = 1 every step, so
     that the volume is exactly t."""
+    _check_loss_mode(loss_mode)
     gen = as_generator(rng)
     if loss_mode == "nonnegative":
         rows = gen.uniform(0.0, 1.0, (num_steps, num_experts))

@@ -41,12 +41,20 @@ def sample_exponential(n: int, gen: np.random.Generator) -> np.ndarray:
     """n i.i.d. Exp(1) draws via the inverse CDF."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return inverse_exponential_cdf(gen.random(n))
+    return sample_exponential_array(n, gen)
 
 
 def sample_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
-    """Exp(1) draws of an arbitrary shape (same stream as sample_exponential)."""
-    return inverse_exponential_cdf(gen.random(shape))
+    """Exp(1) draws of an arbitrary shape (same stream as sample_exponential).
+
+    The doubles of ``inverse_exponential_cdf(gen.random(shape))``, computed
+    in place in the uniform buffer: negation is exact, so no temporary is
+    needed.
+    """
+    u = gen.random(shape)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
 def max_tail_bound(num_experts: int, a: float) -> float:

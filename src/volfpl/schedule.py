@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+LOSS_MODES = ("general", "nonnegative")
+
+
 class ScheduleError(ValueError):
     """Invalid learning-rate schedule or parameters."""
 
@@ -128,7 +131,7 @@ class ScheduleParams:
             raise ScheduleError(f"need at least one expert, got {self.num_experts}")
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ScheduleError(f"v0 must be finite and nonnegative, got {self.v0}")
-        if self.loss_mode not in ("general", "nonnegative"):
+        if self.loss_mode not in LOSS_MODES:
             raise ScheduleError(f"unknown loss mode {self.loss_mode!r}")
 
     @property

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from volfpl import (
     probability_ratio_check,
     prot_run,
     prot_select,
+    random_fluc_bounded_game,
     selection_probabilities_exact,
     selection_probabilities_mc,
 )
@@ -392,6 +394,12 @@ class TestMcProbabilities:
         mc = selection_probabilities_mc([0.0, 2.0], 1.0, 1000, RngSpec(0))
         assert mc.sum() == pytest.approx(1.0)
 
+    def test_chunking_is_bit_exact(self, monkeypatch):
+        s = [0.0, 1.0, -0.5]
+        full = selection_probabilities_mc(s, 0.9, 5000, RngSpec(6))
+        monkeypatch.setattr(engine, "_MAX_CHUNK_ELEMS", 3 * 7)
+        assert np.array_equal(full, selection_probabilities_mc(s, 0.9, 5000, RngSpec(6)))
+
 
 class TestProbabilityRatio:
     def valid_params(self):
@@ -441,13 +449,33 @@ class TestBatchMonteCarlo:
         # cumulative losses are nondecreasing for nonnegative games
         assert np.all(np.diff(out, axis=1) >= 0)
 
-    def test_chunking_is_bit_exact(self, monkeypatch):
+    @pytest.mark.parametrize("checkpoints", [None, [1, 17, 64]], ids=["final", "checkpoints"])
+    @pytest.mark.parametrize("infeasible", [False, True], ids=["prot", "ifpl"])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    def test_chunking_is_bit_exact(self, monkeypatch, regime, infeasible, checkpoints):
         losses = np.random.default_rng(2).uniform(-1, 1, (64, 4))
         p = power_params(n=4, v0=1.0)
-        full = batch_cumulative_losses(losses, p, 500, RngSpec(9))
+        kw = dict(regime=regime, infeasible=infeasible, checkpoints=checkpoints)
+        full = batch_cumulative_losses(losses, p, 500, RngSpec(9), **kw)
+        assert 500 * 64 * 4 <= engine._MAX_CHUNK_ELEMS  # one chunk
         monkeypatch.setattr(engine, "_MAX_CHUNK_ELEMS", 64 * 4 * 7)
-        small = batch_cumulative_losses(losses, p, 500, RngSpec(9))
-        assert np.array_equal(full, small)
+        small = batch_cumulative_losses(losses, p, 500, RngSpec(9), **kw)
+        monkeypatch.setattr(engine, "_MAX_CHUNK_ELEMS", 1)
+        single = batch_cumulative_losses(losses, p, 500, RngSpec(9), **kw)
+        assert np.array_equal(full, small) and np.array_equal(full, single)
+
+    def test_kernel_memory_does_not_grow_with_runs(self):
+        # numpy reports its data buffers to tracemalloc; the kernel's
+        # temporaries are sized by the chunk, not by the number of runs
+        losses = random_fluc_bounded_game(10, 2000, RngSpec(5))
+        p = power_params(n=10, v0=1.0)
+        tracemalloc.start()
+        try:
+            batch_cumulative_losses(losses, p, 2000, RngSpec(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("infeasible", [False, True])
     @pytest.mark.parametrize("regime", ["per-step", "once"])

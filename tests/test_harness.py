@@ -90,6 +90,11 @@ class TestGenerators:
         lm = random_fluc_bounded_game(3, 50, RngSpec(2), loss_mode="nonnegative")
         assert np.all(lm.values >= 0)
 
+    @pytest.mark.parametrize("generator", [random_fluc_bounded_game, bounded_unit_game])
+    def test_unknown_loss_mode_raises(self, generator):
+        with pytest.raises(GameError, match="unknown loss mode 'nonneg'"):
+            generator(2, 3, RngSpec(0), loss_mode="nonneg")
+
     def test_bounded_game_volume_is_t(self):
         lm = bounded_unit_game(5, 100, RngSpec(3))
         v, _, _ = volume_trace(lm, 0.0)

@@ -48,6 +48,13 @@ class TestSampling:
         x = sample_exponential(50, RngSpec(3).generator())
         assert np.array_equal(x, inverse_exponential_cdf(u))
 
+    @pytest.mark.parametrize("shape", [17, (4, 6), (3, 50, 7), (5, 1, 2)])
+    def test_array_matches_inverse_cdf(self, shape):
+        # the in-place sampler must give the doubles of the plain formula
+        x = sample_exponential_array(shape, RngSpec(8).generator())
+        ref = inverse_exponential_cdf(RngSpec(8).generator().random(shape))
+        assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+
     def test_array_shape(self):
         x = sample_exponential_array((4, 6), RngSpec(0).generator())
         assert x.shape == (4, 6)
