@@ -21,7 +21,7 @@ import numpy as np
 
 from .game import GameError, LossMatrix, scaled_fluctuation, volume_trace, write_csv
 from .perturbation import as_generator, sample_exponential_array
-from .schedule import ScheduleParams, alpha_t, epsilon_t, mu_values
+from .schedule import ScheduleParams, alpha_t, epsilon_t, epsilon_values, mu_values
 
 REGIMES = ("per-step", "once")
 
@@ -88,27 +88,6 @@ def prot_select(cumulative, eps, xi):
     return choice
 
 
-def _rate(mu, vol, step=1):
-    """eps = 1 / (mu vol) for steps ``step``, ``step + 1``, ...; a zero volume
-    gives an infinite rate, and a product mu vol that overflows raises."""
-    with np.errstate(over="ignore", divide="ignore"):
-        eps = 1.0 / (mu * vol)
-    # mu > 0 and a finite vol >= 0, so eps is 0 only where mu vol overflowed
-    if not np.all(eps > 0):
-        bad = step + np.argmin(np.atleast_1d(eps) > 0)
-        raise GameError(f"rate 1/(mu_t v) is 0 at step {bad}: mu_t * v overflows")
-    return eps
-
-
-def _schedule_mu(params: ScheduleParams, T: int) -> np.ndarray:
-    """mu_t for t = 1..T; a gamma(t) that underflows to 0 leaves no rate."""
-    mu = mu_values(params, T)
-    bad = np.flatnonzero(~(mu > 0))
-    if bad.size:
-        raise GameError(f"schedule invalid at step {bad[0] + 1}: mu_t = {mu[bad[0]]}")
-    return mu
-
-
 def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: bool):
     """Scores and rates of every step of a loss matrix: neither depends on
     the perturbations.
@@ -119,11 +98,11 @@ def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: b
     """
     v, delta_v, fluc = volume_trace(game, params.v0)
     cum = np.vstack([np.zeros(game.num_experts), np.cumsum(game.values, axis=0)])
-    mu = _schedule_mu(params, game.num_steps)
+    mu = mu_values(params, game.num_steps)
     trace = (v, delta_v, fluc, mu, cum[-1])
     if infeasible:
-        return cum[1:], _rate(mu, v[1:]), trace
-    return cum[:-1], _rate(mu, v[:-1]), trace
+        return cum[1:], epsilon_values(mu, v[1:]), trace
+    return cum[:-1], epsilon_values(mu, v[:-1]), trace
 
 
 def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasible: bool):
@@ -134,7 +113,7 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
     maxima``, which rounds exactly like the ``cumsum`` in
     :func:`volume_trace`; the trace is read from the finished game.
     """
-    mu = _schedule_mu(params, T)
+    mu = mu_values(params, T)
     values = np.empty((T, N))
     chosen = np.empty(T, dtype=int)
     eps = np.empty(T)
@@ -151,10 +130,10 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
         if not math.isfinite(v_t):
             raise GameError(f"volume is not finite at step {t + 1}: losses overflow")
         if infeasible:
-            eps[t] = _rate(mu[t], v_t, t + 1)
+            eps[t] = epsilon_values(mu[t], v_t, t + 1)
             chosen[t] = prot_select(cum + s_t, eps[t], xi[t])
         else:
-            eps[t] = _rate(mu[t], v_prev, t + 1)
+            eps[t] = epsilon_values(mu[t], v_prev, t + 1)
             chosen[t] = prot_select(cum, eps[t], xi[t])
         values[t] = s_t
         cum = cum + s_t
@@ -297,9 +276,11 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     g = params.gamma(t)
     if fluc > g:
         raise GameError(f"fluc({t}) = {fluc:.6g} exceeds gamma({t}) = {g:.6g}")
+    # the rates first: a schedule that leaves no rate at step t raises there
+    eps_prot, eps_ifpl = epsilon_t(params, t, v_prev), epsilon_t(params, t, v_t)
     factor = math.exp((3.0 / params.a) * g ** (1.0 - alpha_t(params, t)))
-    p_prot = selection_probabilities_exact(cumulative_prev, epsilon_t(params, t, v_prev))
-    p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t, epsilon_t(params, t, v_t))
+    p_prot = selection_probabilities_exact(cumulative_prev, eps_prot)
+    p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t, eps_ifpl)
     return bool(np.all(p_prot <= factor * p_ifpl + slack))
 
 

@@ -96,6 +96,14 @@ def scaled_fluctuation(delta_v: float, v: float) -> float:
     return delta_v / v
 
 
+def row_peaks(values) -> np.ndarray:
+    """max_i |s^i_t| for every row t of a (T, N) array."""
+    # A reduction over the rows of the (N, T) transpose: one vectorized
+    # maximum per expert instead of a short reduction per step (exact in any
+    # order, so the same doubles).
+    return np.abs(values.T, order="C").max(axis=0)
+
+
 def volume_trace(losses: LossMatrix, v0: float = 0.0):
     """Per-step (volume, delta_v, fluc) arrays for a whole game.
 
@@ -103,10 +111,7 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     length T, all indexed so entry t-1 belongs to step t.  A volume that
     overflows raises GameError naming the first step where it is not finite.
     """
-    # Row maxima as a reduction over the rows of the (N, T) transpose: one
-    # vectorized maximum per expert instead of a short reduction per step
-    # (exact in any order, so the same doubles).
-    delta_v = np.abs(losses.values.T, order="C").max(axis=0)
+    delta_v = row_peaks(losses.values)
     with np.errstate(over="ignore"):
         v = np.concatenate([[v0], v0 + np.cumsum(delta_v)])
     # v never decreases, so its last entry is finite only if all are.

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import RunRecord, ifpl_run, prot_run
-from .game import GameError, LossMatrix, check_fluctuation_bound, volume_trace, write_csv
+from .game import (GameError, LossMatrix, check_fluctuation_bound, row_peaks, volume_trace,
+                   write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -55,7 +56,7 @@ def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
     denom = np.where(free, 1.0, 1.0 - g)
     v_prev = np.cumprod(np.concatenate([[v0], 1.0 + u[:-1] * np.where(free, 1.0, g / denom)[:-1]]))
     cap = np.where(free, v_prev, g * v_prev / denom)
-    peak = np.max(np.abs(rows), axis=1)
+    peak = row_peaks(rows)
     zero = peak == 0
     rows[zero, 0] = 1.0
     peak[zero] = 1.0
@@ -72,7 +73,7 @@ def bounded_unit_game(num_experts: int, num_steps: int, rng,
         rows = gen.uniform(0.0, 1.0, (num_steps, num_experts))
     else:
         rows = gen.uniform(-1.0, 1.0, (num_steps, num_experts))
-    peaks = np.max(np.abs(rows), axis=1, keepdims=True)
+    peaks = row_peaks(rows)[:, None]
     peaks[peaks == 0] = 1.0
     return LossMatrix(rows / peaks)
 
@@ -82,7 +83,7 @@ def poly_envelope_game(num_experts: int, num_steps: int, rng,
     """Losses with max_i |s^i_t| = t^exponent exactly (polynomial envelope)."""
     gen = as_generator(rng)
     rows = gen.uniform(-1.0, 1.0, (num_steps, num_experts))
-    peaks = np.max(np.abs(rows), axis=1, keepdims=True)
+    peaks = row_peaks(rows)[:, None]
     peaks[peaks == 0] = 1.0
     envelope = np.arange(1, num_steps + 1, dtype=float) ** exponent
     return LossMatrix(rows / peaks * envelope[:, None])

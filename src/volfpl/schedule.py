@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .game import GameError
+
 
 LOSS_MODES = ("general", "nonnegative")
 
@@ -193,9 +195,10 @@ def alpha_t(params: ScheduleParams, t: int) -> float:
 
 
 def mu_t(params: ScheduleParams, t: int) -> float:
-    """mu_t = a * gamma(t)^alpha_t via the equivalent square-root closed form."""
+    """mu_t = a * gamma(t)^alpha_t via the equivalent square-root closed form;
+    raises where gamma(t) underflows to 0."""
     g = params.gamma(t)
-    value = _mu_coef(params) * math.sqrt(g)
+    value = _checked_mu(_mu_coef(params) * math.sqrt(g), t)
     if __debug__ and params.alpha_domain_ok(t):
         power_form = params.a * g ** alpha_t(params, t)
         assert math.isclose(power_form, value, rel_tol=1e-10)
@@ -208,22 +211,62 @@ def _mu_coef(params: ScheduleParams) -> float:
     )
 
 
+def _all(ok) -> bool:
+    """Whether a bool, or every entry of a boolean array, is true."""
+    return ok if isinstance(ok, bool) else bool(ok.all())
+
+
+def _checked_mu(mu, step):
+    """``mu`` (mu_t for steps ``step``, ``step + 1``, ...) if every entry is
+    positive; a gamma(t) that underflows to 0 leaves no rate and raises."""
+    ok = mu > 0
+    if not _all(ok):
+        bad = np.argmin(np.atleast_1d(ok))
+        raise GameError(f"schedule invalid at step {step + bad}: "
+                        f"mu_t = {np.atleast_1d(mu)[bad]}")
+    return mu
+
+
 def mu_values(params: ScheduleParams, T: int) -> np.ndarray:
-    """mu_t for t = 1..T, vectorized."""
+    """mu_t for t = 1..T, vectorized; raises where gamma(t) underflows to 0."""
     ts = np.arange(1, T + 1)
-    return _mu_coef(params) * np.sqrt(params.gamma.values(ts))
+    return _checked_mu(_mu_coef(params) * np.sqrt(params.gamma.values(ts)), 1)
+
+
+def epsilon_values(mu, vol, step: int = 1):
+    """Rates eps_t = 1 / (mu_t v) for steps ``step``, ``step + 1``, ...
+
+    ``mu`` comes from :func:`mu_values` (or :func:`mu_t`) and ``vol`` is the
+    finite, nonnegative volume each rate is scaled by: v_{t-1} for PROT,
+    v_t for IFPL.  A zero volume gives an infinite rate (follow the leader);
+    a product mu_t v that overflows leaves a rate of 0 and raises.
+    """
+    if isinstance(mu, float) and isinstance(vol, float):
+        # one step in Python floats, the same doubles without numpy's
+        # per-call overhead: a product that overflows is inf, with no
+        # floating-point warning to silence
+        prod = float(mu) * float(vol)
+        eps = 1.0 / prod if prod else math.inf
+    else:
+        with np.errstate(over="ignore", divide="ignore"):
+            eps = 1.0 / (mu * vol)
+    # mu > 0 and a finite vol >= 0, so eps is 0 only where mu vol overflowed
+    ok = eps > 0
+    if not _all(ok):
+        bad = step + np.argmin(np.atleast_1d(ok))
+        raise GameError(f"rate 1/(mu_t v) is 0 at step {bad}: mu_t * v overflows")
+    return eps
 
 
 def epsilon_t(params: ScheduleParams, t: int, v_prev: float) -> float:
     """Learning rate 1 / (mu_t * v_{t-1}); ``inf`` signals the zero-volume case.
 
-    IFPL's eps'_t is the same formula at the end-of-step volume v_t.
+    The one-step case of :func:`epsilon_values`.  IFPL's eps'_t is the same
+    formula at the end-of-step volume v_t.
     """
     if v_prev < 0:
         raise ScheduleError(f"volume must be nonnegative, got {v_prev}")
-    if v_prev == 0:
-        return math.inf
-    return 1.0 / (mu_t(params, t) * v_prev)
+    return epsilon_values(mu_t(params, t), float(v_prev), t)
 
 
 def _rate_fn(loss_mode: str):

@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
 
 from .engine import _deterministic_rates, selection_probabilities_exact
 from .game import GameError, LossMatrix, volume_trace, write_csv
@@ -65,23 +63,44 @@ class PriceSeries:
         write_csv(path, ["price"], [self.prices])
 
 
-@lru_cache(maxsize=8)
-def _fgn_cholesky(hurst: float, steps: int) -> np.ndarray:
-    # Covariance of unit-spacing fractional Gaussian noise:
-    # g(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2.
-    k = np.arange(steps, dtype=float)
+def _fgn(hurst: float, z: np.ndarray) -> np.ndarray:
+    """L @ z for the lower Cholesky factor L of the unit-spacing fractional
+    Gaussian noise covariance, without forming L.
+
+    The Durbin-Levinson recursion (Brockwell & Davis, section 5.2) writes
+    x_n = sum_j phi_{n,j} x_{n-j} + sqrt(v_n) z_n: the best linear predictor
+    of x_n from x_0..x_{n-1}, plus the innovation, whose standard deviation
+    sqrt(v_n) is the diagonal L_nn.  O(M) memory, O(M^2) time.
+    """
+    m = len(z)
+    # g(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2
+    k = np.arange(m, dtype=float)
     two_h = 2.0 * hurst
-    row = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
-    return linalg.cholesky(linalg.toeplitz(row), lower=True)
+    acov = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    x = np.empty(m)
+    phi = np.empty(m)  # phi[j - 1] = phi_{n,j}
+    v = acov[0]
+    x[0] = math.sqrt(v) * z[0]
+    for n in range(1, m):
+        prev = phi[:n - 1]
+        kappa = (acov[n] - prev @ acov[n - 1:0:-1]) / v
+        prev -= kappa * prev[::-1]
+        phi[n - 1] = kappa
+        v *= 1.0 - kappa * kappa
+        if not v > 0:
+            raise GameError(f"fGn covariance is numerically singular at step {n + 1} "
+                            f"(Hurst exponent {hurst} is too close to 1)")
+        x[n] = phi[:n] @ x[n - 1::-1] + math.sqrt(v) * z[n]
+    return x
 
 
 def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.0,
                  seed=0, s0: float = 1.0) -> PriceSeries:
     """Fractional-Brownian-motion price path on the grid t/M, t = 0..M.
 
-    S_t = s0 + scale * B_H(t/M) + drift * t/M, with increments drawn through
-    an exact Cholesky factorization of the fGn covariance.  Deterministic per
-    seed; factorizations are cached per (hurst, steps).
+    S_t = s0 + scale * B_H(t/M) + drift * t/M.  The increments are the
+    Cholesky factor of the fGn covariance times M standard normals, formed by
+    the Durbin-Levinson recursion in O(M) memory.  Deterministic per seed.
     """
     if not 0 < hurst < 1:
         raise GameError(f"Hurst exponent must be in (0,1), got {hurst}")
@@ -89,7 +108,7 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
         raise GameError(f"need at least one step, got {steps}")
     gen = as_generator(seed)
     z = gen.standard_normal(steps)
-    increments = _fgn_cholesky(hurst, steps) @ z * float(steps) ** -hurst
+    increments = _fgn(hurst, z) * float(steps) ** -hurst
     t = np.arange(steps + 1) / steps
     bh = np.concatenate([[0.0], np.cumsum(increments)])
     return PriceSeries(s0 + scale * bh + drift * t)

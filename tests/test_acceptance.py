@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from volfpl import engine
 from volfpl import (
     AdversaryConfig,
     GammaSchedule,
@@ -195,7 +196,7 @@ def test_acceptance_07_expected_max():
     details = []
     for n in (1, 2, 10, 1000):
         gen = RngSpec(7000 + n).generator()
-        chunk = max(1, 20_000_000 // n)
+        chunk = max(1, engine._MAX_CHUNK_ELEMS // n)
         total, total_sq, done = 0.0, 0.0, 0
         while done < trials:
             m = min(chunk, trials - done)

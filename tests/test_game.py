@@ -9,6 +9,7 @@ from volfpl import (
     scaled_fluctuation,
     volume_trace,
 )
+from volfpl.game import row_peaks
 
 # losses of the introductory two-expert game where follow-the-leader
 # always picks the wrong expert
@@ -91,12 +92,13 @@ HAND_GAME = np.array([[0.5, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestVolumeTrace:
-    @pytest.mark.parametrize("shape", [(300, 1), (4096, 2), (50, 30), (0, 3)])
+    @pytest.mark.parametrize("shape", [(300, 1), (4096, 2), (50, 30), (0, 3), (2000, 5)])
     def test_delta_v_is_row_max(self, shape):
         values = np.random.default_rng(7).normal(0, 1e3, shape)
         _, delta_v, _ = volume_trace(LossMatrix(values), 1.0)
         ref = np.max(np.abs(values), axis=1)
-        assert delta_v.shape == ref.shape and delta_v.tobytes() == ref.tobytes()
+        for peaks in (delta_v, row_peaks(values)):
+            assert peaks.shape == ref.shape and peaks.tobytes() == ref.tobytes()
 
     def test_initial_state_is_zero(self):
         v, _, _ = volume_trace(LossMatrix(np.zeros((0, 3))), 2.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from volfpl import (
+    GameError,
     GammaSchedule,
     ScheduleError,
     ScheduleParams,
@@ -17,8 +18,11 @@ from volfpl import (
     mu_values,
     optimized_bound,
     poly_bound,
+    probability_ratio_check,
+    prot_probability_callback,
     regret_bound,
 )
+from volfpl.schedule import epsilon_values
 
 
 def params_power(a=10.0, n=2, delta=1.0, **kw):
@@ -122,6 +126,39 @@ class TestEpsilon:
     def test_monotone_in_volume(self):
         p = params_power()
         assert epsilon_t(p, 50, 5.0) > epsilon_t(p, 50, 50.0)
+
+    def test_rate_overflow_raises(self):
+        # v = 1.5e308 is finite, but mu_1 v with mu_1 > 1 overflows: the rate
+        # would round to 0
+        p = params_power(a=choose_a(1.0))
+        assert mu_t(p, 1) > 1
+        with pytest.raises(GameError, match="step 1:"):
+            epsilon_t(p, 1, 1.5e308)
+        with pytest.raises(GameError, match="step 1:"):
+            prot_probability_callback(p)(1, np.zeros(2), 1.5e308)
+        with pytest.raises(GameError, match="step 7:"):
+            epsilon_values(np.full(3, mu_t(p, 1)), [1.0, 1.0, 1.5e308], step=5)
+
+    def test_gamma_underflow_raises(self):
+        # gamma(t) = t^-400 underflows to 0 from t = 7 on, leaving mu_t = 0
+        p = params_power(a=choose_a(1.0), delta=400.0)
+        gamma = GammaSchedule.power(400.0)
+        assert gamma(6) > 0 and gamma(7) == 0
+        with pytest.raises(GameError, match="step 10:"):
+            mu_t(p, 10)
+        with pytest.raises(GameError, match="step 10:"):
+            epsilon_t(p, 10, 1.0)
+        with pytest.raises(GameError, match="step 7:"):
+            mu_values(p, 10)
+        with pytest.raises(GameError, match="step 10:"):
+            probability_ratio_check([0.0, 1.0], [0.0, 0.0], p, 10, 1.0, 1.0)
+
+    def test_one_step_of_epsilon_values(self):
+        p = params_power()
+        vol = np.array([0.0, 0.5, 3.0, 1e300])
+        eps = epsilon_values(mu_values(p, 4), vol)
+        assert eps.tolist() == [epsilon_t(p, t, v) for t, v in zip(range(1, 5), vol)]
+        assert eps[0] == math.inf
 
 
 class TestChooseA:

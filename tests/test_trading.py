@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import volfpl
 from volfpl import (
     GameError,
     GammaSchedule,
     PriceSeries,
     ScheduleParams,
     TradingConfig,
+    as_generator,
     choose_a,
     defensive_lower_bound,
     expert_gains,
@@ -77,6 +84,50 @@ class TestFbm:
     def test_rejects_bad_hurst(self):
         with pytest.raises(GameError):
             fbm_generate(1.2, 10)
+
+    @pytest.mark.parametrize("h", [0.01, 0.3, 0.5, 0.8, 0.99])
+    @pytest.mark.parametrize("m", [1, 2, 3, 257, 1024])
+    def test_matches_dense_cholesky(self, h, m):
+        # increments are L z M^-H for the dense Cholesky factor L of the fGn
+        # covariance and the path's own normals z
+        k = np.arange(m + 1, dtype=float)
+        acov = 0.5 * (np.abs(k + 1) ** (2 * h) - 2 * k ** (2 * h) + np.abs(k - 1) ** (2 * h))
+        lags = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        z = as_generator(5).standard_normal(m)
+        ref = np.linalg.cholesky(acov[lags]) @ z * float(m) ** -h
+        inc = np.diff(fbm_generate(h, m, seed=5, s0=0.0).prices)
+        assert np.max(np.abs(inc - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_memory_is_linear_in_steps(self):
+        # a dense 4096 x 4096 factor alone takes 134 MB
+        tracemalloc.start()
+        try:
+            fbm_generate(0.8, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_singular_covariance_raises(self):
+        # H this close to 1 makes the fGn covariance numerically singular
+        with pytest.raises(GameError, match="singular"):
+            fbm_generate(1 - 1e-10, 2000)
+
+    def test_runs_without_scipy(self):
+        code = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            from volfpl import (GammaSchedule, ScheduleParams, TradingConfig, choose_a,
+                                fbm_generate, run_trading_experiment)
+            params = ScheduleParams(a=choose_a(1.0), num_experts=2,
+                                    gamma=GammaSchedule.constant(0.01), v0=1.0)
+            rep = run_trading_experiment(TradingConfig(c=1.0, schedule=params),
+                                         fbm_generate(0.8, 256, seed=1))
+            assert rep.identity_residual <= 1e-9
+        """)
+        src = os.path.dirname(os.path.dirname(volfpl.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestExpertGains:
