@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import selection_probabilities_exact
+from .engine import _expert_cum, selection_probabilities_exact
 from .game import GameError, LossMatrix, volume_trace, write_csv
 from .schedule import ScheduleParams, epsilon_t
 
@@ -107,7 +107,7 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
     v, m, fluc = volume_trace(LossMatrix(s), config.v0)
     e_loss = s[:, 0] * p1 + s[:, 1] * (1.0 - p1)
     expected_cum = np.cumsum(e_loss)
-    min_cum = np.min(np.cumsum(s, axis=0), axis=1)
+    min_cum = _expert_cum(s)[1:].min(axis=1)
     return Prop1Trace(m=m, s1=s[:, 0], s2=s[:, 1], p1=p1, e_loss=e_loss, v=v[1:], fluc=fluc,
                       norm_regret_lb=(expected_cum - min_cum) / v[1:],
                       expected_cum=expected_cum, min_cum=min_cum)

@@ -22,6 +22,7 @@ from .schedule import (
     LOSS_MODES,
     GammaSchedule,
     ScheduleParams,
+    alpha_t,
     choose_a,
     general_bound,
     mu_t,
@@ -182,7 +183,7 @@ def _cmd_verify_bounds(args) -> int:
         g = gen.uniform(1e-6, 0.999 * cap)
         params = ScheduleParams(a=a, num_experts=n, gamma=GammaSchedule.constant(g))
         mu = mu_t(params, 1)
-        al = 0.5 * (1 - math.log(1 / params.coef_A) / math.log(g))
+        al = alpha_t(params, 1)
         worst_mu = max(worst_mu, abs(a * g**al - mu) / mu)
         dv = gen.uniform(0.0, 10.0, 5)
         gb = general_bound(params, 5, dv)

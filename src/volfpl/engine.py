@@ -56,8 +56,6 @@ class RunRecord:
 
     @property
     def regret(self) -> float:
-        if self.num_steps == 0:
-            return 0.0
         return self.total_loss - float(np.min(self.expert_cum))
 
     def to_csv(self, path) -> None:
@@ -88,6 +86,18 @@ def prot_select(cumulative, eps, xi):
     return choice
 
 
+def _expert_cum(values) -> np.ndarray:
+    """Cumulative expert losses s^i_{1:t} for t = 0..T (row 0 is zeros)."""
+    return np.vstack([np.zeros(values.shape[1]), np.cumsum(values, axis=0)])
+
+
+def _mean_se(samples):
+    """Mean and standard error over the first axis (SE 0 for one sample)."""
+    x = np.asarray(samples, dtype=float)
+    se = x.std(axis=0, ddof=1) / math.sqrt(len(x)) if len(x) > 1 else np.zeros(x.shape[1:])
+    return x.mean(axis=0), se
+
+
 def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: bool):
     """Scores and rates of every step of a loss matrix: neither depends on
     the perturbations.
@@ -97,7 +107,7 @@ def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: b
     expert_cum)`` tuple that :func:`_record` reads.
     """
     v, delta_v, fluc = volume_trace(game, params.v0)
-    cum = np.vstack([np.zeros(game.num_experts), np.cumsum(game.values, axis=0)])
+    cum = _expert_cum(game.values)
     mu = mu_values(params, game.num_steps)
     trace = (v, delta_v, fluc, mu, cum[-1])
     if infeasible:
@@ -337,11 +347,8 @@ def monte_carlo_regret(losses, params: ScheduleParams, num_runs: int, rng,
     T = values.shape[0]
     totals = batch_cumulative_losses(losses, params, num_runs, rng, regime=regime,
                                      infeasible=infeasible, checkpoints=checkpoints)
-    cps = [T] if checkpoints is None else list(checkpoints)
-    cum = np.vstack([np.zeros(values.shape[1]), np.cumsum(values, axis=0)])
-    regrets = totals - np.min(cum[cps], axis=1)[None, :]
-    mean = regrets.mean(axis=0)
-    se = regrets.std(axis=0, ddof=1) / math.sqrt(num_runs) if num_runs > 1 else np.zeros(len(cps))
+    cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
+    mean, se = _mean_se(totals - _expert_cum(values)[cps].min(axis=1))
     if checkpoints is None:
         return float(mean[0]), float(se[0])
     return mean, se

@@ -17,6 +17,13 @@ class GameError(ValueError):
     """Invalid loss data or game input."""
 
 
+def require_keys(cfg: dict, keys, what: str) -> None:
+    """Raise GameError naming every one of ``keys`` that ``cfg`` lacks."""
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise GameError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
 @dataclass(frozen=True)
 class LossMatrix:
     """Full table of expert one-step losses, rows = steps, columns = experts."""
@@ -118,8 +125,7 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     if not np.isfinite(v[-1]):
         bad = np.argmax(~np.isfinite(v))
         raise GameError(f"volume is not finite at step {bad}: losses overflow")
-    with np.errstate(invalid="ignore"):
-        fluc = np.where(v[1:] > 0, delta_v / v[1:], 0.0)
+    fluc = np.divide(delta_v, v[1:], out=np.zeros_like(delta_v), where=v[1:] > 0)
     return v, delta_v, fluc
 
 

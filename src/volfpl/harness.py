@@ -8,15 +8,13 @@ permutation-invariant in the seeds, and reports embed the resolved config.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .engine import RunRecord, ifpl_run, prot_run
-from .game import (GameError, LossMatrix, check_fluctuation_bound, row_peaks, volume_trace,
-                   write_csv)
+from .engine import RunRecord, _expert_cum, _mean_se, ifpl_run, prot_run
+from .game import GameError, LossMatrix, check_fluctuation_bound, require_keys, row_peaks, write_csv
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -112,11 +110,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        missing = [key for key in ("game", "schedule") if key not in cfg]
-        if missing:
-            raise GameError(f"experiment config is missing {', '.join(map(repr, missing))}")
+        require_keys(cfg, ("game", "schedule"), "experiment config")
         seeds = cfg.get("seeds", [0])
         if isinstance(seeds, dict):
+            require_keys(seeds, ("count",), "seeds")
             seeds = [seeds.get("base", 0) + i for i in range(seeds["count"])]
         if len(seeds) < 1:
             raise GameError("need at least one seed")
@@ -131,21 +128,15 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "schedule": self.schedule,
-            "seeds": self.seeds,
-            "regime": self.regime,
-            "target_eps": self.target_eps,
-            "run_ifpl": self.run_ifpl,
-            "out": self.out,
-        }
+        return asdict(self)
 
 
 def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
     kind = game_cfg.get("kind")
     if kind == "csv":
+        require_keys(game_cfg, ("path",), "csv game config")
         return LossMatrix.from_csv(game_cfg["path"])
+    require_keys(game_cfg, ("n_experts", "num_steps"), "game config")
     rng = RngSpec(int(game_cfg.get("seed", seed)), stream_id=10_000)
     n = int(game_cfg["n_experts"])
     T = int(game_cfg["num_steps"])
@@ -214,46 +205,40 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         except Exception as exc:
             raise GameError(f"seed {seed}: {exc}") from exc
 
-    cums = np.array([r.cum_loss for r in records])
-    best = float(np.min(np.cumsum(losses.values, axis=0)[-1])) if losses.num_steps else 0.0
-    regrets = cums[:, -1] - best if losses.num_steps else np.zeros(len(records))
-    n = len(records)
-    se_regret = float(regrets.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-
-    v, delta_v, fluc = volume_trace(losses, params.v0)
-    ok, violating = check_fluctuation_bound(fluc, params.gamma)
+    first = records[0]
+    best = float(np.min(first.expert_cum))
+    mean_regret, se_regret = _mean_se([r.regret for r in records])
+    ok, violating = check_fluctuation_bound(first.fluc, params.gamma)
     bounds = {
-        "main_regret": regret_bound(params, losses.num_steps, delta_v, config.target_eps),
-        "ifpl_term": ifpl_regret_bound(params, delta_v),
+        "main_regret": regret_bound(params, losses.num_steps, first.delta_v, config.target_eps),
+        "ifpl_term": ifpl_regret_bound(params, first.delta_v),
     }
     checks = {
         "fluc_within_gamma": bool(ok),
         "first_fluc_violation": violating,
         "mean_regret_within_main_bound": bool(
-            regrets.mean() <= bounds["main_regret"] + 3 * se_regret
+            mean_regret <= bounds["main_regret"] + 3 * se_regret
         ),
     }
     if config.run_ifpl:
-        ifpl_totals = np.array([
+        ifpl_mean, ifpl_se = _mean_se([
             ifpl_run(losses, params, RngSpec(seed, stream_id=1), regime=config.regime).total_loss
             for seed in config.seeds
         ])
-        ifpl_se = float(ifpl_totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         bounds["ifpl_total"] = best + bounds["ifpl_term"]
-        checks["ifpl_within_bound"] = bool(
-            ifpl_totals.mean() <= bounds["ifpl_total"] + 3 * ifpl_se
-        )
+        checks["ifpl_within_bound"] = bool(ifpl_mean <= bounds["ifpl_total"] + 3 * ifpl_se)
 
+    mean_cum, se_cum = _mean_se([r.cum_loss for r in records])
     report = AggregateReport(
-        mean_cum_loss=cums.mean(axis=0),
-        se_cum_loss=(cums.std(axis=0, ddof=1) / math.sqrt(n)) if n > 1 else np.zeros(cums.shape[1]),
-        mean_regret=float(regrets.mean()),
-        se_regret=se_regret,
+        mean_cum_loss=mean_cum,
+        se_cum_loss=se_cum,
+        mean_regret=float(mean_regret),
+        se_regret=float(se_regret),
         best_expert_loss=best,
         bounds=bounds,
         checks=checks,
         config=config.to_dict(),
-        first_trace=records[0],
+        first_trace=first,
     )
     if config.out:
         report.write(config.out)
@@ -278,17 +263,15 @@ def hannan_check(losses: LossMatrix, params: ScheduleParams, rng,
 
     record = prot_run(losses, params, rng, regime=regime)
     T = losses.num_steps
-    checkpoints = [2**k for k in range(1, T.bit_length()) if 2**k <= T]
+    checkpoints = [2**k for k in range(1, T.bit_length())]
     if checkpoints and checkpoints[-1] != T:
         checkpoints.append(T)
-    cum_expert = np.cumsum(losses.values, axis=0)
-    rows = []
-    for cp in checkpoints:
-        best = float(np.min(cum_expert[cp - 1]))
-        rows.append({
-            "T": cp,
-            "normalized_regret": (float(record.cum_loss[cp - 1]) - best) / float(record.v[cp - 1]),
-        })
+    cps = np.array(checkpoints, dtype=int)
+    regret = record.cum_loss[cps - 1] - _expert_cum(losses.values)[cps].min(axis=1)
+    v = record.v[cps - 1]
+    # v_t = 0 only while every loss so far is 0, so the regret is 0 too: 0/0 = 0, as for fluc
+    ratio = np.divide(regret, v, out=np.zeros(len(cps)), where=v > 0)
+    rows = [{"T": t, "normalized_regret": r} for t, r in zip(checkpoints, ratio.tolist())]
     return {
         "square_summable": summable,
         "warning": warning,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameError
+from .game import GameError, require_keys
 
 
 LOSS_MODES = ("general", "nonnegative")
@@ -172,6 +172,7 @@ class ScheduleParams:
     def from_config(cls, cfg: dict) -> "ScheduleParams":
         """Build params from a JSON-style dict; ``a`` may be given directly
         or derived from ``target_eps``."""
+        require_keys(cfg, ("N", "gamma"), "schedule config")
         if "a" in cfg:
             a = float(cfg["a"])
         elif "target_eps" in cfg:
@@ -191,6 +192,8 @@ def alpha_t(params: ScheduleParams, t: int) -> float:
     """Exponent splitting the per-step bound; strictly in (0, 1) on its domain."""
     params.require_alpha_domain(t)
     g = params.gamma(t)
+    if not g > 0:
+        raise GameError(f"schedule invalid at step {t}: gamma({t}) = {g} leaves no alpha_t")
     return 0.5 * (1.0 - math.log(1.0 / params.coef_A) / math.log(g))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _deterministic_rates, selection_probabilities_exact
-from .game import GameError, LossMatrix, volume_trace, write_csv
+from .game import GameError, LossMatrix, write_csv
 from .perturbation import as_generator
 from .schedule import ScheduleParams
 
@@ -149,18 +149,18 @@ class TradingConfig:
             raise GameError("trading runs need v0 > 0 so the first rate is finite")
 
 
-def learner_gain(prices: PriceSeries, config: TradingConfig):
-    """Derandomized learner gain G_t = (P{I_t=1} - P{I_t=2}) s1_t.
-
-    Gains are losses with the sign flipped, so PROT's probabilities come
-    from the engine's scores and rates on the loss matrix (-s1, s1).
-    Returns (per-step gains, cumulative gains).
-    """
-    s1, _ = expert_gains(prices, config.c)
-    scores, eps, _ = _deterministic_rates(LossMatrix(np.column_stack([-s1, s1])),
-                                          config.schedule, False)
+def _prot_gains(s1, schedule: ScheduleParams):
+    """Per-step gains (P{I_t=1} - P{I_t=2}) s1_t and the engine's trace of
+    PROT on the loss matrix (-s1, s1): gains are losses with the sign flipped."""
+    scores, eps, trace = _deterministic_rates(LossMatrix(np.column_stack([-s1, s1])),
+                                              schedule, False)
     p = selection_probabilities_exact(scores, eps)
-    gains = (p[:, 0] - p[:, 1]) * s1
+    return (p[:, 0] - p[:, 1]) * s1, trace
+
+
+def learner_gain(prices: PriceSeries, config: TradingConfig):
+    """Derandomized learner gain G_t = (P{I_t=1} - P{I_t=2}) s1_t: (per step, cumulative)."""
+    gains, _ = _prot_gains(expert_gains(prices, config.c)[0], config.schedule)
     return gains, np.cumsum(gains)
 
 
@@ -202,20 +202,19 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries,
     """Full trading run: expert curves, derandomized learner gain, volume,
     fluctuation, and the defensive lower bound.
 
-    Steps whose fluctuation exceeds the constant gamma are flagged rather
-    than rejected; the hypothesis is asymptotic.
+    The gains, volume and fluctuation come from one engine pass over the
+    game (-s1, s1).  Steps whose fluctuation exceeds the constant gamma are
+    flagged rather than rejected; the hypothesis is asymptotic.
     """
     s1, s2 = expert_gains(prices, config.c)
-    v, _, fluc = volume_trace(LossMatrix(np.column_stack([-s1, s1])), config.schedule.v0)
-    gamma = config.schedule.gamma
+    gains, (v, _, fluc, _, _) = _prot_gains(s1, config.schedule)
     ts = np.arange(1, len(s1) + 1)
-    violations = ts[fluc > gamma.values(ts)]
-    _, learner_cum = learner_gain(prices, config)
+    violations = ts[fluc > config.schedule.gamma.values(ts)]
     return TradingReport(
         prices=prices.prices,
         s1_cum=np.cumsum(s1),
         s2_cum=np.cumsum(s2),
-        learner_cum=learner_cum,
+        learner_cum=np.cumsum(gains),
         volume=v[1:],
         fluc=fluc,
         fluc_violations=violations,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,11 +21,17 @@ from volfpl import (
     choose_a,
     hannan_check,
     poly_envelope_game,
+    ifpl_run,
+    ifpl_regret_bound,
+    prot_run,
     random_fluc_bounded_game,
+    regret_bound,
     run_experiment,
     volume_trace,
 )
+from volfpl import engine, harness
 from volfpl.cli import main as cli_main
+from volfpl.game import check_fluctuation_bound
 from volfpl.harness import resolve_game
 
 
@@ -148,6 +155,55 @@ class TestRunExperiment:
         with pytest.raises(GameError, match=key):
             ExperimentConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize("section, key", [
+        ("seeds", "count"), ("game", "n_experts"), ("game", "num_steps"), ("game", "path"),
+        ("schedule", "N"), ("schedule", "gamma"),
+    ])
+    def test_config_missing_nested_key(self, section, key):
+        cfg = base_config().to_dict()
+        cfg["seeds"] = {"count": 2}
+        if key == "path":
+            cfg["game"] = {"kind": "csv", "path": "game.csv"}
+        del cfg[section][key]
+        with pytest.raises(GameError, match=repr(key)):
+            run_experiment(ExperimentConfig.from_dict(cfg))
+
+    @pytest.mark.parametrize("run_ifpl", [False, True])
+    def test_one_volume_trace_per_run(self, monkeypatch, run_ifpl):
+        # the report reads each run's own trace: no extra pass over the game
+        calls = []
+        for mod in (engine, harness):
+            if hasattr(mod, "volume_trace"):
+                monkeypatch.setattr(mod, "volume_trace",
+                                    lambda *a: calls.append(a) or volume_trace(*a))
+        run_experiment(base_config(run_ifpl=run_ifpl))
+        assert len(calls) == 5 * (2 if run_ifpl else 1)
+
+    @pytest.mark.parametrize("seeds", [[3], [0, 1, 2, 5]])
+    @pytest.mark.parametrize("v0", [0.0, 1.0])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    @pytest.mark.parametrize("kind", ["random", "bounded", "poly"])
+    def test_matches_reference_aggregation(self, kind, regime, v0, seeds):
+        game = {"kind": kind, "n_experts": 3, "num_steps": 60, "seed": 4}
+        schedule = {"target_eps": 1.0, "N": 3, "gamma": {"kind": "power", "delta": 1.0},
+                    "v0": v0}
+        config = ExperimentConfig.from_dict({"game": game, "schedule": schedule, "seeds": seeds,
+                                             "regime": regime, "run_ifpl": True})
+        rep = run_experiment(config)
+        ref, first = reference_aggregate(config)
+        for name, value in ref.items():
+            got = getattr(rep, name)
+            if isinstance(value, np.ndarray):
+                assert got.tobytes() == value.tobytes(), name
+            else:
+                assert got == value and type(got) is type(value), name
+        for f in dataclasses.fields(RunRecord):
+            assert np.array_equal(getattr(rep.first_trace, f.name), getattr(first, f.name))
+        losses = resolve_game(game)
+        params = ScheduleParams.from_config(schedule)
+        assert hannan_check(losses, params, RngSpec(7), regime=regime)["checkpoints"] == \
+            reference_hannan_rows(losses, params, RngSpec(7), regime)
+
     def test_seed_count_expansion(self):
         cfg = base_config(seeds={"count": 3, "base": 10})
         assert cfg.seeds == [10, 11, 12]
@@ -183,6 +239,62 @@ class TestRunExperiment:
         lm.to_csv(path)
         back = resolve_game({"kind": "csv", "path": str(path)})
         assert np.array_equal(back.values, lm.values)
+
+
+def reference_aggregate(config):
+    """run_experiment's statistics, each formed again from the game: the
+    seed loop, the volume trace and the best expert's loss."""
+    losses = resolve_game(config.game)
+    params = ScheduleParams.from_config(config.schedule)
+    records = [prot_run(losses, params, RngSpec(seed), regime=config.regime)
+               for seed in config.seeds]
+    cums = np.array([r.cum_loss for r in records])
+    best = float(np.min(np.cumsum(losses.values, axis=0)[-1])) if losses.num_steps else 0.0
+    regrets = cums[:, -1] - best if losses.num_steps else np.zeros(len(records))
+    n = len(records)
+    se_regret = float(regrets.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    _, delta_v, fluc = volume_trace(losses, params.v0)
+    ok, violating = check_fluctuation_bound(fluc, params.gamma)
+    bounds = {
+        "main_regret": regret_bound(params, losses.num_steps, delta_v, config.target_eps),
+        "ifpl_term": ifpl_regret_bound(params, delta_v),
+    }
+    checks = {
+        "fluc_within_gamma": bool(ok),
+        "first_fluc_violation": violating,
+        "mean_regret_within_main_bound": bool(regrets.mean() <= bounds["main_regret"]
+                                              + 3 * se_regret),
+    }
+    ifpl_totals = np.array([
+        ifpl_run(losses, params, RngSpec(seed, stream_id=1), regime=config.regime).total_loss
+        for seed in config.seeds
+    ])
+    ifpl_se = float(ifpl_totals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    bounds["ifpl_total"] = best + bounds["ifpl_term"]
+    checks["ifpl_within_bound"] = bool(ifpl_totals.mean() <= bounds["ifpl_total"] + 3 * ifpl_se)
+    se_cum = cums.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(cums.shape[1])
+    return {
+        "mean_cum_loss": cums.mean(axis=0),
+        "se_cum_loss": se_cum,
+        "mean_regret": float(regrets.mean()),
+        "se_regret": se_regret,
+        "best_expert_loss": best,
+        "bounds": bounds,
+        "checks": checks,
+    }, records[0]
+
+
+def reference_hannan_rows(losses, params, rng, regime):
+    """hannan_check's checkpoints by a loop over the checkpoints."""
+    record = prot_run(losses, params, rng, regime=regime)
+    T = losses.num_steps
+    checkpoints = [2**k for k in range(1, T.bit_length()) if 2**k <= T]
+    if checkpoints and checkpoints[-1] != T:
+        checkpoints.append(T)
+    cum_expert = np.cumsum(losses.values, axis=0)
+    return [{"T": cp, "normalized_regret": (float(record.cum_loss[cp - 1])
+                                            - float(np.min(cum_expert[cp - 1])))
+             / float(record.v[cp - 1])} for cp in checkpoints]
 
 
 def test_csv_files_exact_text(tmp_path):
@@ -242,6 +354,14 @@ class TestHannanCheck:
         ts = [row["T"] for row in rep["checkpoints"]]
         assert ts == sorted(ts)
         assert ts[-1] == 1024
+
+    def test_zero_volume_gives_zero_normalized_regret(self):
+        # v_t = 0 only while every loss so far is 0, so the regret is 0 too
+        params = ScheduleParams(a=choose_a(1.0), num_experts=2,
+                                gamma=GammaSchedule.power(1.0), v0=0.0)
+        rep = hannan_check(LossMatrix([[0, 0], [0, 0], [1, 1]]), params, RngSpec(0))
+        assert rep["checkpoints"] == [{"T": 2, "normalized_regret": 0.0},
+                                      {"T": 3, "normalized_regret": 0.0}]
 
     def test_decreasing_trend_on_summable_schedule(self):
         rep = hannan_check(self.game(), self.params(1.0), RngSpec(0))

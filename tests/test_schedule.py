@@ -147,6 +147,8 @@ class TestEpsilon:
         with pytest.raises(GameError, match="step 10:"):
             mu_t(p, 10)
         with pytest.raises(GameError, match="step 10:"):
+            alpha_t(p, 10)
+        with pytest.raises(GameError, match="step 10:"):
             epsilon_t(p, 10, 1.0)
         with pytest.raises(GameError, match="step 7:"):
             mu_values(p, 10)

@@ -240,6 +240,28 @@ class TestTradingExperiment:
         header = path.read_text().splitlines()[0]
         assert header == "t,S,s1_cum,s2_cum,learner_cum,volume,fluc"
 
+    def test_one_volume_trace_per_run(self, monkeypatch):
+        # gains, volume and fluctuation all come from the engine's one pass
+        from volfpl import engine, trading
+        from volfpl.game import LossMatrix, volume_trace
+
+        calls = []
+        for mod in (engine, trading):
+            if hasattr(mod, "volume_trace"):
+                monkeypatch.setattr(mod, "volume_trace",
+                                    lambda *a: calls.append(a) or volume_trace(*a))
+        ps = fbm_generate(0.5, 256, seed=5)
+        cfg = make_config(gamma_const=0.05, v0=0.5)
+        rep = run_trading_experiment(cfg, ps)
+        assert len(calls) == 1
+        s1, s2 = expert_gains(ps, cfg.c)
+        v, _, fluc = volume_trace(LossMatrix(np.column_stack([-s1, s1])), cfg.schedule.v0)
+        assert rep.volume.tobytes() == v[1:].tobytes()
+        assert rep.fluc.tobytes() == fluc.tobytes()
+        assert rep.learner_cum.tobytes() == learner_gain(ps, cfg)[1].tobytes()
+        ts = np.arange(1, len(s1) + 1)
+        assert np.array_equal(rep.fluc_violations, ts[fluc > 0.05])
+
     def test_config_validation(self):
         params = ScheduleParams(a=10.0, num_experts=3,
                                 gamma=GammaSchedule.constant(0.1), v0=1.0)
