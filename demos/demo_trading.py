@@ -32,7 +32,7 @@ def main():
 
     for hurst in (0.3, 0.5, 0.8):
         prices = fbm_generate(hurst, 4096, seed=7)
-        report = run_trading_experiment(config, prices, target_eps=1.0)
+        report = run_trading_experiment(config, prices)
         print(f"H = {hurst}")
         print(f"  volatility identity residual: {report.identity_residual:.2e}")
         print(f"  expert 1 final gain:  {report.s1_cum[-1]:+.4f}")

@@ -19,7 +19,7 @@ from .game import GameError, LossMatrix, volume_trace, write_csv
 from .schedule import ScheduleParams, epsilon_t
 
 
-class AdversaryError(ValueError):
+class AdversaryError(GameError):
     """Invalid adversary configuration or callback output."""
 
 

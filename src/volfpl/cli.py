@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="seeded experiment over a loss matrix")
-    run.add_argument("--config", help="JSON experiment config")
+    run.add_argument("--config", required=True, help="JSON experiment config")
     run.add_argument("--seed", type=int, help="single seed override")
     run.add_argument("--seeds", type=int, help="number of seeds (base 0)")
     run.add_argument("--regime", choices=["once", "per-step"])
@@ -97,11 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        print("run: --config is required without defaults", file=sys.stderr)
-        return 2
+    config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config.seeds = [args.seed]
     if args.seeds is not None:
@@ -115,7 +111,6 @@ def _cmd_run(args) -> int:
     if args.target_eps is not None:
         config.schedule.pop("a", None)
         config.schedule["target_eps"] = args.target_eps
-        config.target_eps = args.target_eps
     if args.loss_mode:
         config.schedule["loss_mode"] = args.loss_mode
     report = run_experiment(config)
@@ -154,8 +149,7 @@ def _cmd_trading(args) -> int:
         a=choose_a(args.target_eps), num_experts=2,
         gamma=GammaSchedule.constant(args.gamma_const), v0=args.v0,
     )
-    report = run_trading_experiment(TradingConfig(c=args.c, schedule=params),
-                                    prices, target_eps=args.target_eps)
+    report = run_trading_experiment(TradingConfig(c=args.c, schedule=params), prices)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         report.to_csv(os.path.join(args.out, "trading_report.csv"))

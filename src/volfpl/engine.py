@@ -161,20 +161,20 @@ def _record(game: LossMatrix, chosen, eps, xi, trace) -> RunRecord:
                      perturbations=np.array(xi))
 
 
-def _run(losses, params, rng, regime, perturbations, infeasible, num_steps, num_experts):
+def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
     if rng is None and perturbations is None:
         raise GameError("provide rng or explicit perturbations")
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
     if callable(losses):
-        if num_steps is None or num_experts is None:
-            raise GameError("callback games need num_steps and num_experts")
-        T, N = num_steps, num_experts
+        if num_steps is None:
+            raise GameError("callback games need num_steps")
+        T, N = num_steps, params.num_experts
     else:
         game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
         T, N = game.values.shape
-    if N != params.num_experts:
-        raise GameError(f"params expect {params.num_experts} experts, game has {N}")
+        if N != params.num_experts:
+            raise GameError(f"params expect {params.num_experts} experts, game has {N}")
 
     if perturbations is not None:
         xi = np.asarray(perturbations, dtype=float)
@@ -193,23 +193,23 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps, num_
 
 
 def prot_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
-             perturbations=None, num_steps=None, num_experts=None) -> RunRecord:
+             perturbations=None, num_steps=None) -> RunRecord:
     """Run PROT over a loss matrix (or a non-oblivious callback).
 
     A loss matrix is played in one vectorized selection over all steps; a
-    callback ``fn(t, chosen_history, cumulative) -> vector`` is stepped
-    through, and needs ``num_steps`` and ``num_experts``.
+    callback ``fn(t, chosen_history, cumulative) -> vector`` of length
+    ``params.num_experts`` is stepped through, and needs ``num_steps``.
     ``perturbations`` overrides sampling with fixed values (shape (N,) for the
     ``once`` regime, (T, N) for ``per-step``); otherwise ``rng`` drives an
     inverse-CDF exponential sampler.
     """
-    return _run(losses, params, rng, regime, perturbations, False, num_steps, num_experts)
+    return _run(losses, params, rng, regime, perturbations, False, num_steps)
 
 
 def ifpl_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
-             perturbations=None, num_steps=None, num_experts=None) -> RunRecord:
+             perturbations=None, num_steps=None) -> RunRecord:
     """Run the infeasible twin: selection sees s^i_{1:t} and uses eps'_t."""
-    return _run(losses, params, rng, regime, perturbations, True, num_steps, num_experts)
+    return _run(losses, params, rng, regime, perturbations, True, num_steps)
 
 
 # ---------------------------------------------------------------------------

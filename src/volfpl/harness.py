@@ -98,7 +98,6 @@ class ExperimentConfig:
     schedule: dict
     seeds: list = field(default_factory=lambda: [0])
     regime: str = "per-step"
-    target_eps: float = 1.0
     run_ifpl: bool = False
     out: str | None = None
 
@@ -111,6 +110,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         require_keys(cfg, ("game", "schedule"), "experiment config")
+        if "target_eps" in cfg:
+            raise GameError("the bound's eps comes from the schedule: set schedule.target_eps")
         seeds = cfg.get("seeds", [0])
         if isinstance(seeds, dict):
             require_keys(seeds, ("count",), "seeds")
@@ -122,7 +123,6 @@ class ExperimentConfig:
             schedule=cfg["schedule"],
             seeds=list(seeds),
             regime=cfg.get("regime", "per-step"),
-            target_eps=float(cfg.get("target_eps", 1.0)),
             run_ifpl=bool(cfg.get("run_ifpl", False)),
             out=cfg.get("out"),
         )
@@ -209,9 +209,11 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     best = float(np.min(first.expert_cum))
     mean_regret, se_regret = _mean_se([r.regret for r in records])
     ok, violating = check_fluctuation_bound(first.fluc, params.gamma)
+    eps = params.target_eps
     bounds = {
-        "main_regret": regret_bound(params, losses.num_steps, first.delta_v, config.target_eps),
+        "main_regret": regret_bound(params, losses.num_steps, first.delta_v, eps),
         "ifpl_term": ifpl_regret_bound(params, first.delta_v),
+        "target_eps": eps,
     }
     checks = {
         "fluc_within_gamma": bool(ok),

@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import GameError, require_keys
+from .perturbation import expected_max_bound
 
 
 LOSS_MODES = ("general", "nonnegative")
 
 
-class ScheduleError(ValueError):
+class ScheduleError(GameError):
     """Invalid learning-rate schedule or parameters."""
 
 
@@ -107,13 +108,12 @@ class GammaSchedule:
     @classmethod
     def from_config(cls, cfg: dict) -> "GammaSchedule":
         kind = cfg.get("kind")
-        if kind == "power":
-            return cls.power(cfg["delta"])
-        if kind == "constant":
-            return cls.constant(cfg["c"])
-        if kind == "table":
-            return cls.from_table(cfg["values"])
-        raise ScheduleError(f"unknown gamma kind {kind!r}")
+        key = {"power": "delta", "constant": "c", "table": "values"}.get(kind)
+        if key is None:
+            raise ScheduleError(f"unknown gamma kind {kind!r}")
+        require_keys(cfg, (key,), f"{kind} gamma config")
+        build = {"power": cls.power, "constant": cls.constant, "table": cls.from_table}[kind]
+        return build(cfg[key])
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,13 @@ class ScheduleParams:
     @property
     def coef_A(self) -> float:
         """A = 2(e^{3/a} - 1) / (a (1 + ln N))."""
-        return 2.0 * math.expm1(3.0 / self.a) / (self.a * (1.0 + math.log(self.num_experts)))
+        return 2.0 * math.expm1(3.0 / self.a) / (self.a * expected_max_bound(self.num_experts))
+
+    @property
+    def target_eps(self) -> float:
+        """The eps the main bound holds with for this ``a``: 2a(e^{3/a}-1) - 6,
+        or a(e^{2/a}-1) - 2 for nonnegative losses; the inverse of :func:`choose_a`."""
+        return _rate(self.a, self.loss_mode) - _bound_constant(self.loss_mode)
 
     def alpha_domain_ok(self, t: int) -> bool:
         """True iff gamma(t) < min(A, 1/A), the domain where 0 < alpha_t < 1."""
@@ -209,9 +215,8 @@ def mu_t(params: ScheduleParams, t: int) -> float:
 
 
 def _mu_coef(params: ScheduleParams) -> float:
-    return math.sqrt(
-        2.0 * params.a * math.expm1(3.0 / params.a) / (1.0 + math.log(params.num_experts))
-    )
+    """sqrt(2a(e^{3/a}-1) / (1+ln N)) = mu_t / gamma(t)^{1/2}."""
+    return math.sqrt(_rate(params.a, "general") / expected_max_bound(params.num_experts))
 
 
 def _all(ok) -> bool:
@@ -272,10 +277,12 @@ def epsilon_t(params: ScheduleParams, t: int, v_prev: float) -> float:
     return epsilon_values(mu_t(params, t), float(v_prev), t)
 
 
-def _rate_fn(loss_mode: str):
+def _rate(a: float, loss_mode: str) -> float:
+    """2a(e^{3/a}-1), or a(e^{2/a}-1) for nonnegative losses: the main bound
+    holds with eps wherever this is at most 6 + eps (resp. 2 + eps)."""
     if loss_mode == "nonnegative":
-        return lambda a: a * math.expm1(2.0 / a)
-    return lambda a: 2.0 * a * math.expm1(3.0 / a)
+        return a * math.expm1(2.0 / a)
+    return 2.0 * a * math.expm1(3.0 / a)
 
 
 def _bound_constant(loss_mode: str) -> float:
@@ -291,49 +298,53 @@ def choose_a(target_eps: float, loss_mode: str = "general") -> float:
     """
     if not target_eps > 0:
         raise ScheduleError(f"target_eps must be positive, got {target_eps}")
-    f = _rate_fn(loss_mode)
     limit = _bound_constant(loss_mode) + target_eps
     lo, hi = 3.0, 1e6
-    if f(lo) <= limit:
+    if _rate(lo, loss_mode) <= limit:
         return lo
-    if f(hi) > limit:
+    if _rate(hi, loss_mode) > limit:
         raise ScheduleError(f"no a <= {hi} satisfies the target")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if f(mid) <= limit:
+        if _rate(mid, loss_mode) <= limit:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _weighted_volume(params: ScheduleParams, T: int, delta_v) -> float:
-    """sum_t gamma(t)^{1/2} dv_t, the sum every regret bound is a multiple of.
-
-    ``delta_v`` must have shape (T,) and no negative entry.
-    """
+def _checked_delta_v(T: int, delta_v) -> np.ndarray:
+    """``delta_v`` as floats; raises unless it has shape (T,) and no negative or NaN entry."""
     delta_v = np.asarray(delta_v, dtype=float)
     if delta_v.shape != (T,):
         raise ScheduleError(f"delta_v must have length {T}, got shape {delta_v.shape}")
     if not np.all(delta_v >= 0):
         raise ScheduleError("delta_v entries must be nonnegative")
-    if T == 0:
-        return 0.0
+    return delta_v
+
+
+def _weighted_volume(params: ScheduleParams, T: int, delta_v) -> float:
+    """sum_t gamma(t)^{1/2} dv_t, the sum every regret bound is a multiple of."""
+    delta_v = _checked_delta_v(T, delta_v)
     return float(np.sum(np.sqrt(params.gamma.values(np.arange(1, T + 1))) * delta_v))
 
 
 def _tuned_coef(params: ScheduleParams) -> float:
     """sqrt(2a(e^{3/a}-1)(1+ln N)) = (1+ln N) mu_t / gamma(t)^{1/2}."""
-    return math.sqrt(
-        2.0 * params.a * math.expm1(3.0 / params.a) * (1.0 + math.log(params.num_experts))
-    )
+    return math.sqrt(_rate(params.a, "general") * expected_max_bound(params.num_experts))
+
+
+def _main_coef(num_experts: int, loss_mode: str, target_eps: float) -> float:
+    """2 sqrt((6+eps)(1+ln N)), or 2 sqrt((2+eps)(1+ln N)) for nonnegative losses."""
+    c = _bound_constant(loss_mode) + target_eps
+    return 2.0 * math.sqrt(c * expected_max_bound(num_experts))
 
 
 def regret_bound(params: ScheduleParams, T: int, delta_v, target_eps: float) -> float:
     """Main expected-regret bound 2 sqrt((6+eps)(1+ln N)) sum gamma(t)^{1/2} dv_t
-    (with 2+eps in nonnegative mode)."""
-    c = _bound_constant(params.loss_mode) + target_eps
-    return 2.0 * math.sqrt(c * (1.0 + math.log(params.num_experts))) * _weighted_volume(
+    (with 2+eps in nonnegative mode).  It holds when ``target_eps`` is at least
+    ``params.target_eps``."""
+    return _main_coef(params.num_experts, params.loss_mode, target_eps) * _weighted_volume(
         params, T, delta_v)
 
 
@@ -344,11 +355,9 @@ def general_bound(params: ScheduleParams, T: int, delta_v) -> float:
     With alpha_t at its optimum this equals :func:`optimized_bound` exactly.
     Requires the alpha domain to be valid for all t <= T.
     """
-    delta_v = np.asarray(delta_v, dtype=float)
-    if delta_v.shape != (T,):
-        raise ScheduleError(f"delta_v must have length {T}")
+    delta_v = _checked_delta_v(T, delta_v)
     c1 = 2.0 * math.expm1(3.0 / params.a)
-    c2 = params.a * (1.0 + math.log(params.num_experts))
+    c2 = params.a * expected_max_bound(params.num_experts)
     total = 0.0
     for t in range(1, T + 1):
         g = params.gamma(t)
@@ -381,8 +390,4 @@ def poly_bound(N: int, T: int, alpha: float, delta: float, target_eps: float) ->
     """Polynomial-regime bound 2 sqrt((6+eps)(1+ln N)) T^{1 - delta/2 + alpha}."""
     if alpha < 0 or delta <= 0:
         raise ScheduleError("alpha must be >= 0 and delta > 0")
-    return (
-        2.0
-        * math.sqrt((6.0 + target_eps) * (1.0 + math.log(N)))
-        * float(T) ** (1.0 - 0.5 * delta + alpha)
-    )
+    return _main_coef(N, "general", target_eps) * float(T) ** (1.0 - 0.5 * delta + alpha)

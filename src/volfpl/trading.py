@@ -18,7 +18,7 @@ import numpy as np
 from .engine import _deterministic_rates, selection_probabilities_exact
 from .game import GameError, LossMatrix, write_csv
 from .perturbation import as_generator
-from .schedule import ScheduleParams
+from .schedule import ScheduleParams, _main_coef
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,8 @@ class TradingConfig:
             raise GameError("trading game has exactly two experts")
         if not self.schedule.v0 > 0:
             raise GameError("trading runs need v0 > 0 so the first rate is finite")
+        if self.schedule.loss_mode != "general":
+            raise GameError("trading gains are signed: the schedule needs loss_mode 'general'")
 
 
 def _prot_gains(s1, schedule: ScheduleParams):
@@ -164,17 +166,15 @@ def learner_gain(prices: PriceSeries, config: TradingConfig):
     return gains, np.cumsum(gains)
 
 
-def defensive_lower_bound(prices: PriceSeries, config: TradingConfig,
-                          target_eps: float) -> float:
-    """|sum s1_t| - 2 mu^{1/2} sqrt((6+eps)(1+ln 2)) (sum |s1_t| + v0) for the
-    constant-gamma trading schedule."""
-    gamma = config.schedule.gamma
-    if gamma.kind != "constant":
+def defensive_lower_bound(prices: PriceSeries, config: TradingConfig) -> float:
+    """|sum s1_t| - 2 gamma^{1/2} sqrt((6+eps)(1+ln 2)) (sum |s1_t| + v0) for the
+    constant-gamma trading schedule, at the schedule's own eps."""
+    schedule = config.schedule
+    if schedule.gamma.kind != "constant":
         raise GameError("defensive bound assumes a constant gamma schedule")
     s1, _ = expert_gains(prices, config.c)
-    mu = gamma.c
-    coef = 2.0 * math.sqrt(mu) * math.sqrt((6.0 + target_eps) * (1.0 + math.log(2)))
-    return abs(float(np.sum(s1))) - coef * (float(np.sum(np.abs(s1))) + config.schedule.v0)
+    coef = math.sqrt(schedule.gamma.c) * _main_coef(2, "general", schedule.target_eps)
+    return abs(float(np.sum(s1))) - coef * (float(np.sum(np.abs(s1))) + schedule.v0)
 
 
 @dataclass
@@ -197,8 +197,7 @@ class TradingReport:
                    self.s2_cum, self.learner_cum, self.volume, self.fluc])
 
 
-def run_trading_experiment(config: TradingConfig, prices: PriceSeries,
-                           target_eps: float = 1.0) -> TradingReport:
+def run_trading_experiment(config: TradingConfig, prices: PriceSeries) -> TradingReport:
     """Full trading run: expert curves, derandomized learner gain, volume,
     fluctuation, and the defensive lower bound.
 
@@ -219,5 +218,5 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries,
         fluc=fluc,
         fluc_violations=violations,
         identity_residual=volatility_identity_check(prices),
-        defensive_bound=defensive_lower_bound(prices, config, target_eps),
+        defensive_bound=defensive_lower_bound(prices, config),
     )

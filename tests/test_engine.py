@@ -118,7 +118,7 @@ class TestRunLoops:
             return s
 
         p = power_params(v0=1.0)
-        rec = prot_run(step, p, rng=RngSpec(3), num_steps=20, num_experts=2)
+        rec = prot_run(step, p, rng=RngSpec(3), num_steps=20)
         assert rec.num_steps == 20
         assert np.all(rec.delta_v <= 1.0)
 
@@ -138,7 +138,7 @@ class TestRunLoops:
     def test_callback_rejects_length_mismatch(self):
         with pytest.raises(GameError, match="step 1"):
             prot_run(lambda t, history, cum: np.ones(3), power_params(v0=1.0), rng=RngSpec(0),
-                     num_steps=4, num_experts=2)
+                     num_steps=4)
 
     @pytest.mark.parametrize("run", [prot_run, ifpl_run])
     @pytest.mark.parametrize("regime", ["per-step", "once"])
@@ -151,7 +151,7 @@ class TestRunLoops:
         p = power_params(n=4, v0=v0)
         matrix = run(losses, p, rng=RngSpec(7), regime=regime)
         replay = run(lambda t, history, cum: losses.row(t), p, rng=RngSpec(7), regime=regime,
-                     num_steps=300, num_experts=4)
+                     num_steps=300)
         for f in dataclasses.fields(RunRecord):
             assert np.array_equal(getattr(matrix, f.name), getattr(replay, f.name)), f.name
 
@@ -171,8 +171,7 @@ class TestRunLoops:
             pytest.fail("no step where the two forms round apart")
         losses = np.array([[0.0, d], [1.0, 1.0]])
         game = (lambda t, history, cum: losses[t - 1]) if callback else losses
-        rec = prot_run(game, p, perturbations=[[0.0, 0.0], [0.0, x]], num_steps=2,
-                       num_experts=2)
+        rec = prot_run(game, p, perturbations=[[0.0, 0.0], [0.0, x]], num_steps=2)
         assert rec.eps[1] == eps
         assert rec.chosen[1] == 0
 
@@ -183,7 +182,7 @@ class TestRunLoops:
             run(OVERFLOW_GAME, p, rng=RngSpec(0))
         with pytest.raises(GameError, match="step 18"):
             run(lambda t, history, cum: OVERFLOW_GAME[t - 1], p, rng=RngSpec(0),
-                num_steps=40, num_experts=2)
+                num_steps=40)
 
     @pytest.mark.parametrize("run", [prot_run, ifpl_run])
     @pytest.mark.parametrize("callback", [False, True])
@@ -192,7 +191,7 @@ class TestRunLoops:
         real = engine.volume_trace
         monkeypatch.setattr(engine, "volume_trace", lambda *a: calls.append(a) or real(*a))
         game = (lambda t, history, cum: INTRO_GAME[t - 1]) if callback else INTRO_GAME
-        run(game, power_params(v0=0.5), rng=RngSpec(3), num_steps=7, num_experts=2)
+        run(game, power_params(v0=0.5), rng=RngSpec(3), num_steps=7)
         assert len(calls) == 1
 
     def test_rate_overflow_raises(self):
@@ -204,7 +203,7 @@ class TestRunLoops:
             ifpl_run(game, p, rng=RngSpec(0))
         with pytest.raises(GameError, match="step 1:"):
             ifpl_run(lambda t, history, cum: game[t - 1], p, rng=RngSpec(0),
-                     num_steps=1, num_experts=2)
+                     num_steps=1)
         with pytest.raises(GameError, match="step 1:"):
             batch_cumulative_losses(game, p, 4, RngSpec(0), infeasible=True)
 

@@ -23,6 +23,7 @@ from volfpl import (
     poly_envelope_game,
     ifpl_run,
     ifpl_regret_bound,
+    optimized_bound,
     prot_run,
     random_fluc_bounded_game,
     regret_bound,
@@ -168,6 +169,23 @@ class TestRunExperiment:
         with pytest.raises(GameError, match=repr(key)):
             run_experiment(ExperimentConfig.from_dict(cfg))
 
+    def test_explicit_a_bound_is_the_theorems(self, tmp_path):
+        # a = 5 holds the bound with eps = 2a(e^{3/a}-1) - 6 = 4.59, not the 1
+        # an experiment-level eps used to assume
+        schedule = {"a": 5.0, "N": 3, "gamma": {"kind": "power", "delta": 1.0}, "v0": 1.0}
+        rep = run_experiment(base_config(schedule=schedule, out=str(tmp_path)))
+        params = ScheduleParams.from_config(schedule)
+        expect = optimized_bound(params, 100, rep.first_trace.delta_v)
+        assert rep.bounds["main_regret"] == pytest.approx(expect, rel=1e-12)
+        assert rep.bounds["target_eps"] == params.target_eps
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["bounds"]["target_eps"] == params.target_eps
+        assert "target_eps" not in report["config"]
+
+    def test_top_level_target_eps_rejected(self):
+        with pytest.raises(GameError, match="schedule.target_eps"):
+            base_config(target_eps=1.0)
+
     @pytest.mark.parametrize("run_ifpl", [False, True])
     def test_one_volume_trace_per_run(self, monkeypatch, run_ifpl):
         # the report reads each run's own trace: no extra pass over the game
@@ -256,8 +274,9 @@ def reference_aggregate(config):
     _, delta_v, fluc = volume_trace(losses, params.v0)
     ok, violating = check_fluctuation_bound(fluc, params.gamma)
     bounds = {
-        "main_regret": regret_bound(params, losses.num_steps, delta_v, config.target_eps),
+        "main_regret": regret_bound(params, losses.num_steps, delta_v, params.target_eps),
         "ifpl_term": ifpl_regret_bound(params, delta_v),
+        "target_eps": params.target_eps,
     }
     checks = {
         "fluc_within_gamma": bool(ok),

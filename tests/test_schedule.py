@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from volfpl import (
+    AdversaryConfig,
     GameError,
     GammaSchedule,
     ScheduleError,
@@ -61,6 +62,13 @@ class TestGammaSchedule:
         for g in (GammaSchedule.power(0.7), GammaSchedule.constant(0.3)):
             back = GammaSchedule.from_config(g.to_config())
             assert back(5) == g(5)
+
+    @pytest.mark.parametrize("kind, key", [
+        ("power", "delta"), ("constant", "c"), ("table", "values"),
+    ])
+    def test_from_config_missing_key(self, kind, key):
+        with pytest.raises(GameError, match=repr(key)):
+            GammaSchedule.from_config({"kind": kind})
 
     def test_values_vectorized(self):
         g = GammaSchedule.power(0.5)
@@ -259,7 +267,12 @@ class TestBounds:
         lambda p, dv: optimized_bound(p, 3, dv),
         fpl_ifpl_gap_bound,
         ifpl_regret_bound,
-    ], ids=["regret", "optimized", "gap", "ifpl"])
+        # general_bound needs gamma inside the alpha domain: a = 10, N = 2 gives
+        # min(A, 1/A) = 0.041
+        lambda p, dv: general_bound(
+            ScheduleParams(a=p.a, num_experts=p.num_experts, gamma=GammaSchedule.constant(0.01)),
+            3, dv),
+    ], ids=["regret", "optimized", "gap", "ifpl", "general"])
     def test_rejects_bad_delta_v(self, bound):
         p = params_power()
         assert bound(p, [1.0, 0.0, 2.0]) > 0
@@ -288,6 +301,45 @@ class TestScheduleParams:
             {"target_eps": 1.0, "N": 2, "gamma": {"kind": "power", "delta": 1.0}}
         )
         assert p.a == pytest.approx(choose_a(1.0))
+
+    @pytest.mark.parametrize("loss_mode, eps", [
+        ("general", 0.01), ("general", 0.5), ("general", 1.0), ("general", 4.0),
+        ("nonnegative", 0.01), ("nonnegative", 0.5), ("nonnegative", 0.8),
+    ])
+    def test_target_eps_inverts_choose_a(self, loss_mode, eps):
+        p = ScheduleParams.from_config({"target_eps": eps, "N": 3, "loss_mode": loss_mode,
+                                        "gamma": {"kind": "power", "delta": 1.0}})
+        assert p.a > 3.0
+        assert abs(p.target_eps - eps) <= 1e-12
+        # derived, not stored: the config and equality are those of (a, N, gamma, v0, mode)
+        assert "target_eps" not in p.to_config()
+        assert ScheduleParams.from_config(p.to_config()) == p
+
+    @pytest.mark.parametrize("loss_mode, eps", [("general", 5.0), ("nonnegative", 1.0)])
+    def test_target_eps_at_lower_endpoint(self, loss_mode, eps):
+        # choose_a returns a = 3 once f(3) <= K + eps; the schedule then holds
+        # the bound with the smaller eps f(3) - K
+        p = ScheduleParams.from_config({"target_eps": eps, "N": 2, "loss_mode": loss_mode,
+                                        "gamma": {"kind": "power", "delta": 1.0}})
+        assert p.a == 3.0
+        f3, k = (3 * math.expm1(2 / 3), 2.0) if loss_mode == "nonnegative" else (
+            6 * math.expm1(1.0), 6.0)
+        assert p.target_eps == f3 - k
+        assert 0 < p.target_eps < eps
+
+    @pytest.mark.parametrize("a", [3.0, 5.0, 40.0, 1e4])
+    def test_main_bound_at_own_eps_is_optimized_bound(self, a):
+        p = params_power(a=a, n=4)
+        dv = np.linspace(0.5, 3.0, 6)
+        assert regret_bound(p, 6, dv, p.target_eps) == pytest.approx(
+            optimized_bound(p, 6, dv), rel=1e-12)
+
+    def test_input_errors_are_game_errors(self):
+        # one error family: schedule and adversary input errors are GameErrors
+        with pytest.raises(GameError):
+            choose_a(-1.0)
+        with pytest.raises(GameError):
+            AdversaryConfig(eps=2.0)
 
     def test_require_alpha_domain(self):
         good = ScheduleParams(a=10.0, num_experts=2, gamma=GammaSchedule.constant(0.01))

@@ -215,7 +215,25 @@ class TestDefensiveBound:
         expect = abs(s1.sum()) - 2 * math.sqrt(0.01) * math.sqrt(
             7 * (1 + math.log(2))
         ) * (np.abs(s1).sum() + 1.0)
-        assert defensive_lower_bound(ps, cfg, 1.0) == pytest.approx(expect, rel=1e-12)
+        assert defensive_lower_bound(ps, cfg) == pytest.approx(expect, rel=1e-12)
+
+    def test_explicit_a_uses_its_own_eps(self):
+        # the coefficient is 2 gamma^{1/2} sqrt(2a(e^{3/a}-1)(1+ln 2)) for any a
+        ps = fbm_generate(0.8, 128, seed=9)
+        params = ScheduleParams(a=5.0, num_experts=2, gamma=GammaSchedule.constant(0.01),
+                                v0=1.0)
+        cfg = TradingConfig(c=1.0, schedule=params)
+        s1, _ = expert_gains(ps, cfg.c)
+        expect = abs(s1.sum()) - 2 * math.sqrt(0.01) * math.sqrt(
+            10 * math.expm1(3 / 5) * (1 + math.log(2))
+        ) * (np.abs(s1).sum() + 1.0)
+        assert defensive_lower_bound(ps, cfg) == pytest.approx(expect, rel=1e-12)
+
+    def test_rejects_nonnegative_schedule(self):
+        params = ScheduleParams(a=3.0, num_experts=2, gamma=GammaSchedule.constant(0.01),
+                                v0=1.0, loss_mode="nonnegative")
+        with pytest.raises(GameError, match="signed"):
+            TradingConfig(c=1.0, schedule=params)
 
     def test_requires_constant_gamma(self):
         params = ScheduleParams(a=choose_a(1.0), num_experts=2,
@@ -223,7 +241,7 @@ class TestDefensiveBound:
         cfg = TradingConfig(c=1.0, schedule=params)
         ps = fbm_generate(0.5, 16, seed=0)
         with pytest.raises(GameError):
-            defensive_lower_bound(ps, cfg, 1.0)
+            defensive_lower_bound(ps, cfg)
 
 
 class TestTradingExperiment:
