@@ -217,9 +217,11 @@ def ifpl_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_unit(k: int):
-    """k-node Gauss-Legendre rule on [0, 1]: exact for degree <= 2k - 1."""
+    """k-node Gauss-Legendre rule on [0, 1], exact for degree <= 2k - 1,
+    shaped for the expert-major kernel: the negated nodes as (k, 1), to
+    broadcast against (N, 1, M), and the weights as (k, 1, 1)."""
     x, w = np.polynomial.legendre.leggauss(k)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return (-0.5 * (x + 1.0)).reshape(k, 1), (0.5 * w).reshape(k, 1, 1)
 
 
 def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
@@ -233,22 +235,49 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     ``cumulative`` has shape (..., N) and ``eps`` is a scalar or has shape
     (...): leading axes are independent problems.  Non-finite scores and
     rates that are not finite and positive raise GameError.
+
+    The kernel is expert-major: the M problems become the last, contiguous
+    axis of an (N, M) copy of the scores, and the logs are (N, k, M).  The
+    leader's minimum, the sum over experts and the sum over nodes then
+    combine whole length-M rows, one after another in index order, instead
+    of reducing a short axis per problem.  That order does not depend on
+    M, so every problem of a batched call gives the bits a call on that
+    problem alone gives.
     """
     s = np.asarray(cumulative, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
         raise GameError("need at least one expert")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise GameError(f"cumulative scores must be finite, got {s}")
-    if not np.all(np.isfinite(eps) & (eps > 0)):
+    if not (np.isfinite(eps) & (eps > 0)).all():
         raise GameError(f"eps must be finite and positive, got {eps}")
-    u, w = _gauss_legendre_unit((s.shape[-1] + 1) // 2)
+    n = s.shape[-1]
+    shape = s.shape[:-1]
+    if eps.ndim and eps.shape != shape:
+        shape = np.broadcast_shapes(shape, eps.shape)
+        s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
+    neg_u, w = _gauss_legendre_unit((n + 1) // 2)
+    # (N, M); a copy even where the transpose is contiguous, as it is
+    # written in place
+    x = s.reshape(-1, n).T.copy()
     with np.errstate(over="ignore"):
-        b = np.exp(-eps[..., None] * (s - s.min(axis=-1, keepdims=True)))
-    logs = np.log1p(-b[..., None] * u)
-    terms = np.exp(logs.sum(axis=-2, keepdims=True) - logs) * w
+        x -= x.min(axis=0)
+        x *= eps.reshape(-1)
+    b = np.exp(np.negative(x, out=x), out=x)
+    logs = b[:, None] * neg_u  # (N, k, M)
+    logs = np.log1p(logs, out=logs)
+    # Both sums reduce a leading axis, which numpy adds one row after
+    # another wherever the rest of the block holds two or more entries
+    # (k M for the experts, N M for the nodes); where it does not (N <= 2
+    # and one problem), a sum has at most two terms.
+    terms = np.subtract(logs.sum(axis=0)[:, None], logs.transpose(1, 0, 2), order="C")
+    terms = np.exp(terms, out=terms)  # (k, N, M)
+    terms *= w
+    p = terms.sum(axis=0)
+    p *= b
     # Rounding can lift the leader's probability a few ulps above 1.
-    return np.minimum(b * terms.sum(axis=-1), 1.0)
+    return np.minimum(p, 1.0, out=p).T.reshape(shape + (n,))
 
 
 def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) -> np.ndarray:

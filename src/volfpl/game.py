@@ -24,6 +24,14 @@ def require_keys(cfg: dict, keys, what: str) -> None:
         raise GameError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
+def reject_unknown_keys(cfg: dict, known, what: str) -> None:
+    """Raise GameError naming every key of ``cfg`` that is not in ``known``."""
+    unknown = [key for key in cfg if key not in known]
+    if unknown:
+        raise GameError(f"{what} has unknown {', '.join(map(repr, unknown))} "
+                        f"(known: {', '.join(known)})")
+
+
 @dataclass(frozen=True)
 class LossMatrix:
     """Full table of expert one-step losses, rows = steps, columns = experts."""

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .engine import RunRecord, _expert_cum, _mean_se, ifpl_run, prot_run
-from .game import GameError, LossMatrix, check_fluctuation_bound, require_keys, row_peaks, write_csv
+from .game import (GameError, LossMatrix, check_fluctuation_bound, reject_unknown_keys,
+                   require_keys, row_peaks, write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -109,9 +110,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        require_keys(cfg, ("game", "schedule"), "experiment config")
         if "target_eps" in cfg:
             raise GameError("the bound's eps comes from the schedule: set schedule.target_eps")
+        # the known keys are the dataclass's fields, so to_dict() parses back
+        reject_unknown_keys(cfg, [f.name for f in fields(cls)], "experiment config")
+        require_keys(cfg, ("game", "schedule"), "experiment config")
         seeds = cfg.get("seeds", [0])
         if isinstance(seeds, dict):
             require_keys(seeds, ("count",), "seeds")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameError, require_keys
+from .game import GameError, reject_unknown_keys, require_keys
 from .perturbation import expected_max_bound
 
 
@@ -174,10 +174,13 @@ class ScheduleParams:
             "loss_mode": self.loss_mode,
         }
 
+    CONFIG_KEYS = ("a", "target_eps", "N", "gamma", "v0", "loss_mode")
+
     @classmethod
     def from_config(cls, cfg: dict) -> "ScheduleParams":
-        """Build params from a JSON-style dict; ``a`` may be given directly
-        or derived from ``target_eps``."""
+        """Build params from a JSON-style dict with keys in ``CONFIG_KEYS``;
+        ``a`` may be given directly or derived from ``target_eps``."""
+        reject_unknown_keys(cfg, cls.CONFIG_KEYS, "schedule config")
         require_keys(cfg, ("N", "gamma"), "schedule config")
         if "a" in cfg:
             a = float(cfg["a"])

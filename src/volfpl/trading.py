@@ -77,21 +77,26 @@ def _fgn(hurst: float, z: np.ndarray) -> np.ndarray:
     k = np.arange(m, dtype=float)
     two_h = 2.0 * hurst
     acov = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
-    x = np.empty(m)
+    # Both dot products read contiguous slices: acov_rev[m-1-j] = acov[j]
+    # and x_rev[m-1-j] = x_j.  The scalars stay Python floats.
+    acov_rev = acov[::-1].copy()
+    g, zs = acov.tolist(), z.tolist()
+    x_rev = np.empty(m)
     phi = np.empty(m)  # phi[j - 1] = phi_{n,j}
-    v = acov[0]
-    x[0] = math.sqrt(v) * z[0]
+    scratch = np.empty(m)
+    v = g[0]
+    x_rev[m - 1] = math.sqrt(v) * zs[0]
     for n in range(1, m):
         prev = phi[:n - 1]
-        kappa = (acov[n] - prev @ acov[n - 1:0:-1]) / v
-        prev -= kappa * prev[::-1]
+        kappa = (g[n] - float(prev @ acov_rev[m - n:m - 1])) / v
+        prev -= np.multiply(prev[::-1], kappa, out=scratch[:n - 1])
         phi[n - 1] = kappa
         v *= 1.0 - kappa * kappa
         if not v > 0:
             raise GameError(f"fGn covariance is numerically singular at step {n + 1} "
                             f"(Hurst exponent {hurst} is too close to 1)")
-        x[n] = phi[:n] @ x[n - 1::-1] + math.sqrt(v) * z[n]
-    return x
+        x_rev[m - 1 - n] = float(phi[:n] @ x_rev[m - n:]) + math.sqrt(v) * zs[n]
+    return x_rev[::-1].copy()
 
 
 def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.0,
@@ -166,15 +171,19 @@ def learner_gain(prices: PriceSeries, config: TradingConfig):
     return gains, np.cumsum(gains)
 
 
-def defensive_lower_bound(prices: PriceSeries, config: TradingConfig) -> float:
-    """|sum s1_t| - 2 gamma^{1/2} sqrt((6+eps)(1+ln 2)) (sum |s1_t| + v0) for the
-    constant-gamma trading schedule, at the schedule's own eps."""
-    schedule = config.schedule
+def _defensive_bound(s1, schedule: ScheduleParams) -> float:
+    """|sum s1_t| - 2 gamma^{1/2} sqrt((6+eps)(1+ln 2)) (sum |s1_t| + v0) at
+    the schedule's own eps; gamma must be constant."""
     if schedule.gamma.kind != "constant":
         raise GameError("defensive bound assumes a constant gamma schedule")
-    s1, _ = expert_gains(prices, config.c)
     coef = math.sqrt(schedule.gamma.c) * _main_coef(2, "general", schedule.target_eps)
     return abs(float(np.sum(s1))) - coef * (float(np.sum(np.abs(s1))) + schedule.v0)
+
+
+def defensive_lower_bound(prices: PriceSeries, config: TradingConfig) -> float:
+    """The defensive lower bound of a price path under a constant-gamma
+    trading config (see :func:`_defensive_bound`)."""
+    return _defensive_bound(expert_gains(prices, config.c)[0], config.schedule)
 
 
 @dataclass
@@ -218,5 +227,5 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries) -> Tradin
         fluc=fluc,
         fluc_violations=violations,
         identity_residual=volatility_identity_check(prices),
-        defensive_bound=defensive_lower_bound(prices, config),
+        defensive_bound=_defensive_bound(s1, config.schedule),
     )

@@ -305,7 +305,23 @@ class TestExactProbabilities:
         s = gen.normal(0, 3, (40, 6))
         eps = gen.uniform(0.1, 2.0, 40)
         rows = np.array([selection_probabilities_exact(s[t], eps[t]) for t in range(40)])
-        np.testing.assert_allclose(selection_probabilities_exact(s, eps), rows, rtol=0, atol=1e-15)
+        assert np.array_equal(selection_probabilities_exact(s, eps), rows)
+
+    def test_does_not_write_to_its_input(self):
+        # a single problem's (N, 1) transpose is contiguous, so the kernel
+        # must copy it before working in place
+        s = np.array([0.5, -1.0, 2.0])
+        selection_probabilities_exact(s, 1.5)
+        assert np.array_equal(s, [0.5, -1.0, 2.0])
+
+    def test_rate_broadcasts_against_the_leading_axes(self):
+        s = np.random.default_rng(16).normal(0, 1, (4, 5))
+        eps = np.array([[0.3], [1.0], [2.5]])
+        p = selection_probabilities_exact(s, eps)
+        assert p.shape == (3, 4, 5)
+        for i in range(3):
+            for r in range(4):
+                assert np.array_equal(p[i, r], selection_probabilities_exact(s[r], eps[i, 0]))
 
 
 def _score_vectors(elements):
@@ -348,6 +364,19 @@ class TestExactProbabilityProperties:
     def test_leader_is_most_likely(self, s, eps):
         p = selection_probabilities_exact(s, eps)
         assert p[np.argmin(s)] == np.max(p)
+
+    @settings(deadline=None)
+    @given(data=st.data(), lead=st.sampled_from([(), (1,), (2,), (7,), (1, 3), (3, 4)]),
+           n=st.integers(1, 30))
+    def test_every_row_matches_its_single_call(self, data, lead, n):
+        m = math.prod(lead)
+        s = np.reshape(data.draw(st.lists(_MODERATE_SCORES, min_size=m * n, max_size=m * n)),
+                       lead + (n,))
+        eps = np.reshape(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m)), lead)
+        p = selection_probabilities_exact(s, eps)
+        assert p.shape == lead + (n,)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(p[idx], selection_probabilities_exact(s[idx], eps[idx]))
 
 
 @st.composite

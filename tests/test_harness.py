@@ -186,6 +186,32 @@ class TestRunExperiment:
         with pytest.raises(GameError, match="schedule.target_eps"):
             base_config(target_eps=1.0)
 
+    @pytest.mark.parametrize("key", ["regimes", "run_ifpl_"])
+    def test_unknown_top_level_key_rejected(self, key):
+        # a misspelt option used to fall back silently to its default
+        with pytest.raises(GameError, match=repr(key)):
+            base_config(**{key: True})
+
+    @pytest.mark.parametrize("cfg", [
+        # the benchmark's seq_loop experiment
+        {"game": {"kind": "random", "n_experts": 5, "num_steps": 20, "seed": 3},
+         "schedule": {"target_eps": 1.0, "N": 5, "gamma": {"kind": "power", "delta": 1.0},
+                      "v0": 1.0},
+         "seeds": [0, 1], "run_ifpl": True, "out": None},
+        # the two experiments the numpy-only CI job runs
+        {"game": {"kind": "random", "n_experts": 3, "num_steps": 20, "seed": 1},
+         "schedule": {"target_eps": 1.0, "N": 3, "gamma": {"kind": "power", "delta": 1.0},
+                      "v0": 1.0},
+         "seeds": [0, 1, 2], "run_ifpl": True},
+        {"game": {"kind": "random", "n_experts": 3, "num_steps": 20, "seed": 1},
+         "schedule": {"a": 5, "N": 3, "gamma": {"kind": "power", "delta": 1.0}, "v0": 1.0},
+         "seeds": [0, 1, 2]},
+    ])
+    def test_known_configs_parse(self, cfg):
+        config = ExperimentConfig.from_dict(cfg)
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        run_experiment(config)
+
     @pytest.mark.parametrize("run_ifpl", [False, True])
     def test_one_volume_trace_per_run(self, monkeypatch, run_ifpl):
         # the report reads each run's own trace: no extra pass over the game

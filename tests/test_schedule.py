@@ -296,6 +296,12 @@ class TestBounds:
 
 
 class TestScheduleParams:
+    def test_from_config_rejects_unknown_key(self):
+        # a misspelt loss mode used to build a general schedule
+        with pytest.raises(GameError, match="'loss-mode'"):
+            ScheduleParams.from_config({"target_eps": 1.0, "N": 2, "loss-mode": "nonnegative",
+                                        "gamma": {"kind": "power", "delta": 1.0}})
+
     def test_from_config_with_target_eps(self):
         p = ScheduleParams.from_config(
             {"target_eps": 1.0, "N": 2, "gamma": {"kind": "power", "delta": 1.0}}

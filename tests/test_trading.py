@@ -280,6 +280,19 @@ class TestTradingExperiment:
         ts = np.arange(1, len(s1) + 1)
         assert np.array_equal(rep.fluc_violations, ts[fluc > 0.05])
 
+    def test_report_bound_is_the_public_bound(self, monkeypatch):
+        # the report reads the bound off the run's own gains: one expert_gains per run
+        from volfpl import trading
+
+        calls = []
+        monkeypatch.setattr(trading, "expert_gains",
+                            lambda *a: calls.append(a) or expert_gains(*a))
+        ps = fbm_generate(0.3, 256, seed=21)
+        cfg = make_config(gamma_const=0.02)
+        rep = run_trading_experiment(cfg, ps)
+        assert len(calls) == 1
+        assert rep.defensive_bound == defensive_lower_bound(ps, cfg)
+
     def test_config_validation(self):
         params = ScheduleParams(a=10.0, num_experts=3,
                                 gamma=GammaSchedule.constant(0.1), v0=1.0)
