@@ -86,16 +86,36 @@ class LossMatrix:
         write_csv(path, [f"expert_{i}" for i in range(1, self.num_experts + 1)], self.values.T)
 
 
+# Rows per formatted block in write_csv: enough to amortise the per-block
+# join and write, few enough that a block's Python floats and strings stay
+# small whatever the number of rows.
+_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header, columns, lineterminator="\r\n") -> None:
-    """Write equal-length numeric columns under ``header``.
+    """Write equal-length 1-d numeric columns under ``header``.
 
     Integer columns are written as integers and float columns by ``repr``,
-    so every value reads back exactly.
+    so every value reads back exactly.  The header goes through
+    ``csv.writer``; the rows are formatted ``_BLOCK_ROWS`` at a time and
+    each block is one ``write``.  The bytes are the ones ``csv.writer``
+    gives for the same rows (a number's ``repr`` never needs quoting), and
+    memory stays bounded by one block however long the columns are.
+    Columns of different lengths raise GameError.
     """
+    columns = [np.asarray(c) for c in columns]
+    for i, column in enumerate(columns):
+        if column.ndim != 1:
+            raise GameError(f"column {i} must be 1-d, got shape {column.shape}")
+        if len(column) != len(columns[0]):
+            raise GameError(f"column {i} has {len(column)} rows "
+                            f"but column 0 has {len(columns[0])}")
+    num_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        csv.writer(fh, lineterminator=lineterminator).writerow(header)
+        for start in range(0, num_rows, _BLOCK_ROWS):
+            cells = [map(repr, c[start:start + _BLOCK_ROWS].tolist()) for c in columns]
+            fh.write(lineterminator.join(map(",".join, zip(*cells))) + lineterminator)
 
 
 def scaled_fluctuation(delta_v: float, v: float) -> float:

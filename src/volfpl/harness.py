@@ -134,8 +134,21 @@ class ExperimentConfig:
         return asdict(self)
 
 
+# The keys each game kind reads; any other key is a typo or an option the
+# kind does not have, and is rejected rather than dropped.
+_GAME_KEYS = {
+    "random": ("kind", "n_experts", "num_steps", "seed", "v0", "loss_mode", "delta"),
+    "bounded": ("kind", "n_experts", "num_steps", "seed", "loss_mode"),
+    "poly": ("kind", "n_experts", "num_steps", "seed", "exponent"),
+    "csv": ("kind", "path"),
+}
+
+
 def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
     kind = game_cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _GAME_KEYS:
+        raise GameError(f"unknown game kind {kind!r}")
+    reject_unknown_keys(game_cfg, _GAME_KEYS[kind], f"{kind} game config")
     if kind == "csv":
         require_keys(game_cfg, ("path",), "csv game config")
         return LossMatrix.from_csv(game_cfg["path"])
@@ -152,9 +165,7 @@ def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
         )
     if kind == "bounded":
         return bounded_unit_game(n, T, rng, loss_mode=game_cfg.get("loss_mode", "general"))
-    if kind == "poly":
-        return poly_envelope_game(n, T, rng, exponent=float(game_cfg.get("exponent", 0.1)))
-    raise GameError(f"unknown game kind {kind!r}")
+    return poly_envelope_game(n, T, rng, exponent=float(game_cfg.get("exponent", 0.1)))
 
 
 @dataclass

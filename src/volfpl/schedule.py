@@ -111,6 +111,7 @@ class GammaSchedule:
         key = {"power": "delta", "constant": "c", "table": "values"}.get(kind)
         if key is None:
             raise ScheduleError(f"unknown gamma kind {kind!r}")
+        reject_unknown_keys(cfg, ("kind", key), f"{kind} gamma config")
         require_keys(cfg, (key,), f"{kind} gamma config")
         build = {"power": cls.power, "constant": cls.constant, "table": cls.from_table}[kind]
         return build(cfg[key])

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +279,24 @@ class TestRunExperiment:
         r1["config"].pop("out"), r2["config"].pop("out")
         assert r1 == r2
 
+    @pytest.mark.parametrize("game, key", [
+        # poly games have no loss mode: this one used to come back signed
+        ({"kind": "poly", "n_experts": 2, "num_steps": 50, "loss_mode": "nonnegative"},
+         "loss_mode"),
+        # a misspelt delta used to run at delta 1
+        ({"kind": "random", "n_experts": 2, "num_steps": 50, "detla": 3.0}, "detla"),
+        ({"kind": "bounded", "n_experts": 2, "num_steps": 50, "v0": 1.0}, "v0"),
+        ({"kind": "csv", "path": "game.csv", "seed": 1}, "seed"),
+    ])
+    def test_unknown_game_key_rejected(self, game, key):
+        with pytest.raises(GameError, match=f"{game['kind']} game config has unknown {key!r}"):
+            resolve_game(game)
+
+    @pytest.mark.parametrize("kind", ["randon", ["random"], None])
+    def test_unknown_game_kind_rejected(self, kind):
+        with pytest.raises(GameError, match=re.escape(f"unknown game kind {kind!r}")):
+            resolve_game({"kind": kind, "n_experts": 2, "num_steps": 5})
+
     def test_csv_game_round_trip(self, tmp_path):
         lm = bounded_unit_game(2, 20, RngSpec(0))
         path = tmp_path / "game.csv"
@@ -429,6 +449,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["checks"]["mean_regret_within_main_bound"]
         assert (out / "report.json").exists()
+
+    def test_run_subcommand_on_csv_game(self, tmp_path, capsys):
+        # the numpy-only CI job's CSV-game step: a game written by to_csv,
+        # played from the file, and both per-step files read back
+        steps = 1500
+        random_fluc_bounded_game(3, steps, RngSpec(1)).to_csv(tmp_path / "game.csv")
+        cfg = {
+            "game": {"kind": "csv", "path": str(tmp_path / "game.csv")},
+            "schedule": {"target_eps": 1.0, "N": 3,
+                         "gamma": {"kind": "power", "delta": 1.0}, "v0": 1.0},
+            "seeds": [0, 1],
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for name, width in (("trace.csv", 9), ("aggregate.csv", 3)):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) == steps + 1 and all(len(r) == width for r in rows), name
+            assert all(math.isfinite(float(cell)) or cell == "inf"
+                       for row in rows[1:] for cell in row), name
 
     def test_adversary_subcommand(self, capsys):
         rc = cli_main(["adversary", "--eps", "0.5", "--horizon", "10"])

@@ -70,6 +70,16 @@ class TestGammaSchedule:
         with pytest.raises(GameError, match=repr(key)):
             GammaSchedule.from_config({"kind": kind})
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"kind": "power", "delta": 1.0, "c": 0.5}, "c"),
+        ({"kind": "constant", "c": 0.5, "delta": 1.0}, "delta"),
+        ({"kind": "table", "values": [0.5], "detla": 1.0}, "detla"),
+    ])
+    def test_from_config_rejects_unknown_key(self, cfg, key):
+        # a key the kind does not read used to be dropped
+        with pytest.raises(GameError, match=repr(key)):
+            GammaSchedule.from_config(cfg)
+
     def test_values_vectorized(self):
         g = GammaSchedule.power(0.5)
         ts = np.arange(1, 11)
