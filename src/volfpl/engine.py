@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .game import GameError, LossMatrix, scaled_fluctuation, volume_trace, write_csv
-from .perturbation import as_generator, sample_exponential_array
+from .perturbation import _neg_exponential_array, as_generator, sample_exponential_array
 from .schedule import ScheduleParams, alpha_t, epsilon_t, epsilon_values, mu_values
 
 REGIMES = ("per-step", "once")
@@ -64,6 +64,25 @@ class RunRecord:
                    self.v, self.delta_v, self.fluc, self.mu, self.eps])
 
 
+def _argmin_last(x):
+    """``np.argmin(x, axis=-1)``, ties to the lowest index, as intp.
+
+    For two experts it is one compare of the last axis's two columns, several
+    times faster than numpy's per-row argmin.  The two agree on every input
+    without NaN, and the engine forms no NaN score: see :func:`prot_select`.
+    """
+    if x.shape[-1] == 2:
+        return np.less(x[..., 1], x[..., 0]).astype(np.intp)
+    return np.argmin(x, axis=-1)
+
+
+def _require_scores_and_rates(s, eps) -> None:
+    """Raise GameError on a NaN score or a rate that is not positive: either
+    would make a perturbed score NaN (``0 * inf`` is NaN)."""
+    if np.isnan(s).any() or not (eps > 0).all():
+        raise GameError(f"need scores without NaN and positive rates, got {s} and {eps}")
+
+
 def prot_select(cumulative, eps, xi):
     """argmin_i (eps s^i - xi^i), ties to the lowest index: PROT's choice.
 
@@ -71,18 +90,49 @@ def prot_select(cumulative, eps, xi):
     divided.  An infinite rate makes the perturbation term vanish (follow
     the leader).  ``cumulative`` has shape (..., N), ``eps`` is a scalar or
     has shape (...), and ``xi`` broadcasts against (..., N); the argmin runs
-    over the last axis.
+    over the last axis.  NaN scores, rates that are not positive and
+    perturbations that are not finite raise GameError, so no score is NaN.
     """
     s = np.asarray(cumulative, dtype=float)
     eps = np.asarray(eps, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if s.ndim < 1 or xi.shape[-1:] != s.shape[-1:]:
         raise GameError(f"shape mismatch: {s.shape} vs {xi.shape}")
+    _require_scores_and_rates(s, eps)
+    if not np.isfinite(xi).all():
+        at = tuple(np.argwhere(~np.isfinite(xi))[0].tolist())
+        raise GameError(f"perturbations must be finite, got {xi[at]!r} at index {at}")
     ftl = np.isinf(eps)
-    choice = np.argmin(np.where(ftl, 1.0, eps)[..., None] * s - xi, axis=-1)
+    choice = _argmin_last(np.where(ftl, 1.0, eps)[..., None] * s - xi)
     if ftl.any():
         # [()] turns where's 0-d result back into a scalar for one row
-        choice = np.where(ftl, np.argmin(s, axis=-1), choice)[()]
+        choice = np.where(ftl, _argmin_last(s), choice)[()]
+    return choice
+
+
+def _scaled_scores(base, eps):
+    """What every draw of a Monte Carlo call shares, from the (T, N) scores
+    and (T,) rates: the scaled scores ``where(ftl, 1, eps) * base``, the
+    steps whose rate is infinite (follow the leader) and their leaders."""
+    ftl = np.isinf(eps)
+    steps = np.flatnonzero(ftl)
+    return np.where(ftl, 1.0, eps)[:, None] * base, steps, _argmin_last(base[steps])
+
+
+def _chunk_choices(scaled, ftl_steps, leaders, shape, gen):
+    """PROT's (m, T) choices for one chunk of fresh draws of ``shape``,
+    (m, T, N) or (m, 1, N) for one draw per run.
+
+    The score ``scaled - xi`` is formed in the draw buffer as
+    ``scaled + log(1 - U)``: IEEE defines ``a - b`` as ``a + (-b)``, so its
+    bits are those :func:`prot_select` computes.  With one draw per run the
+    score gets its own array.  Steps with an infinite rate take their
+    leaders.
+    """
+    buf = _neg_exponential_array(shape, gen)
+    score = np.add(scaled, buf, out=buf if shape[1] == len(scaled) else None)
+    choice = _argmin_last(score)
+    choice[:, ftl_steps] = leaders
     return choice
 
 
@@ -179,6 +229,10 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
     if perturbations is not None:
         xi = np.asarray(perturbations, dtype=float)
         xi = np.broadcast_to(xi, (T, N)) if regime == "once" else xi.reshape(T, N)
+        finite = np.isfinite(xi).all(axis=1)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise GameError(f"perturbations must be finite, got {xi[t]} at step {t + 1}")
     elif regime == "once":
         xi = np.broadcast_to(sample_exponential_array(N, as_generator(rng)), (T, N))
     else:
@@ -281,10 +335,17 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
 
 
 def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) -> np.ndarray:
-    """Empirical selection frequencies over fresh exponential perturbations."""
+    """Empirical selection frequencies over fresh exponential perturbations.
+
+    An infinite rate is follow the leader, as in :func:`prot_select`; NaN
+    scores and rates that are not positive raise GameError.
+    """
     if num_samples < 1:
         raise GameError(f"need num_samples >= 1, got {num_samples}")
     s = np.asarray(cumulative, dtype=float)
+    _require_scores_and_rates(s, np.asarray(eps, dtype=float))
+    # one step: the scores as a (1, N) row with a (1,) rate
+    scaled, ftl_steps, leaders = _scaled_scores(s[None], np.full(1, eps, dtype=float))
     gen = as_generator(rng)
     n = len(s)
     counts = np.zeros(n, dtype=np.int64)
@@ -292,8 +353,8 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     done = 0
     while done < num_samples:
         m = min(chunk, num_samples - done)
-        xi = sample_exponential_array((m, n), gen)
-        counts += np.bincount(prot_select(s, eps, xi), minlength=n)
+        choice = _chunk_choices(scaled, ftl_steps, leaders, (m, 1, n), gen)
+        counts += np.bincount(choice.ravel(), minlength=n)
         done += m
     return counts / num_samples
 
@@ -337,6 +398,12 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     do not depend on the perturbations.  A single run draws the doubles
     ``prot_run`` draws from the same ``rng``, so it reproduces that run's
     total loss exactly.
+
+    The scaled scores and the follow-the-leader steps' leaders are formed
+    once per call; each chunk of whole runs then forms its scores in its
+    draw buffer (:func:`_chunk_choices`), gathers the chosen losses with one
+    ``np.take`` over the flattened game and sums them with ``np.cumsum``,
+    in the order ``prot_run`` sums them.
     """
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
@@ -350,16 +417,20 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     if T == 0:
         return np.zeros((num_runs, 1))
     base, rate, _ = _deterministic_rates(game, params, infeasible)
+    scaled, ftl_steps, leaders = _scaled_scores(base, rate)
 
     gen = as_generator(rng)
     out = np.empty((num_runs, len(cps)))
     chunk = max(1, min(num_runs, _MAX_CHUNK_ELEMS // (T * N)))
-    steps = np.arange(T)
+    flat = game.values.ravel()
+    offsets = np.arange(0, T * N, N)
     cp_idx = cps - 1
     for done in range(0, num_runs, chunk):
         m = min(chunk, num_runs - done)
-        xi = sample_exponential_array((m, 1 if regime == "once" else T, N), gen)
-        picked = game.values[steps, prot_select(base, rate, xi)]
+        choice = _chunk_choices(scaled, ftl_steps, leaders,
+                                (m, 1 if regime == "once" else T, N), gen)
+        choice += offsets
+        picked = np.take(flat, choice)
         out[done:done + m] = np.cumsum(picked, axis=1, out=picked)[:, cp_idx]
     return out
 

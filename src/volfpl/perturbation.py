@@ -44,16 +44,24 @@ def sample_exponential(n: int, gen: np.random.Generator) -> np.ndarray:
     return sample_exponential_array(n, gen)
 
 
-def sample_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
-    """Exp(1) draws of an arbitrary shape (same stream as sample_exponential).
-
-    The doubles of ``inverse_exponential_cdf(gen.random(shape))``, computed
-    in place in the uniform buffer: negation is exact, so no temporary is
-    needed.
+def _neg_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
+    """``log(1 - U)`` for uniform draws U of ``shape``: the negated Exp(1)
+    draws ``-xi``, computed in place in the uniform buffer (negation is
+    exact, so no temporary is needed).  The one draw path: the sampler
+    below negates it, and the Monte Carlo kernels add it to their scores.
     """
     u = gen.random(shape)
     np.negative(u, out=u)
-    np.log1p(u, out=u)
+    return np.log1p(u, out=u)
+
+
+def sample_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
+    """Exp(1) draws of an arbitrary shape (same stream as sample_exponential).
+
+    The doubles of ``inverse_exponential_cdf(gen.random(shape))``: the
+    negation of :func:`_neg_exponential_array`, in its buffer.
+    """
+    u = _neg_exponential_array(shape, gen)
     return np.negative(u, out=u)
 
 

@@ -108,7 +108,9 @@ class GammaSchedule:
     @classmethod
     def from_config(cls, cfg: dict) -> "GammaSchedule":
         kind = cfg.get("kind")
-        key = {"power": "delta", "constant": "c", "table": "values"}.get(kind)
+        keys = {"power": "delta", "constant": "c", "table": "values"}
+        # a kind that is not a string (a list, say) cannot be looked up
+        key = keys.get(kind) if isinstance(kind, str) else None
         if key is None:
             raise ScheduleError(f"unknown gamma kind {kind!r}")
         reject_unknown_keys(cfg, ("kind", key), f"{kind} gamma config")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from volfpl import engine
 from volfpl import (
@@ -19,6 +20,7 @@ from volfpl import (
     choose_a,
     epsilon_t,
     ifpl_run,
+    inverse_exponential_cdf,
     monte_carlo_regret,
     mu_values,
     probability_ratio_check,
@@ -57,6 +59,25 @@ class TestProtSelect:
     def test_shape_mismatch(self):
         with pytest.raises(GameError):
             prot_select([1.0, 2.0], 1.0, [0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_perturbation_raises(self, bad):
+        xi = np.zeros((4, 2))
+        xi[2, 1] = bad
+        with pytest.raises(GameError, match=r"index \(2, 1\)"):
+            prot_select(np.zeros((4, 2)), 1.0, xi)
+        with pytest.raises(GameError, match="finite"):
+            prot_select([0.0, 1.0], math.inf, [bad, 0.0])
+
+    @pytest.mark.parametrize("s, eps", [
+        ([0.0, math.nan], 1.0), ([math.nan, 0.0, 1.0], math.inf), ([0.0, 1.0], math.nan),
+        ([0.0, math.inf], 0.0), ([0.0, 1.0], -1.0),
+    ])
+    def test_nan_score_or_bad_rate_raises(self, s, eps):
+        # each would give a NaN score, where the two-expert compare and
+        # np.argmin can disagree
+        with pytest.raises(GameError, match="NaN"):
+            prot_select(s, eps, np.zeros(len(s)))
 
 
 class TestRunLoops:
@@ -130,6 +151,22 @@ class TestRunLoops:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,chosen,loss,cum_loss,v,delta_v,fluc,mu,eps"
         assert len(lines) == 8
+
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_perturbations_raise(self, run, bad):
+        # a NaN draw used to pass: [[nan, 0], [0, nan]] chose [0, 1]
+        p = power_params(v0=1.0)
+        with pytest.raises(GameError, match="step 1"):
+            run([[1.0, 0.0], [0.0, 1.0]], p, perturbations=[[bad, 0.0], [0.0, bad]])
+        xi = np.zeros((7, 2))
+        xi[4, 0] = bad
+        with pytest.raises(GameError, match="step 5"):
+            run(INTRO_GAME, p, perturbations=xi)
+        with pytest.raises(GameError, match="step 5"):
+            run(lambda t, history, cum: INTRO_GAME[t - 1], p, perturbations=xi, num_steps=7)
+        with pytest.raises(GameError, match="step 1"):
+            run(INTRO_GAME, p, regime="once", perturbations=[0.0, bad])
 
     def test_expert_count_mismatch(self):
         with pytest.raises(GameError):
@@ -409,6 +446,28 @@ class TestProtSelectProperties:
                 assert batched[j, r] == prot_select(s[r], eps[r], xi[j, r])
 
 
+# A small pool of values, the infinities among them, so that exact ties are
+# common; any other non-NaN double now and then.
+_TIE_PRONE = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, math.inf]) | st.floats(
+    allow_nan=False)
+
+
+class TestArgminHelper:
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12),
+           lead=st.sampled_from([0, 1, 2]).flatmap(
+               lambda d: st.tuples(*[st.integers(1, 5)] * d)))
+    def test_equals_numpy_argmin(self, data, n, lead):
+        x = data.draw(arrays(np.float64, lead + (n,), elements=_TIE_PRONE))
+        if n >= 2:
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            x[..., j] = x[..., i]  # a forced tie in every row
+        got, ref = engine._argmin_last(x), np.argmin(x, axis=-1)
+        assert type(got) is type(ref) and np.asarray(got).dtype == np.asarray(ref).dtype
+        assert np.array_equal(got, ref)
+
+
 class TestMcProbabilities:
     def test_agrees_with_exact(self):
         s = [0.0, 1.0, -0.5]
@@ -422,11 +481,37 @@ class TestMcProbabilities:
         mc = selection_probabilities_mc([0.0, 2.0], 1.0, 1000, RngSpec(0))
         assert mc.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("s, eps", [([0.0, math.nan], 1.0), ([0.0, 1.0], 0.0)])
+    def test_nan_score_or_bad_rate_raises(self, s, eps):
+        with pytest.raises(GameError, match="NaN"):
+            selection_probabilities_mc(s, eps, 10, RngSpec(0))
+
     def test_chunking_is_bit_exact(self, monkeypatch):
         s = [0.0, 1.0, -0.5]
         full = selection_probabilities_mc(s, 0.9, 5000, RngSpec(6))
         monkeypatch.setattr(engine, "_MAX_CHUNK_ELEMS", 3 * 7)
         assert np.array_equal(full, selection_probabilities_mc(s, 0.9, 5000, RngSpec(6)))
+
+    @pytest.mark.parametrize("s, eps", [
+        ([0.0, 1.0, -0.5], 0.9), ([0.0, 0.5], 2.0), ([1.0, 1.0], 3.0), ([0.0], 1.0),
+        ([2.0, 1.0, 1.0], math.inf), (np.linspace(0.0, 1.0, 10), 4.0),
+    ])
+    def test_counts_match_the_plain_formula(self, s, eps):
+        # frequencies of argmin(eps s - xi) (s alone for an infinite rate)
+        # over the inverse-CDF draws of the same seed
+        s = np.asarray(s, dtype=float)
+        xi = inverse_exponential_cdf(RngSpec(6).generator().random((5000, len(s))))
+        choice = (np.argmin(s) if math.isinf(eps) else np.argmin(eps * s - xi, axis=-1))
+        ref = np.bincount(np.broadcast_to(choice, (5000,)), minlength=len(s)) / 5000
+        assert np.array_equal(selection_probabilities_mc(s, eps, 5000, RngSpec(6)), ref)
+
+    def test_counts_for_a_fixed_seed(self):
+        # the frequencies this seed gave before the score moved into the
+        # draw buffer
+        assert selection_probabilities_mc([0.0, 1.0, -0.5], 0.9, 5000, RngSpec(6)).tolist() == [
+            0.292, 0.1058, 0.6022]
+        assert selection_probabilities_mc([0.0, 0.3], 2.0, 5000, RngSpec(7)).tolist() == [
+            0.7284, 0.2716]
 
 
 class TestProbabilityRatio:
@@ -453,7 +538,51 @@ class TestProbabilityRatio:
             probability_ratio_check([0.0, 0.0, 0.0], [5.0, 0.0, 0.0], p, 1, 5.0, 10.0)
 
 
+def _reference_cumulative_losses(values, params, num_runs, rng, regime, infeasible,
+                                 checkpoints):
+    """Each run's learner loss by the plain formula: values[t, argmin(where(
+    ftl, 1, eps) s - xi)] (argmin s where the rate is infinite), then
+    cumsum, with all the draws taken at once from ``rng``."""
+    T, N = values.shape
+    base, eps, _ = engine._deterministic_rates(LossMatrix(values), params, infeasible)
+    xi = inverse_exponential_cdf(
+        rng.generator().random((num_runs, 1 if regime == "once" else T, N)))
+    ftl = np.isinf(eps)
+    choice = np.argmin(np.where(ftl, 1.0, eps)[:, None] * base - xi, axis=-1)
+    choice = np.where(ftl, np.argmin(base, axis=-1), choice)
+    cum = np.cumsum(values[np.arange(T), choice], axis=1)
+    return cum[:, np.asarray([T] if checkpoints is None else checkpoints) - 1]
+
+
 class TestBatchMonteCarlo:
+    @pytest.mark.parametrize("checkpoints", [None, [1, 17, 50]], ids=["final", "checkpoints"])
+    @pytest.mark.parametrize("infeasible", [False, True], ids=["prot", "ifpl"])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_matches_the_plain_formula(self, monkeypatch, n, regime, infeasible, checkpoints):
+        T, runs = 50, 150
+        random = np.random.default_rng(n).uniform(-1, 1, (T, n))
+        # zero losses from v0 = 0 leave the rate infinite (follow the
+        # leader) for the first steps of PROT and of IFPL
+        ftl = random.copy()
+        ftl[:5] = 0.0
+        # and every column a copy of the first: ties in every score row
+        tied = ftl.copy()
+        tied[:, n // 2:] = tied[:, :1]
+        kw = dict(regime=regime, infeasible=infeasible, checkpoints=checkpoints)
+        for values, v0 in ((random, 1.0), (ftl, 0.0), (tied, 0.0)):
+            p = power_params(n=n, v0=v0)
+            rates = engine._deterministic_rates(LossMatrix(values), p, infeasible)[1]
+            assert np.isinf(rates).sum() == (0 if v0 else 5 + (not infeasible))
+            ref = _reference_cumulative_losses(values, p, runs, RngSpec(n, 5), **kw)
+            assert runs * T * n <= engine._MAX_CHUNK_ELEMS  # one chunk
+            assert np.array_equal(batch_cumulative_losses(values, p, runs, RngSpec(n, 5), **kw),
+                                  ref)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_MAX_CHUNK_ELEMS", 4 * T * n + 1)  # 38 chunks
+                assert np.array_equal(
+                    batch_cumulative_losses(values, p, runs, RngSpec(n, 5), **kw), ref)
+
     def test_matches_sequential_runs(self):
         # the vectorized path must agree in distribution with prot_run; with
         # matched sample counts on a small game the means coincide within SE

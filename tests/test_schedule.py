@@ -80,6 +80,12 @@ class TestGammaSchedule:
         with pytest.raises(GameError, match=repr(key)):
             GammaSchedule.from_config(cfg)
 
+    @pytest.mark.parametrize("kind", [["power"], {"power": 1}, None, 1, "powr"])
+    def test_from_config_rejects_unknown_kind(self, kind):
+        # an unhashable kind used to raise a bare TypeError from the lookup
+        with pytest.raises(ScheduleError, match="unknown gamma kind"):
+            GammaSchedule.from_config({"kind": kind, "delta": 1.0})
+
     def test_values_vectorized(self):
         g = GammaSchedule.power(0.5)
         ts = np.arange(1, 11)
