@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _expert_cum, selection_probabilities_exact
-from .game import GameError, LossMatrix, volume_trace, write_csv
+from .game import GameError, LossMatrix, RunningVolume, volume_trace, write_csv
 from .schedule import ScheduleParams, epsilon_t
 
 
@@ -89,17 +89,14 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
     s = np.empty((T, 2))
     p1 = np.empty(T)
     cum = np.zeros(2)
-    total = 0.0
+    volume = RunningVolume(config.v0)
     for t in range(1, T + 1):
-        # v0 + running sum of M_t rounds like volume_trace's cumsum
-        v_prev = config.v0 + total
+        v_prev = volume.v
         p = float(algorithm(t, cum.copy(), v_prev))
         if not 0 <= p <= 1 or not math.isfinite(p):
             raise AdversaryError(f"callback returned invalid probability {p} at step {t}")
         a, b, mt = prop1_step(v_prev, p, config.eps)
-        total += mt
-        if not math.isfinite(config.v0 + total):
-            raise GameError(f"volume is not finite at step {t}: losses overflow")
+        volume.add(mt, t)
         s[t - 1] = a, b
         p1[t - 1] = p
         cum = cum + s[t - 1]

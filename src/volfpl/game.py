@@ -8,6 +8,7 @@ learning-rate formula in :mod:`volfpl.schedule` reads these quantities.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,30 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
         raise GameError(f"volume is not finite at step {bad}: losses overflow")
     fluc = np.divide(delta_v, v[1:], out=np.zeros_like(delta_v), where=v[1:] > 0)
     return v, delta_v, fluc
+
+
+class RunningVolume:
+    """The volume of a game played one step at a time.
+
+    ``v`` is ``v0 + sum of the steps' peaks so far``, which rounds exactly
+    like the ``cumsum`` in :func:`volume_trace`, so a loop reading it sees
+    the volumes of the finished game's trace.
+    """
+
+    def __init__(self, v0: float):
+        self.v0 = v0
+        self._total = 0.0
+        self.v = v0 + self._total
+
+    def add(self, peak: float, t: int) -> float:
+        """Add step t's peak ``max_i |s^i_t|`` and return the new volume; a
+        volume that is not finite raises GameError naming step t."""
+        self._total += peak
+        v = self.v0 + self._total
+        if not math.isfinite(v):
+            raise GameError(f"volume is not finite at step {t}: losses overflow")
+        self.v = v
+        return v
 
 
 def check_fluctuation_bound(fluc_values, gamma):

@@ -82,13 +82,21 @@ class GammaSchedule:
         return self.table_values[t - 1]
 
     def values(self, ts) -> np.ndarray:
-        """Vectorized evaluation at an array of steps."""
+        """Vectorized evaluation at an array of steps.
+
+        A step the scalar call rejects (t < 1, or past the table) raises its
+        ScheduleError for the first such t.
+        """
         ts = np.asarray(ts)
+        last = len(self.table_values) if self.kind == "table" else math.inf
+        bad = (ts < 1) | (ts > last)
+        if bad.any():
+            self(int(ts[bad][0]))
         if self.kind == "power":
             return ts.astype(float) ** -self.delta
         if self.kind == "constant":
             return np.full(ts.shape, self.c)
-        return np.array([self(int(t)) for t in ts])
+        return np.asarray(self.table_values)[(ts - 1).astype(np.intp)]
 
     def square_summable(self):
         """Whether sum_t gamma(t)^2 converges: True/False, or None if undecidable."""

@@ -172,6 +172,19 @@ class TestRunLoops:
         with pytest.raises(GameError):
             prot_run(INTRO_GAME, power_params(n=3), rng=RngSpec(0))
 
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    def test_callback_cannot_write_the_scores(self, run):
+        # the callback gets a read-only view of the running scores: a write
+        # into it used to change PROT's choices and the reported expert_cum
+        losses = np.random.default_rng(5).uniform(-1, 1, (50, 3))
+
+        def step(t, history, cum):
+            cum += 100 * np.arange(3)
+            return losses[t - 1]
+
+        with pytest.raises(ValueError, match="read-only"):
+            run(step, power_params(n=3, v0=1.0), rng=RngSpec(4), num_steps=50)
+
     def test_callback_rejects_length_mismatch(self):
         with pytest.raises(GameError, match="step 1"):
             prot_run(lambda t, history, cum: np.ones(3), power_params(v0=1.0), rng=RngSpec(0),
@@ -467,6 +480,24 @@ class TestArgminHelper:
         assert type(got) is type(ref) and np.asarray(got).dtype == np.asarray(ref).dtype
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("n", [3, 5, 10, 16, 17])
+    def test_equals_numpy_argmin_at_the_row_threshold(self, n):
+        # just below and at 1024 (N - 1) rows, where 3 <= N <= 16 switches
+        # from np.argmin to the running minimum; N = 17 never switches
+        gen = np.random.default_rng(n)
+        pool = np.array([-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, math.inf])
+        for rows in (1024 * (n - 1) - 1, 1024 * (n - 1)):
+            for shape in ((rows, n), (n - 1, rows // (n - 1), n), (rows, 1, n)):
+                # the tie-prone values, and any other double in half the cells
+                x = gen.choice(pool, shape)
+                other = gen.random(shape) < 0.5
+                x[other] = gen.standard_normal(other.sum())
+                i, j = gen.choice(n, 2, replace=False)
+                x[..., j] = x[..., i]  # a forced tie in every row
+                got, ref = engine._argmin_last(x), np.argmin(x, axis=-1)
+                assert type(got) is type(ref) and got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
 
 class TestMcProbabilities:
     def test_agrees_with_exact(self):
@@ -558,9 +589,11 @@ class TestBatchMonteCarlo:
     @pytest.mark.parametrize("checkpoints", [None, [1, 17, 50]], ids=["final", "checkpoints"])
     @pytest.mark.parametrize("infeasible", [False, True], ids=["prot", "ifpl"])
     @pytest.mark.parametrize("regime", ["per-step", "once"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
     def test_matches_the_plain_formula(self, monkeypatch, n, regime, infeasible, checkpoints):
-        T, runs = 50, 150
+        # per step, the one-chunk call's 10^4 rows take the running minimum
+        # for every n >= 3; the 4-run chunks stay on np.argmin
+        T, runs = 50, 200
         random = np.random.default_rng(n).uniform(-1, 1, (T, n))
         # zero losses from v0 = 0 leave the rate infinite (follow the
         # leader) for the first steps of PROT and of IFPL

@@ -45,6 +45,16 @@ class TestGammaSchedule:
         assert g(2) == 0.25
         with pytest.raises(ScheduleError):
             g(4)
+        assert g.values(np.array([3, 1, 2, 2])).tolist() == [0.125, 0.5, 0.25, 0.25]
+        assert g.values(np.array([3.0, 1.0])).tolist() == [0.125, 0.5]
+        assert g.values(np.arange(1, 1)).shape == (0,)
+        # the vectorized form names the first bad step, as the scalar call does
+        with pytest.raises(ScheduleError, match="t=4"):
+            g.values(np.array([1, 4, 0, 5]))
+        with pytest.raises(ScheduleError, match="got 0"):
+            g.values(np.array([2, 0, 4]))
+        with pytest.raises(ScheduleError, match="got -1"):
+            g.values(np.arange(-1, 3))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ScheduleError):
@@ -90,6 +100,12 @@ class TestGammaSchedule:
         g = GammaSchedule.power(0.5)
         ts = np.arange(1, 11)
         assert np.allclose(g.values(ts), [g(int(t)) for t in ts])
+
+    @pytest.mark.parametrize("g", [GammaSchedule.power(1.0), GammaSchedule.constant(0.5)])
+    def test_values_reject_steps_below_one(self, g):
+        # as the scalar call does; power used to give inf and constant c
+        with pytest.raises(ScheduleError, match="got 0"):
+            g.values(np.array([3, 0, -1]))
 
 
 class TestAlpha:
