@@ -86,20 +86,23 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
     step.
     """
     T = config.horizon
-    s = np.empty((T, 2))
+    s = np.zeros((T, 2))
     p1 = np.empty(T)
-    cum = np.zeros(2)
+    # the experts' cumulative losses, as Python floats: each sum rounds as
+    # numpy's would, and the callback gets a fresh array of them
+    c1 = c2 = 0.0
     volume = RunningVolume(config.v0)
     for t in range(1, T + 1):
         v_prev = volume.v
-        p = float(algorithm(t, cum.copy(), v_prev))
+        p = float(algorithm(t, np.array((c1, c2)), v_prev))
         if not 0 <= p <= 1 or not math.isfinite(p):
             raise AdversaryError(f"callback returned invalid probability {p} at step {t}")
         a, b, mt = prop1_step(v_prev, p, config.eps)
         volume.add(mt, t)
-        s[t - 1] = a, b
+        s[t - 1, 0 if a else 1] = mt  # the other expert's loss stays 0
         p1[t - 1] = p
-        cum = cum + s[t - 1]
+        c1 += a
+        c2 += b
 
     v, m, fluc = volume_trace(LossMatrix(s), config.v0)
     e_loss = s[:, 0] * p1 + s[:, 1] * (1.0 - p1)
@@ -111,7 +114,14 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
 
 
 def prot_probability_callback(params: ScheduleParams):
-    """Adapter exposing PROT's exact selection probabilities to prop1_run."""
+    """Adapter exposing PROT's exact selection probabilities to prop1_run.
+
+    The adversary's game has two experts, so ``params`` must be for two: the
+    rate it feeds PROT depends on the pool size.
+    """
+    if params.num_experts != 2:
+        raise AdversaryError(f"the adversary's game has exactly two experts, "
+                             f"params are for {params.num_experts}")
 
     def callback(t, cumulative, v_prev):
         return float(selection_probabilities_exact(cumulative, epsilon_t(params, t, v_prev))[0])

@@ -204,6 +204,11 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
     the trace is read from the finished game.  The callback sees the scores
     through a read-only view, so a callback that writes into them raises
     instead of changing the run.
+
+    Each step selects as :func:`prot_select` does, without its checks:
+    ``_run`` checked the perturbations once, the scores sum losses checked
+    finite (so none is NaN), and :func:`epsilon_values` raises on a rate
+    that is not positive.
     """
     mu = mu_values(params, T)
     values = np.empty((T, N))
@@ -221,11 +226,12 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
             raise GameError(f"callback returned invalid losses at step {t + 1}")
         v_t = volume.add(float(np.max(np.abs(s_t))), t + 1)
         if infeasible:
-            eps[t] = epsilon_values(mu[t], v_t, t + 1)
-            chosen[t] = prot_select(cum + s_t, eps[t], xi[t])
+            rate, scores = epsilon_values(mu[t], v_t, t + 1), cum + s_t
         else:
-            eps[t] = epsilon_values(mu[t], v_prev, t + 1)
-            chosen[t] = prot_select(cum, eps[t], xi[t])
+            rate, scores = epsilon_values(mu[t], v_prev, t + 1), cum
+        eps[t] = rate
+        # an infinite rate is follow the leader
+        chosen[t] = _argmin_last(scores if rate == math.inf else rate * scores - xi[t])
         values[t] = s_t
         cum = cum + s_t
         history.append(int(chosen[t]))
@@ -327,39 +333,58 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     combine whole length-M rows, one after another in index order, instead
     of reducing a short axis per problem.  That order does not depend on
     M, so every problem of a batched call gives the bits a call on that
-    problem alone gives.
+    problem alone gives; the copy and the layout are what fix it.
+
+    Most calls are one small problem (an adversary step, a ratio check),
+    where numpy's fixed cost per operation outweighs the arithmetic.  So a
+    scalar rate is checked by Python comparisons, and with one node
+    (N <= 2) the node weight is exactly 1 and the node sum has one term:
+    both passes are skipped, as they would leave every bit as it is.
     """
     s = np.asarray(cumulative, dtype=float)
-    eps = np.asarray(eps, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
         raise GameError("need at least one expert")
     if not np.isfinite(s).all():
         raise GameError(f"cumulative scores must be finite, got {s}")
-    if not (np.isfinite(eps) & (eps > 0)).all():
-        raise GameError(f"eps must be finite and positive, got {eps}")
     n = s.shape[-1]
     shape = s.shape[:-1]
-    if eps.ndim and eps.shape != shape:
-        shape = np.broadcast_shapes(shape, eps.shape)
-        s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
-    neg_u, w = _gauss_legendre_unit((n + 1) // 2)
+    if isinstance(eps, (float, int, np.number)) or (isinstance(eps, np.ndarray)
+                                                    and not eps.ndim):
+        rate = float(eps)
+        if not (rate > 0 and rate != math.inf):
+            raise GameError(f"eps must be finite and positive, got {eps}")
+    else:
+        eps = np.asarray(eps, dtype=float)
+        if not (np.isfinite(eps) & (eps > 0)).all():
+            raise GameError(f"eps must be finite and positive, got {eps}")
+        if eps.ndim and eps.shape != shape:
+            shape = np.broadcast_shapes(shape, eps.shape)
+            s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
+        rate = eps.reshape(-1)
+    k = (n + 1) // 2
+    neg_u, w = _gauss_legendre_unit(k)
     # (N, M); a copy even where the transpose is contiguous, as it is
     # written in place
     x = s.reshape(-1, n).T.copy()
+    # -eps (s - min s) as eps (min s - s): IEEE rounds a - b to -(b - a)
     with np.errstate(over="ignore"):
-        x -= x.min(axis=0)
-        x *= eps.reshape(-1)
-    b = np.exp(np.negative(x, out=x), out=x)
-    logs = b[:, None] * neg_u  # (N, k, M)
-    logs = np.log1p(logs, out=logs)
+        np.subtract(np.minimum.reduce(x, axis=0), x, out=x)
+        x *= rate
+    b = np.exp(x, out=x)
+    logs = np.multiply(b[:, None], neg_u)  # (N, k, M)
+    np.log1p(logs, out=logs)
     # Both sums reduce a leading axis, which numpy adds one row after
     # another wherever the rest of the block holds two or more entries
     # (k M for the experts, N M for the nodes); where it does not (N <= 2
     # and one problem), a sum has at most two terms.
-    terms = np.subtract(logs.sum(axis=0)[:, None], logs.transpose(1, 0, 2), order="C")
-    terms = np.exp(terms, out=terms)  # (k, N, M)
-    terms *= w
-    p = terms.sum(axis=0)
+    terms = np.subtract(np.add.reduce(logs, axis=0)[:, None], logs.transpose(1, 0, 2),
+                        order="C")
+    np.exp(terms, out=terms)  # (k, N, M)
+    if k == 1:
+        p = terms[0]
+    else:
+        terms *= w
+        p = np.add.reduce(terms, axis=0)
     p *= b
     # Rounding can lift the leader's probability a few ulps above 1.
     return np.minimum(p, 1.0, out=p).T.reshape(shape + (n,))

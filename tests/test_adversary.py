@@ -83,6 +83,14 @@ class TestProp1Run:
         assert np.all(trace.norm_regret_lb >= 0.25 - 1e-12)
         assert np.allclose(trace.fluc, 1 / (1 + 0.5 / 4), rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_prot_callback_needs_two_experts(self, n):
+        # the rate PROT is fed depends on the pool size; the game has two
+        params = ScheduleParams(a=choose_a(1.0), num_experts=n,
+                                gamma=GammaSchedule.constant(0.999), v0=1.0)
+        with pytest.raises(AdversaryError, match="two experts"):
+            prot_probability_callback(params)
+
     @pytest.mark.parametrize("callback", ["half", "prot"])
     def test_fields_come_from_volume_trace(self, callback):
         cfg = AdversaryConfig(eps=0.3, v0=2.0, horizon=40)

@@ -192,13 +192,19 @@ class TestRunLoops:
 
     @pytest.mark.parametrize("run", [prot_run, ifpl_run])
     @pytest.mark.parametrize("regime", ["per-step", "once"])
-    @pytest.mark.parametrize("v0", [0.0, 0.3])
-    def test_callback_replay_is_bit_identical(self, run, regime, v0):
-        # a callback that replays a matrix goes through the step loop, the
-        # matrix through one vectorized selection; v0 = 0 starts PROT with
-        # an infinite rate
-        losses = LossMatrix(np.random.default_rng(31).uniform(-2, 2, (300, 4)))
-        p = power_params(n=4, v0=v0)
+    @pytest.mark.parametrize("n, v0", [(4, 0.0), (4, 0.3), (2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0),
+                                       (5, 0.0), (5, 1.0)],
+                             ids=["0.0", "0.3", "n2-0.0", "n2-1.0", "n3-0.0", "n3-1.0",
+                                  "n5-0.0", "n5-1.0"])
+    def test_callback_replay_is_bit_identical(self, run, regime, n, v0):
+        # a callback that replays a matrix goes through the step loop, which
+        # selects without prot_select's per-step checks, the matrix through
+        # one vectorized selection; v0 = 0 starts PROT with an infinite
+        # rate, and every seventh step ties all experts
+        values = np.random.default_rng(31).uniform(-2, 2, (300, n))
+        values[::7, 1:] = values[::7, :1]
+        losses = LossMatrix(values)
+        p = power_params(n=n, v0=v0)
         matrix = run(losses, p, rng=RngSpec(7), regime=regime)
         replay = run(lambda t, history, cum: losses.row(t), p, rng=RngSpec(7), regime=regime,
                      num_steps=300)

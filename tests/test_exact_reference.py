@@ -1,0 +1,193 @@
+"""selection_probabilities_exact and prop1_run against the implementations
+they replaced: every output bit for bit."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from volfpl import (
+    AdversaryConfig,
+    GameError,
+    GammaSchedule,
+    LossMatrix,
+    Prop1Trace,
+    ScheduleParams,
+    choose_a,
+    prop1_run,
+    prop1_step,
+    prot_probability_callback,
+    selection_probabilities_exact,
+    volume_trace,
+)
+from volfpl.adversary import AdversaryError
+from volfpl.engine import _expert_cum
+from volfpl.game import RunningVolume
+
+
+def reference_selection_probabilities_exact(cumulative, eps):
+    """The former kernel: every rate through numpy, and the node weights and
+    the node sum applied at every N."""
+    s = np.asarray(cumulative, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if s.ndim < 1 or s.shape[-1] < 1:
+        raise GameError("need at least one expert")
+    if not np.isfinite(s).all():
+        raise GameError(f"cumulative scores must be finite, got {s}")
+    if not (np.isfinite(eps) & (eps > 0)).all():
+        raise GameError(f"eps must be finite and positive, got {eps}")
+    n = s.shape[-1]
+    shape = s.shape[:-1]
+    if eps.ndim and eps.shape != shape:
+        shape = np.broadcast_shapes(shape, eps.shape)
+        s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
+    k = (n + 1) // 2
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    neg_u, w = (-0.5 * (nodes + 1.0)).reshape(k, 1), (0.5 * weights).reshape(k, 1, 1)
+    x = s.reshape(-1, n).T.copy()
+    with np.errstate(over="ignore"):
+        x -= x.min(axis=0)
+        x *= eps.reshape(-1)
+    b = np.exp(np.negative(x, out=x), out=x)
+    logs = b[:, None] * neg_u
+    logs = np.log1p(logs, out=logs)
+    terms = np.subtract(logs.sum(axis=0)[:, None], logs.transpose(1, 0, 2), order="C")
+    terms = np.exp(terms, out=terms)
+    terms *= w
+    p = terms.sum(axis=0)
+    p *= b
+    return np.minimum(p, 1.0, out=p).T.reshape(shape + (n,))
+
+
+def reference_prop1_run(algorithm, config):
+    """The former adversary loop: numpy cumulative losses, whole-row writes."""
+    T = config.horizon
+    s = np.empty((T, 2))
+    p1 = np.empty(T)
+    cum = np.zeros(2)
+    volume = RunningVolume(config.v0)
+    for t in range(1, T + 1):
+        v_prev = volume.v
+        p = float(algorithm(t, cum.copy(), v_prev))
+        if not 0 <= p <= 1 or not math.isfinite(p):
+            raise AdversaryError(f"callback returned invalid probability {p} at step {t}")
+        a, b, mt = prop1_step(v_prev, p, config.eps)
+        volume.add(mt, t)
+        s[t - 1] = a, b
+        p1[t - 1] = p
+        cum = cum + s[t - 1]
+
+    v, m, fluc = volume_trace(LossMatrix(s), config.v0)
+    e_loss = s[:, 0] * p1 + s[:, 1] * (1.0 - p1)
+    expected_cum = np.cumsum(e_loss)
+    min_cum = _expert_cum(s)[1:].min(axis=1)
+    return Prop1Trace(m=m, s1=s[:, 0], s2=s[:, 1], p1=p1, e_loss=e_loss, v=v[1:], fluc=fluc,
+                      norm_regret_lb=(expected_cum - min_cum) / v[1:],
+                      expected_cum=expected_cum, min_cum=min_cum)
+
+
+def assert_same_probabilities(s, eps):
+    got = selection_probabilities_exact(s, eps)
+    want = reference_selection_probabilities_exact(s, eps)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# Huge, signed-zero, subnormal and tied scores, and any other finite double.
+_SPECIAL_SCORES = [1e300, -1e300, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]
+_SCORES = st.sampled_from(_SPECIAL_SCORES) | st.floats(allow_nan=False, allow_infinity=False)
+_LEAD_SHAPES = [(), (1,), (2,), (7,), (3, 4), (513,)]
+_RATES = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+@st.composite
+def _problems(draw):
+    """Scores (*lead, N) drawn from a small pool, so that ties are common,
+    and a rate given as a Python float, a 0-d array or one per problem."""
+    n, lead = draw(st.integers(1, 30)), draw(st.sampled_from(_LEAD_SHAPES))
+    pool = draw(st.lists(_SCORES, min_size=1, max_size=6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = gen.choice(np.array(pool), lead + (n,))
+    kind = draw(st.sampled_from(["float", "0-d", "per-problem"]))
+    if kind == "float":
+        eps = draw(_RATES)
+    elif kind == "0-d":
+        eps = np.array(draw(_RATES))
+    else:
+        eps = np.exp(gen.uniform(-700, 700, lead))
+    return s, eps
+
+
+class TestExactKernelMatchesReference:
+    @settings(deadline=None, max_examples=300)
+    @given(problem=_problems())
+    def test_same_bits(self, problem):
+        assert_same_probabilities(*problem)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_every_pool_size(self, n):
+        gen = np.random.default_rng(n)
+        for lead in _LEAD_SHAPES:
+            s = gen.normal(0, 5, lead + (n,))
+            assert_same_probabilities(s, 0.7)
+            assert_same_probabilities(s, np.array(1.3))
+            assert_same_probabilities(s, gen.uniform(0.01, 10, lead))
+            assert_same_probabilities(np.round(s), 2.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                                     np.array(math.nan), np.float32(0.0), [1.0, math.nan]])
+    def test_same_rejections(self, eps):
+        for s in ([0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]]):
+            with pytest.raises(GameError):
+                reference_selection_probabilities_exact(s, eps)
+            with pytest.raises(GameError):
+                selection_probabilities_exact(s, eps)
+
+    @pytest.mark.parametrize("eps", [True, 2, np.int64(3), np.float32(0.3), "0.5",
+                                     np.array([[0.3], [1.0]])])
+    def test_other_rate_types(self, eps):
+        assert_same_probabilities(np.array([[0.0, 1.0, -2.0], [2.0, 3.0, 3.0]]), eps)
+
+
+def _prot_params(v0=1.0):
+    return ScheduleParams(a=choose_a(1.0), num_experts=2,
+                          gamma=GammaSchedule.constant(0.999), v0=v0)
+
+
+def _meddling(t, cum, v_prev):
+    # writes into the array it is handed: the run must not see it
+    p = float(cum[0] <= cum[1])
+    cum[:] = 1e9
+    return p
+
+
+class TestProp1RunMatchesReference:
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 0.9])
+    @pytest.mark.parametrize("callback", ["prot", "leader", "meddling"])
+    def test_every_field(self, eps, callback):
+        algorithm = {"prot": prot_probability_callback(_prot_params()),
+                     "leader": lambda t, cum, v: float(cum[0] <= cum[1]),
+                     "meddling": _meddling}[callback]
+        config = AdversaryConfig(eps=eps, v0=1.0, horizon=30)
+        got, want = prop1_run(algorithm, config), reference_prop1_run(algorithm, config)
+        for f in dataclasses.fields(Prop1Trace):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+    def test_callback_sees_the_same_arguments(self):
+        seen = {"got": [], "want": []}
+        prot = prot_probability_callback(_prot_params(v0=2.0))
+
+        def recorder(key):
+            def algorithm(t, cum, v_prev):
+                seen[key].append((t, cum.dtype, cum.shape, cum.tobytes(), v_prev))
+                return prot(t, cum, v_prev)
+            return algorithm
+
+        config = AdversaryConfig(eps=0.3, v0=2.0, horizon=40)
+        prop1_run(recorder("got"), config)
+        reference_prop1_run(recorder("want"), config)
+        assert seen["got"] == seen["want"]
