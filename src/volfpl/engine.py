@@ -169,7 +169,9 @@ def _chunk_choices(scaled, ftl_steps, leaders, shape, gen):
 
 def _expert_cum(values) -> np.ndarray:
     """Cumulative expert losses s^i_{1:t} for t = 0..T (row 0 is zeros)."""
-    return np.vstack([np.zeros(values.shape[1]), np.cumsum(values, axis=0)])
+    cum = np.zeros((len(values) + 1, values.shape[1]))
+    np.cumsum(values, axis=0, out=cum[1:])
+    return cum
 
 
 def _mean_se(samples):
@@ -184,26 +186,24 @@ def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: b
     the perturbations.
 
     Returns ``(scores, eps, trace)``: the (T, N) cumulative losses each
-    step's choice sees, the (T,) rates, and the ``(v, delta_v, fluc, mu,
-    expert_cum)`` tuple that :func:`_record` reads.
+    step's choice sees, the (T,) rates, and the tuple ``(v, delta_v, fluc,
+    mu, cum)`` that :func:`_record` reads, ``cum`` the whole (T+1, N) table.
     """
     v, delta_v, fluc = volume_trace(game, params.v0)
     cum = _expert_cum(game.values)
     mu = mu_values(params, game.num_steps)
-    trace = (v, delta_v, fluc, mu, cum[-1])
-    if infeasible:
-        return cum[1:], epsilon_values(mu, v[1:]), trace
-    return cum[:-1], epsilon_values(mu, v[:-1]), trace
+    seen = slice(1, None) if infeasible else slice(None, -1)
+    return cum[seen], epsilon_values(mu, v[seen]), (v, delta_v, fluc, mu, cum)
 
 
 def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasible: bool):
     """Step through an adaptive game; returns the game, choices, rates and
     the trace tuple of :func:`_deterministic_rates`.
 
-    The loop keeps only the running scores and a :class:`RunningVolume`;
-    the trace is read from the finished game.  The callback sees the scores
-    through a read-only view, so a callback that writes into them raises
-    instead of changing the run.
+    The loop fills the table of running scores row by row and keeps a
+    :class:`RunningVolume`; the volumes are read from the finished game.
+    The callback sees the scores through a read-only view, so a callback
+    that writes into them raises instead of changing the run.
 
     Each step selects as :func:`prot_select` does, without its checks:
     ``_run`` checked the perturbations once, the scores sum losses checked
@@ -214,26 +214,26 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
     values = np.empty((T, N))
     chosen = np.empty(T, dtype=int)
     eps = np.empty(T)
-    cum = np.zeros(N)
+    cum = np.zeros((T + 1, N))
+    seen = cum.view()
+    seen.flags.writeable = False
     volume = RunningVolume(params.v0)
     history: list[int] = []
     for t in range(T):
         v_prev = volume.v
-        seen = cum.view()
-        seen.flags.writeable = False
-        s_t = np.asarray(step_fn(t + 1, history, seen), dtype=float)
+        s_t = np.asarray(step_fn(t + 1, history, seen[t]), dtype=float)
         if s_t.shape != (N,) or not np.all(np.isfinite(s_t)):
             raise GameError(f"callback returned invalid losses at step {t + 1}")
         v_t = volume.add(float(np.max(np.abs(s_t))), t + 1)
+        np.add(cum[t], s_t, out=cum[t + 1])
         if infeasible:
-            rate, scores = epsilon_values(mu[t], v_t, t + 1), cum + s_t
+            rate, scores = epsilon_values(mu[t], v_t, t + 1), cum[t + 1]
         else:
-            rate, scores = epsilon_values(mu[t], v_prev, t + 1), cum
+            rate, scores = epsilon_values(mu[t], v_prev, t + 1), cum[t]
         eps[t] = rate
         # an infinite rate is follow the leader
         chosen[t] = _argmin_last(scores if rate == math.inf else rate * scores - xi[t])
         values[t] = s_t
-        cum = cum + s_t
         history.append(int(chosen[t]))
     game = LossMatrix(values)
     return game, chosen, eps, volume_trace(game, params.v0) + (mu, cum)
@@ -241,10 +241,10 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
 
 def _record(game: LossMatrix, chosen, eps, xi, trace) -> RunRecord:
     """The record of a finished run; matrix and callback runs both end here."""
-    v, delta_v, fluc, mu, expert_cum = trace
+    v, delta_v, fluc, mu, cum = trace
     loss = game.values[np.arange(game.num_steps), chosen]
     return RunRecord(chosen=chosen, loss=loss, cum_loss=np.cumsum(loss), v=v[1:],
-                     delta_v=delta_v, fluc=fluc, mu=mu, eps=eps, expert_cum=expert_cum,
+                     delta_v=delta_v, fluc=fluc, mu=mu, eps=eps, expert_cum=cum[-1],
                      perturbations=np.array(xi))
 
 

@@ -148,13 +148,15 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     overflows raises GameError naming the first step where it is not finite.
     """
     delta_v = row_peaks(losses.values)
+    v = np.full(len(delta_v) + 1, v0, dtype=float)
     with np.errstate(over="ignore"):
-        v = np.concatenate([[v0], v0 + np.cumsum(delta_v)])
+        np.add(v0, np.cumsum(delta_v, out=v[1:]), out=v[1:])
     # v never decreases, so its last entry is finite only if all are.
     if not np.isfinite(v[-1]):
         bad = np.argmax(~np.isfinite(v))
         raise GameError(f"volume is not finite at step {bad}: losses overflow")
-    fluc = np.divide(delta_v, v[1:], out=np.zeros_like(delta_v), where=v[1:] > 0)
+    # v is 0 only while all losses so far are 0 (0/0 = 0); no positive v is below 5e-324
+    fluc = delta_v / np.maximum(v[1:], 5e-324)
     return v, delta_v, fluc
 
 

@@ -220,12 +220,7 @@ def alpha_t(params: ScheduleParams, t: int) -> float:
 def mu_t(params: ScheduleParams, t: int) -> float:
     """mu_t = a * gamma(t)^alpha_t via the equivalent square-root closed form;
     raises where gamma(t) underflows to 0."""
-    g = params.gamma(t)
-    value = _checked_mu(_mu_coef(params) * math.sqrt(g), t)
-    if __debug__ and params.alpha_domain_ok(t):
-        power_form = params.a * g ** alpha_t(params, t)
-        assert math.isclose(power_form, value, rel_tol=1e-10)
-    return value
+    return _checked_mu(_mu_coef(params) * math.sqrt(params.gamma(t)), t)
 
 
 def _mu_coef(params: ScheduleParams) -> float:
@@ -251,6 +246,8 @@ def _checked_mu(mu, step):
 
 def mu_values(params: ScheduleParams, T: int) -> np.ndarray:
     """mu_t for t = 1..T, vectorized; raises where gamma(t) underflows to 0."""
+    if params.gamma.kind == "constant":  # every mu_t is the one double coef * sqrt(c)
+        return _checked_mu(np.full(T, _mu_coef(params) * math.sqrt(params.gamma.c)), 1)
     ts = np.arange(1, T + 1)
     return _checked_mu(_mu_coef(params) * np.sqrt(params.gamma.values(ts)), 1)
 

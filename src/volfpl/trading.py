@@ -156,10 +156,10 @@ class TradingConfig:
             raise GameError("trading gains are signed: the schedule needs loss_mode 'general'")
 
 
-def _prot_gains(s1, schedule: ScheduleParams):
+def _prot_gains(s1, s2, schedule: ScheduleParams):
     """Per-step gains (P{I_t=1} - P{I_t=2}) s1_t and the engine's trace of
-    PROT on the loss matrix (-s1, s1): gains are losses with the sign flipped."""
-    scores, eps, trace = _deterministic_rates(LossMatrix(np.column_stack([-s1, s1])),
+    PROT on the loss matrix (s2, s1) = (-s1, s1), the gains negated."""
+    scores, eps, trace = _deterministic_rates(LossMatrix(np.column_stack([s2, s1])),
                                               schedule, False)
     p = selection_probabilities_exact(scores, eps)
     return (p[:, 0] - p[:, 1]) * s1, trace
@@ -167,7 +167,7 @@ def _prot_gains(s1, schedule: ScheduleParams):
 
 def learner_gain(prices: PriceSeries, config: TradingConfig):
     """Derandomized learner gain G_t = (P{I_t=1} - P{I_t=2}) s1_t: (per step, cumulative)."""
-    gains, _ = _prot_gains(expert_gains(prices, config.c)[0], config.schedule)
+    gains, _ = _prot_gains(*expert_gains(prices, config.c), config.schedule)
     return gains, np.cumsum(gains)
 
 
@@ -210,22 +210,22 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries) -> Tradin
     """Full trading run: expert curves, derandomized learner gain, volume,
     fluctuation, and the defensive lower bound.
 
-    The gains, volume and fluctuation come from one engine pass over the
-    game (-s1, s1).  Steps whose fluctuation exceeds the constant gamma are
+    The bound comes first, so a gamma that is not constant raises before the
+    engine's one pass over the game (-s1, s1), whose cumulative losses are the
+    expert curves.  Steps whose fluctuation exceeds the constant gamma are
     flagged rather than rejected; the hypothesis is asymptotic.
     """
     s1, s2 = expert_gains(prices, config.c)
-    gains, (v, _, fluc, _, _) = _prot_gains(s1, config.schedule)
-    ts = np.arange(1, len(s1) + 1)
-    violations = ts[fluc > config.schedule.gamma.values(ts)]
+    bound = _defensive_bound(s1, config.schedule)
+    gains, (v, _, fluc, _, cum) = _prot_gains(s1, s2, config.schedule)
     return TradingReport(
         prices=prices.prices,
-        s1_cum=np.cumsum(s1),
-        s2_cum=np.cumsum(s2),
+        s1_cum=cum[1:, 1],
+        s2_cum=cum[1:, 0],
         learner_cum=np.cumsum(gains),
         volume=v[1:],
         fluc=fluc,
-        fluc_violations=violations,
+        fluc_violations=np.flatnonzero(fluc > config.schedule.gamma.c) + 1,
         identity_residual=volatility_identity_check(prices),
-        defensive_bound=_defensive_bound(s1, config.schedule),
+        defensive_bound=bound,
     )

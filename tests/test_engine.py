@@ -30,6 +30,7 @@ from volfpl import (
     selection_probabilities_exact,
     selection_probabilities_mc,
 )
+from volfpl.game import row_peaks, volume_trace
 
 INTRO_GAME = np.array(
     [[0.5, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0]], dtype=float
@@ -262,6 +263,40 @@ class TestRunLoops:
                      num_steps=1)
         with pytest.raises(GameError, match="step 1:"):
             batch_cumulative_losses(game, p, 4, RngSpec(0), infeasible=True)
+
+
+class TestSharedTables:
+    """The cumulative table and the volume trace every matrix run reads are
+    summed into preallocated arrays: the same bytes as stacking the sums."""
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-310], ids=["normal", "subnormal"])
+    @pytest.mark.parametrize("v0", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("T", [0, 1, 2000])
+    def test_match_their_stacked_forms(self, T, n, v0, scale):
+        values = np.random.default_rng(T + n).uniform(-scale, scale, (T, n))
+        # leading zero rows: from v0 = 0 their steps are 0/0, so fluc is 0
+        values[:max(1, T // 4)] = 0.0
+        cum, want = engine._expert_cum(values), np.vstack(
+            [np.zeros(n), np.cumsum(values, axis=0)])
+        assert (cum.dtype, cum.shape, cum.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        delta_v = row_peaks(values)
+        v_want = np.concatenate([[v0], v0 + np.cumsum(delta_v)])
+        fluc_want = np.divide(delta_v, v_want[1:], out=np.zeros_like(delta_v),
+                              where=v_want[1:] > 0)
+        for got, want in zip(volume_trace(LossMatrix(values), v0),
+                             (v_want, delta_v, fluc_want)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                              want.tobytes())
+        if T and not v0:
+            assert v_want[1] == 0.0 and fluc_want[0] == 0.0  # the 0/0 case is covered
+
+    def test_overflow_names_the_same_step(self):
+        with np.errstate(over="ignore"):
+            v_want = np.concatenate([[1.0], 1.0 + np.cumsum(row_peaks(OVERFLOW_GAME))])
+        assert np.argmax(~np.isfinite(v_want)) == 18
+        with pytest.raises(GameError, match="volume is not finite at step 18:"):
+            volume_trace(LossMatrix(OVERFLOW_GAME), 1.0)
 
 
 class TestExactProbabilities:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from volfpl import (
     AdversaryConfig,
@@ -136,23 +138,42 @@ class TestMu:
         coef = math.sqrt(2 * p.a * (math.exp(3 / p.a) - 1) / (1 + math.log(2)))
         assert mu_t(p, 1) == pytest.approx(coef)
 
-    def test_dual_form_agreement(self):
-        # a * gamma(t)^alpha_t must match the closed form wherever alpha exists
-        gen = np.random.default_rng(11)
-        for _ in range(300):
-            a = math.exp(gen.uniform(math.log(3), math.log(100)))
-            n = int(gen.integers(2, 20))
-            p = ScheduleParams(a=a, num_experts=n, gamma=GammaSchedule.power(1.0))
-            t = int(gen.integers(2, 10_000))
-            if not p.alpha_domain_ok(t):
-                continue
-            power_form = a * p.gamma(t) ** alpha_t(p, t)
-            assert mu_t(p, t) == pytest.approx(power_form, rel=1e-10)
+    @settings(deadline=None)
+    @given(data=st.data(), a=st.floats(3.0, 100.0), n=st.integers(1, 50),
+           kind=st.sampled_from(["power", "constant", "table"]))
+    def test_dual_form_agreement(self, data, a, n, kind):
+        # a * gamma(t)^alpha_t must match the closed form wherever alpha
+        # exists: gamma(t) below min(A, 1/A)
+        A = ScheduleParams(a=a, num_experts=n, gamma=GammaSchedule.constant(0.5)).coef_A
+        cap = min(A, 1.0 / A)
+        below = st.floats(1e-9, 0.999).map(lambda f: f * cap)
+        if kind == "power":
+            delta = data.draw(st.floats(0.1, 3.0))
+            t = math.floor(cap ** (-1.0 / delta)) + 1 + data.draw(st.integers(0, 10**6))
+            gamma = GammaSchedule.power(delta)
+        elif kind == "constant":
+            gamma, t = GammaSchedule.constant(data.draw(below)), data.draw(st.integers(1, 10**6))
+        else:
+            values = sorted(data.draw(st.lists(below, min_size=1, max_size=20)), reverse=True)
+            gamma, t = GammaSchedule.from_table(values), data.draw(st.integers(1, len(values)))
+        p = ScheduleParams(a=a, num_experts=n, gamma=gamma)
+        assume(p.alpha_domain_ok(t))
+        power_form = a * p.gamma(t) ** alpha_t(p, t)
+        assert math.isclose(mu_t(p, t), power_form, rel_tol=1e-10)
 
     def test_mu_values_matches_scalar(self):
         p = params_power(n=5)
         mus = mu_values(p, 20)
-        assert np.allclose(mus, [mu_t(p, t) for t in range(1, 21)])
+        assert mus.tobytes() == np.array([mu_t(p, t) for t in range(1, 21)]).tobytes()
+
+    @pytest.mark.parametrize("gamma", [GammaSchedule.constant(0.03), GammaSchedule.power(0.7),
+                                       GammaSchedule.from_table([0.5, 0.25, 0.25, 1e-3])],
+                             ids=["constant", "power", "table"])
+    def test_mu_values_matches_scalar_for_every_kind(self, gamma):
+        p = ScheduleParams(a=7.0, num_experts=3, gamma=gamma)
+        for T in (0, 1, 4):
+            want = np.array([mu_t(p, t) for t in range(1, T + 1)], dtype=float)
+            assert mu_values(p, T).tobytes() == want.tobytes()
 
 
 class TestEpsilon:

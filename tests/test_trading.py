@@ -293,6 +293,19 @@ class TestTradingExperiment:
         assert len(calls) == 1
         assert rep.defensive_bound == defensive_lower_bound(ps, cfg)
 
+    def test_non_constant_gamma_raises_before_the_pass(self, monkeypatch):
+        from volfpl import trading
+
+        def no_pass(*args):
+            raise AssertionError("the engine pass ran")
+
+        monkeypatch.setattr(trading, "_deterministic_rates", no_pass)
+        params = ScheduleParams(a=choose_a(1.0), num_experts=2,
+                                gamma=GammaSchedule.power(1.0), v0=1.0)
+        with pytest.raises(GameError, match="assumes a constant gamma"):
+            run_trading_experiment(TradingConfig(c=1.0, schedule=params),
+                                   fbm_generate(0.5, 16, seed=0))
+
     def test_config_validation(self):
         params = ScheduleParams(a=10.0, num_experts=3,
                                 gamma=GammaSchedule.constant(0.1), v0=1.0)
