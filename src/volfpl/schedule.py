@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -225,7 +226,18 @@ def mu_t(params: ScheduleParams, t: int) -> float:
 
 def _mu_coef(params: ScheduleParams) -> float:
     """sqrt(2a(e^{3/a}-1) / (1+ln N)) = mu_t / gamma(t)^{1/2}."""
-    return math.sqrt(_rate(params.a, "general") / expected_max_bound(params.num_experts))
+    try:
+        return _mu_coef_of(params.a, params.num_experts)
+    except TypeError:  # an a that cannot be a key, such as a 0-d array
+        return _mu_coef_of.__wrapped__(params.a, params.num_experts)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _mu_coef_of(a: float, num_experts: int) -> float:
+    """:func:`_mu_coef` for (a, N), formed once: every adversary step asks
+    for mu_t, and the coefficient costs an exp and a log.  Typed keys keep
+    an a of another type (a float32 rounds differently) apart."""
+    return math.sqrt(_rate(a, "general") / expected_max_bound(num_experts))
 
 
 def _all(ok) -> bool:

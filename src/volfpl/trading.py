@@ -119,23 +119,35 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
     return PriceSeries(s0 + scale * bh + drift * t)
 
 
+def _moves(s):
+    """(S_t - S_0, dS_t) for t = 0..M-1: what the gains and the volatility
+    identity are both built from."""
+    return s[:-1] - s[0], np.diff(s)
+
+
+def _gains_from_moves(offset, ds, c: float):
+    if not c > 0:
+        raise GameError(f"C must be positive, got {c}")
+    s1 = 2.0 * c * offset * ds
+    return s1, -s1
+
+
+def _residual_from_moves(s, offset, ds) -> float:
+    lhs = (s[-1] - s[0]) ** 2
+    rhs = float(np.sum(2.0 * offset * ds) + np.sum(ds**2))
+    return abs(lhs - rhs)
+
+
 def expert_gains(prices: PriceSeries, c: float):
     """Gain sequences of both experts: s1_t = 2C(S_t - S_0)(S_{t+1} - S_t),
     s2_t = -s1_t, for t = 0..M-1 (the t = 0 entry is identically 0)."""
-    if not c > 0:
-        raise GameError(f"C must be positive, got {c}")
-    s = prices.prices
-    s1 = 2.0 * c * (s[:-1] - s[0]) * np.diff(s)
-    return s1, -s1
+    return _gains_from_moves(*_moves(prices.prices), c)
 
 
 def volatility_identity_check(prices: PriceSeries) -> float:
     """Residual |(S_M - S_0)^2 - (sum 2(S_t - S_0) dS_t + sum dS_t^2)|."""
     s = prices.prices
-    ds = np.diff(s)
-    lhs = (s[-1] - s[0]) ** 2
-    rhs = float(np.sum(2.0 * (s[:-1] - s[0]) * ds) + np.sum(ds**2))
-    return abs(lhs - rhs)
+    return _residual_from_moves(s, *_moves(s))
 
 
 @dataclass(frozen=True)
@@ -215,17 +227,19 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries) -> Tradin
     expert curves.  Steps whose fluctuation exceeds the constant gamma are
     flagged rather than rejected; the hypothesis is asymptotic.
     """
-    s1, s2 = expert_gains(prices, config.c)
+    s = prices.prices
+    moves = _moves(s)
+    s1, s2 = _gains_from_moves(*moves, config.c)
     bound = _defensive_bound(s1, config.schedule)
     gains, (v, _, fluc, _, cum) = _prot_gains(s1, s2, config.schedule)
     return TradingReport(
-        prices=prices.prices,
+        prices=s,
         s1_cum=cum[1:, 1],
         s2_cum=cum[1:, 0],
         learner_cum=np.cumsum(gains),
         volume=v[1:],
         fluc=fluc,
         fluc_violations=np.flatnonzero(fluc > config.schedule.gamma.c) + 1,
-        identity_residual=volatility_identity_check(prices),
+        identity_residual=_residual_from_moves(s, *moves),
         defensive_bound=bound,
     )

@@ -17,12 +17,14 @@ from volfpl import (
     Prop1Trace,
     ScheduleParams,
     choose_a,
+    epsilon_t,
     prop1_run,
     prop1_step,
     prot_probability_callback,
     selection_probabilities_exact,
     volume_trace,
 )
+from volfpl import engine
 from volfpl.adversary import AdversaryError
 from volfpl.engine import _expert_cum
 from volfpl.game import RunningVolume
@@ -122,6 +124,84 @@ def _problems(draw):
     return s, eps
 
 
+@st.composite
+def _scalar_rates(draw):
+    """A rate in [5e-324, 1.7e308] as a Python float or int, a numpy float64
+    or float32, or a 0-d array."""
+    kind = draw(st.sampled_from(["float", "int", "float64", "float32", "0-d"]))
+    if kind == "int":
+        return draw(st.integers(1, int(1.7e308)))
+    if kind == "float32":
+        tiny = float(np.nextafter(np.float32(0), np.float32(1)))
+        huge = float(np.finfo(np.float32).max)
+        return np.float32(draw(st.floats(min_value=tiny, max_value=huge, width=32)))
+    rate = draw(_RATES)
+    return {"float": rate, "float64": np.float64(rate), "0-d": np.array(rate)}[kind]
+
+
+_BAD_SCORES = st.sampled_from([math.nan, math.inf, -math.inf])
+_BAD_RATES = st.sampled_from([0.0, -0.0, 0, -1.0, -1e300, -5e-324, math.nan, math.inf,
+                              -math.inf, np.float32(0.0), np.float64(math.nan),
+                              np.array(math.inf), np.array(-2.0)])
+
+
+class TestTwoExpertPath:
+    """One problem of two experts at a scalar rate takes the Python-float
+    path; its bits are the batched kernel's."""
+
+    @settings(deadline=None, max_examples=1500)
+    @given(s0=_SCORES, s1=_SCORES, eps=_scalar_rates())
+    def test_same_bits(self, s0, s1, eps):
+        assert_same_probabilities(np.array([s0, s1]), eps)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), pool=st.lists(_SCORES, min_size=1, max_size=4),
+           m=st.integers(1, 40), eps=_scalar_rates())
+    def test_rows_of_a_batch(self, data, pool, m, eps):
+        # every row of a batched call, wherever it sits in the kernel's
+        # vectors, gives the bits the one-problem path gives
+        s = np.array([[data.draw(st.sampled_from(pool)) for _ in range(2)] for _ in range(m)])
+        batched = selection_probabilities_exact(s, eps)
+        for r in range(m):
+            assert batched[r].tobytes() == selection_probabilities_exact(s[r], eps).tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(s0=_SCORES, s1=_SCORES, eps=_scalar_rates(), bad_score=_BAD_SCORES,
+           bad_rate=_BAD_RATES, which=st.sampled_from(["s0", "s1", "both", "rate"]))
+    def test_same_rejections(self, s0, s1, eps, bad_score, bad_rate, which):
+        if which in ("s0", "both"):
+            s0 = bad_score
+        if which in ("s1", "both"):
+            s1 = bad_score
+        if which == "rate":
+            eps = bad_rate
+        s = np.array([s0, s1])
+        with pytest.raises(GameError):
+            reference_selection_probabilities_exact(s, eps)
+        with pytest.raises(GameError):
+            selection_probabilities_exact(s, eps)
+
+    @pytest.mark.parametrize("s, eps, taken", [
+        (np.array([0.5, -1.0]), 0.7, True),
+        (np.array([0.5, -1.0]), np.float32(0.7), True),
+        (np.array([0.5, -1.0]), np.array(2.0), True),
+        (np.array([0.5, -1.0]), 3, True),
+        ([0.5, -1.0], 0.7, False),
+        (np.array([[0.5, -1.0]]), 0.7, False),
+        (np.array([0.5, -1.0]), np.array([0.7]), False),
+        (np.array([0.5, -1.0], dtype=np.float32), 0.7, False),
+        ([0, 1], 0.7, False),
+        (np.array([0.5, -1.0, 2.0]), 0.7, False),
+    ])
+    def test_which_calls_take_it(self, monkeypatch, s, eps, taken):
+        calls = []
+        path = engine._two_expert_probabilities
+        monkeypatch.setattr(engine, "_two_expert_probabilities",
+                            lambda *a: calls.append(a) or path(*a))
+        assert_same_probabilities(s, eps)
+        assert len(calls) == (1 if taken else 0)
+
+
 class TestExactKernelMatchesReference:
     @settings(deadline=None, max_examples=300)
     @given(problem=_problems())
@@ -165,7 +245,28 @@ def _meddling(t, cum, v_prev):
     return p
 
 
+def _reference_prot_callback(params):
+    """prot_probability_callback on the reference kernel."""
+    def callback(t, cumulative, v_prev):
+        p = reference_selection_probabilities_exact(cumulative, epsilon_t(params, t, v_prev))
+        return float(p[0])
+    return callback
+
+
 class TestProp1RunMatchesReference:
+    @pytest.mark.parametrize("horizon", [30, 200])
+    @pytest.mark.parametrize("v0", [1e-3, 1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.25, 0.5, 0.9])
+    def test_against_the_reference_kernel(self, eps, v0, horizon):
+        params = _prot_params(v0)
+        config = AdversaryConfig(eps=eps, v0=v0, horizon=horizon)
+        got = prop1_run(prot_probability_callback(params), config)
+        want = reference_prop1_run(_reference_prot_callback(params), config)
+        for f in dataclasses.fields(Prop1Trace):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+
     @pytest.mark.parametrize("eps", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("callback", ["prot", "leader", "meddling"])
     def test_every_field(self, eps, callback):

@@ -175,6 +175,16 @@ class TestMu:
             want = np.array([mu_t(p, t) for t in range(1, T + 1)], dtype=float)
             assert mu_values(p, T).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("a", [5.5, np.float32(5.5), 5.5, 5, 5.0, np.array(5.0)],
+                             ids=["float", "float32", "float-again", "int", "float-5", "0-d"])
+    def test_cached_coefficient_is_the_formula(self, a):
+        # the coefficient is cached per (a, N); an equal float32 a rounds
+        # differently and a 0-d array a cannot be a key, and each still
+        # gets the bits of the uncached formula
+        p = ScheduleParams(a=a, num_experts=3, gamma=GammaSchedule.constant(0.25))
+        coef = math.sqrt(2.0 * a * math.expm1(3.0 / a) / (1.0 + math.log(3)))
+        assert mu_t(p, 1) == coef * math.sqrt(0.25)
+
 
 class TestEpsilon:
     def test_reference_value(self):

@@ -281,12 +281,14 @@ class TestTradingExperiment:
         assert np.array_equal(rep.fluc_violations, ts[fluc > 0.05])
 
     def test_report_bound_is_the_public_bound(self, monkeypatch):
-        # the report reads the bound off the run's own gains: one expert_gains per run
+        # the report reads the bound off the run's own gains: they are formed
+        # once per run
         from volfpl import trading
 
         calls = []
-        monkeypatch.setattr(trading, "expert_gains",
-                            lambda *a: calls.append(a) or expert_gains(*a))
+        gains = trading._gains_from_moves
+        monkeypatch.setattr(trading, "_gains_from_moves",
+                            lambda *a: calls.append(a) or gains(*a))
         ps = fbm_generate(0.3, 256, seed=21)
         cfg = make_config(gamma_const=0.02)
         rep = run_trading_experiment(cfg, ps)
