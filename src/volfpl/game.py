@@ -64,32 +64,19 @@ class LossMatrix:
     @classmethod
     def from_csv(cls, path) -> "LossMatrix":
         """Read a loss matrix from CSV with header ``expert_1,...,expert_N``."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise GameError(f"{path}: empty file")
-            expected = [f"expert_{i}" for i in range(1, len(header) + 1)]
-            if [h.strip() for h in header] != expected:
-                raise GameError(f"{path}: header must be {','.join(expected)}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise GameError(f"{path}:{lineno}: expected {len(header)} cells")
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError as exc:
-                    raise GameError(f"{path}:{lineno}: {exc}") from None
-        values = np.array(rows, dtype=float).reshape(len(rows), len(header))
-        return cls(values)
+        return cls(read_csv(path, _expert_header))
 
     def to_csv(self, path) -> None:
-        write_csv(path, [f"expert_{i}" for i in range(1, self.num_experts + 1)], self.values.T)
+        write_csv(path, _expert_header(self.num_experts), self.values.T)
 
 
-# Rows per formatted block in write_csv: enough to amortise the per-block
-# join and write, few enough that a block's Python floats and strings stay
-# small whatever the number of rows.
+def _expert_header(num_experts: int) -> list:
+    return [f"expert_{i}" for i in range(1, num_experts + 1)]
+
+
+# Rows per block in write_csv and read_csv: enough to amortise the
+# per-block join, write or array build, few enough that a block's Python
+# floats and strings stay small whatever the number of rows.
 _BLOCK_ROWS = 1024
 
 
@@ -117,6 +104,42 @@ def write_csv(path, header, columns, lineterminator="\r\n") -> None:
         for start in range(0, num_rows, _BLOCK_ROWS):
             cells = [map(repr, c[start:start + _BLOCK_ROWS].tolist()) for c in columns]
             fh.write(lineterminator.join(map(",".join, zip(*cells))) + lineterminator)
+
+
+def read_csv(path, expected_header) -> np.ndarray:
+    """Read a numeric CSV file as a (rows, columns) float array.
+
+    ``expected_header(n)`` gives the column names a header of n cells must
+    have; the header's cells are compared stripped.  An empty file or a
+    blank first line has no header and raises; blank lines after the header
+    are skipped.  Each cell goes through ``float``, so a file from
+    :func:`write_csv` reads back bit for bit.  A row with the wrong number
+    of cells, or a cell that is not a number, raises GameError naming
+    ``path:line``.  Rows become arrays ``_BLOCK_ROWS`` at a time, so at most
+    one block is held as Python floats.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        expected = expected_header(len(header))
+        if not header or header != expected:
+            raise GameError(f"{path}: header must be {','.join(expected) or 'non-empty'}")
+        width = len(header)
+        blocks, block = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise GameError(f"{path}:{reader.line_num}: expected {width} cells, got {len(row)}")
+            try:
+                block.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise GameError(f"{path}:{reader.line_num}: {exc}") from None
+            if len(block) == _BLOCK_ROWS:
+                blocks.append(np.array(block))
+                block = []
+        blocks.append(np.array(block, dtype=float).reshape(len(block), width))
+    return np.concatenate(blocks)
 
 
 def scaled_fluctuation(delta_v: float, v: float) -> float:

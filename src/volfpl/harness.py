@@ -80,12 +80,8 @@ def bounded_unit_game(num_experts: int, num_steps: int, rng,
 def poly_envelope_game(num_experts: int, num_steps: int, rng,
                        exponent: float = 0.1) -> LossMatrix:
     """Losses with max_i |s^i_t| = t^exponent exactly (polynomial envelope)."""
-    gen = as_generator(rng)
-    rows = gen.uniform(-1.0, 1.0, (num_steps, num_experts))
-    peaks = row_peaks(rows)[:, None]
-    peaks[peaks == 0] = 1.0
     envelope = np.arange(1, num_steps + 1, dtype=float) ** exponent
-    return LossMatrix(rows / peaks * envelope[:, None])
+    return LossMatrix(bounded_unit_game(num_experts, num_steps, rng).values * envelope[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +113,12 @@ class ExperimentConfig:
         require_keys(cfg, ("game", "schedule"), "experiment config")
         seeds = cfg.get("seeds", [0])
         if isinstance(seeds, dict):
+            reject_unknown_keys(seeds, ("count", "base"), "seeds")
             require_keys(seeds, ("count",), "seeds")
-            seeds = [seeds.get("base", 0) + i for i in range(seeds["count"])]
+            count, base = seeds["count"], seeds.get("base", 0)
+            if not (isinstance(count, int) and isinstance(base, int)):
+                raise GameError(f"seeds count and base must be integers, got {count!r}, {base!r}")
+            seeds = list(range(base, base + count))
         if len(seeds) < 1:
             raise GameError("need at least one seed")
         return cls(

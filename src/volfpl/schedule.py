@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +153,13 @@ class ScheduleParams:
         """A = 2(e^{3/a} - 1) / (a (1 + ln N))."""
         return 2.0 * math.expm1(3.0 / self.a) / (self.a * expected_max_bound(self.num_experts))
 
+    @cached_property
+    def _mu_coef(self) -> float:
+        """sqrt(2a(e^{3/a}-1) / (1+ln N)) = mu_t / gamma(t)^{1/2}, formed once
+        per params: every adversary step asks for mu_t, and the coefficient
+        costs an exp and a log."""
+        return math.sqrt(_rate(self.a, "general") / expected_max_bound(self.num_experts))
+
     @property
     def target_eps(self) -> float:
         """The eps the main bound holds with for this ``a``: 2a(e^{3/a}-1) - 6,
@@ -221,23 +228,7 @@ def alpha_t(params: ScheduleParams, t: int) -> float:
 def mu_t(params: ScheduleParams, t: int) -> float:
     """mu_t = a * gamma(t)^alpha_t via the equivalent square-root closed form;
     raises where gamma(t) underflows to 0."""
-    return _checked_mu(_mu_coef(params) * math.sqrt(params.gamma(t)), t)
-
-
-def _mu_coef(params: ScheduleParams) -> float:
-    """sqrt(2a(e^{3/a}-1) / (1+ln N)) = mu_t / gamma(t)^{1/2}."""
-    try:
-        return _mu_coef_of(params.a, params.num_experts)
-    except TypeError:  # an a that cannot be a key, such as a 0-d array
-        return _mu_coef_of.__wrapped__(params.a, params.num_experts)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _mu_coef_of(a: float, num_experts: int) -> float:
-    """:func:`_mu_coef` for (a, N), formed once: every adversary step asks
-    for mu_t, and the coefficient costs an exp and a log.  Typed keys keep
-    an a of another type (a float32 rounds differently) apart."""
-    return math.sqrt(_rate(a, "general") / expected_max_bound(num_experts))
+    return _checked_mu(params._mu_coef * math.sqrt(params.gamma(t)), t)
 
 
 def _all(ok) -> bool:
@@ -259,9 +250,9 @@ def _checked_mu(mu, step):
 def mu_values(params: ScheduleParams, T: int) -> np.ndarray:
     """mu_t for t = 1..T, vectorized; raises where gamma(t) underflows to 0."""
     if params.gamma.kind == "constant":  # every mu_t is the one double coef * sqrt(c)
-        return _checked_mu(np.full(T, _mu_coef(params) * math.sqrt(params.gamma.c)), 1)
+        return _checked_mu(np.full(T, params._mu_coef * math.sqrt(params.gamma.c)), 1)
     ts = np.arange(1, T + 1)
-    return _checked_mu(_mu_coef(params) * np.sqrt(params.gamma.values(ts)), 1)
+    return _checked_mu(params._mu_coef * np.sqrt(params.gamma.values(ts)), 1)
 
 
 def epsilon_values(mu, vol, step: int = 1):

@@ -9,16 +9,18 @@ deterministically.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import _deterministic_rates, selection_probabilities_exact
-from .game import GameError, LossMatrix, write_csv
+from .game import GameError, LossMatrix, read_csv, write_csv
 from .perturbation import as_generator
 from .schedule import ScheduleParams, _main_coef
+
+
+_PRICE_HEADER = ["price"]
 
 
 @dataclass(frozen=True)
@@ -42,25 +44,11 @@ class PriceSeries:
 
     @classmethod
     def from_csv(cls, path) -> "PriceSeries":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["price"]:
-                raise GameError(f"{path}: expected single-column CSV with header 'price'")
-            prices = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 1:
-                    raise GameError(f"{path}:{lineno}: expected 1 cell, got {len(row)}")
-                try:
-                    prices.append(float(row[0]))
-                except ValueError as exc:
-                    raise GameError(f"{path}:{lineno}: {exc}") from None
-        return cls(np.array(prices))
+        """Read prices from a single-column CSV with header ``price``."""
+        return cls(read_csv(path, lambda width: _PRICE_HEADER)[:, 0])
 
     def to_csv(self, path) -> None:
-        write_csv(path, ["price"], [self.prices])
+        write_csv(path, _PRICE_HEADER, [self.prices])
 
 
 def _fgn(hurst: float, z: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""game.write_csv against the csv.writer implementation it replaced."""
+"""game.write_csv against the csv.writer implementation it replaced, and
+game.read_csv, which LossMatrix and PriceSeries read their files through."""
 
 import csv
 import math
@@ -106,3 +107,50 @@ def test_memory_is_bounded_in_steps():
             tracemalloc.stop()
     assert peaks[1] < 4 << 20
     assert peaks[1] < peaks[0] + (1 << 20)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_blank_lines_are_skipped(tmp_path, newline):
+    # the loss-matrix reader used to reject every blank line, a trailing one too
+    (tmp_path / "losses.csv").write_text(newline.join(["expert_1,expert_2", "1,2", "", "3,4", "", ""]))
+    (tmp_path / "prices.csv").write_text(newline.join(["price", "1.5", "", "2.5", "", ""]))
+    values = LossMatrix.from_csv(tmp_path / "losses.csv").values
+    assert values.tobytes() == np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes()
+    assert PriceSeries.from_csv(tmp_path / "prices.csv").prices.tobytes() == \
+        np.array([1.5, 2.5]).tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\r\n", "\n\n", "\n1\n"])
+def test_blank_or_empty_header_raises(tmp_path, text):
+    # a blank first line used to pass as a header of zero experts
+    (tmp_path / "x.csv").write_text(text)
+    for cls in (LossMatrix, PriceSeries):
+        with pytest.raises(GameError, match="x.csv: header must be"):
+            cls.from_csv(tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("loss_row, price_row, message", [
+    ("3,x", "x", "could not convert string to float: 'x'"),
+    ("3", "3,4", "expected . cells, got ."),
+])
+def test_bad_row_names_its_line_after_a_blank_line(tmp_path, loss_row, price_row, message):
+    # the blank line is line 3, so the bad row is line 4
+    (tmp_path / "losses.csv").write_text(f"expert_1,expert_2\n1,2\n\n{loss_row}\n")
+    (tmp_path / "prices.csv").write_text(f"price\n1\n\n{price_row}\n")
+    with pytest.raises(GameError, match="losses.csv:4: " + message):
+        LossMatrix.from_csv(tmp_path / "losses.csv")
+    with pytest.raises(GameError, match="prices.csv:4: " + message):
+        PriceSeries.from_csv(tmp_path / "prices.csv")
+
+def test_read_memory_is_a_small_multiple_of_the_array(tmp_path):
+    # the row-list readers held every cell as a Python float: 5.4x the array
+    values = np.random.default_rng(0).standard_normal((20_000, 30))
+    LossMatrix(values).to_csv(tmp_path / "losses.csv")
+    tracemalloc.start()
+    try:
+        back = LossMatrix.from_csv(tmp_path / "losses.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == values.tobytes()
+    assert peak < 3 * values.nbytes

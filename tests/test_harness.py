@@ -115,6 +115,16 @@ class TestGenerators:
         peaks = np.max(np.abs(lm.values), axis=1)
         assert np.allclose(peaks, np.arange(1, 65) ** 0.1)
 
+    @pytest.mark.parametrize("n, T, exponent", [(1, 5, 0.1), (3, 1000, 0.3), (5, 2000, 1.7),
+                                                (2, 0, 0.1)])
+    def test_poly_envelope_bytes(self, n, T, exponent):
+        # the game's own draw and normalization, before it reused bounded_unit_game
+        rows = RngSpec(9).generator().uniform(-1.0, 1.0, (T, n))
+        peaks = np.max(np.abs(rows), axis=1)[:, None]
+        peaks[peaks == 0] = 1.0
+        want = rows / peaks * (np.arange(1, T + 1, dtype=float) ** exponent)[:, None]
+        assert poly_envelope_game(n, T, RngSpec(9), exponent).values.tobytes() == want.tobytes()
+
     def test_generators_deterministic(self):
         a = random_fluc_bounded_game(3, 30, RngSpec(7)).values
         b = random_fluc_bounded_game(3, 30, RngSpec(7)).values
@@ -253,6 +263,16 @@ class TestRunExperiment:
     def test_seed_count_expansion(self):
         cfg = base_config(seeds={"count": 3, "base": 10})
         assert cfg.seeds == [10, 11, 12]
+
+    def test_unknown_seeds_key_rejected(self):
+        # a misspelt base used to run from seed 0
+        with pytest.raises(GameError, match="seeds has unknown 'bsae'"):
+            base_config(seeds={"count": 2, "bsae": 5})
+
+    @pytest.mark.parametrize("seeds", [{"count": 2.5}, {"count": "2"}, {"count": 2, "base": 0.5}])
+    def test_non_integer_seeds_rejected(self, seeds):
+        with pytest.raises(GameError, match="must be integers"):
+            base_config(seeds=seeds)
 
     def test_ifpl_option(self):
         rep = run_experiment(base_config(run_ifpl=True))

@@ -31,7 +31,7 @@ from volfpl import (
     volatility_identity_check,
 )
 from volfpl.game import row_peaks
-from volfpl.schedule import _checked_mu, _main_coef, _mu_coef, epsilon_values
+from volfpl.schedule import _checked_mu, _main_coef, epsilon_values
 
 
 def reference_volume_trace(losses, v0=0.0):
@@ -47,7 +47,7 @@ def reference_volume_trace(losses, v0=0.0):
 
 def reference_mu_values(params, T):
     ts = np.arange(1, T + 1)
-    return _checked_mu(_mu_coef(params) * np.sqrt(params.gamma.values(ts)), 1)
+    return _checked_mu(params._mu_coef * np.sqrt(params.gamma.values(ts)), 1)
 
 
 def reference_expert_cum(values):
