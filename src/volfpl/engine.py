@@ -327,25 +327,6 @@ def _scalar_rate(eps):
     return None
 
 
-def _two_expert_probabilities(s0: float, s1: float, rate: float) -> np.ndarray:
-    """The batched kernel's operations on one problem of two experts, in its
-    order, at its one node u = 1/2: b_i = exp(rate (min s - s_i)),
-    l_i = log1p(-b_i / 2), p_i = min(exp((l_0 + l_1) - l_i) b_i, 1).
-
-    A difference, a product, a sum of two terms and a minimum give the same
-    bits in Python floats as in numpy (IEEE), so only the three
-    transcendental steps go through numpy, whose exp and log1p are not
-    libm's.
-    """
-    low = min(s0, s1)
-    # a difference or product that overflows is -inf, with no warning
-    b0, b1 = np.exp(np.array(((low - s0) * rate, (low - s1) * rate))).tolist()
-    l0, l1 = np.log1p(np.array((-0.5 * b0, -0.5 * b1))).tolist()
-    total = l0 + l1
-    e0, e1 = np.exp(np.array((total - l0, total - l1))).tolist()
-    return np.array((min(e0 * b0, 1.0), min(e1 * b1, 1.0)))
-
-
 def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     """P{argmin_i (s_i - xi_i / eps) = j} for i.i.d. Exp(1) perturbations.
 
@@ -366,25 +347,12 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     M, so every problem of a batched call gives the bits a call on that
     problem alone gives; the copy and the layout are what fix it.
 
-    Most calls are one small problem (an adversary step, a ratio check),
-    where numpy's fixed cost per operation outweighs the arithmetic.  One
-    problem of two experts, a (2,) float64 array, at a scalar rate (every
-    adversary step) is done before any numpy check by
-    :func:`_two_expert_probabilities`: the same operations in the same
-    order, in Python floats but for exp and log1p, so bit for bit what the
-    batched kernel gives, in about 4.4 µs instead of 15 on a 2-vCPU VM.
-    Elsewhere a scalar rate is checked by Python
-    comparisons, and with one node (N <= 2) the node weight is exactly 1
-    and the node sum has one term: both passes are skipped, as they would
-    leave every bit as it is.
+    Many calls are one small problem (a ratio check), where numpy's fixed
+    cost per operation outweighs the arithmetic.  So a scalar rate is
+    checked by Python comparisons, and with one node (N <= 2) the node
+    weight is exactly 1 and the node sum has one term: both passes are
+    skipped, as they would leave every bit as it is.
     """
-    if (type(cumulative) is np.ndarray and cumulative.shape == (2,)
-            and cumulative.dtype == np.float64):
-        s0, s1 = cumulative.tolist()
-        if math.isfinite(s0) and math.isfinite(s1):
-            rate = _scalar_rate(eps)
-            if rate is not None:
-                return _two_expert_probabilities(s0, s1, rate)
     s = np.asarray(cumulative, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
         raise GameError("need at least one expert")

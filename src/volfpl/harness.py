@@ -116,9 +116,14 @@ class ExperimentConfig:
             reject_unknown_keys(seeds, ("count", "base"), "seeds")
             require_keys(seeds, ("count",), "seeds")
             count, base = seeds["count"], seeds.get("base", 0)
-            if not (isinstance(count, int) and isinstance(base, int)):
+            if not (_is_int(count) and _is_int(base)):
                 raise GameError(f"seeds count and base must be integers, got {count!r}, {base!r}")
             seeds = list(range(base, base + count))
+        # a seed is checked here, not first in the run: a string is not a
+        # list of one-letter seeds, and True is not seed 1
+        if not (isinstance(seeds, list) and all(_is_int(x) and x >= 0 for x in seeds)):
+            raise GameError(f"seeds must be a list of non-negative integers or "
+                            f"{{'count': ..., 'base': ...}}, got {seeds!r}")
         if len(seeds) < 1:
             raise GameError("need at least one seed")
         return cls(
@@ -132,6 +137,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _is_int(x) -> bool:
+    """Whether a JSON value is an integer: a bool is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # The keys each game kind reads; any other key is a typo or an option the

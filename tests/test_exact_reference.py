@@ -24,7 +24,7 @@ from volfpl import (
     selection_probabilities_exact,
     volume_trace,
 )
-from volfpl import engine
+from volfpl import adversary
 from volfpl.adversary import AdversaryError
 from volfpl.engine import _expert_cum
 from volfpl.game import RunningVolume
@@ -146,8 +146,8 @@ _BAD_RATES = st.sampled_from([0.0, -0.0, 0, -1.0, -1e300, -5e-324, math.nan, mat
 
 
 class TestTwoExpertPath:
-    """One problem of two experts at a scalar rate takes the Python-float
-    path; its bits are the batched kernel's."""
+    """Problems of two experts at a scalar rate, alone or as rows of a
+    batch (every step of the adversary's game): the former kernel's bits."""
 
     @settings(deadline=None, max_examples=1500)
     @given(s0=_SCORES, s1=_SCORES, eps=_scalar_rates())
@@ -159,7 +159,7 @@ class TestTwoExpertPath:
            m=st.integers(1, 40), eps=_scalar_rates())
     def test_rows_of_a_batch(self, data, pool, m, eps):
         # every row of a batched call, wherever it sits in the kernel's
-        # vectors, gives the bits the one-problem path gives
+        # vectors, gives the bits a call on that row alone gives
         s = np.array([[data.draw(st.sampled_from(pool)) for _ in range(2)] for _ in range(m)])
         batched = selection_probabilities_exact(s, eps)
         for r in range(m):
@@ -181,25 +181,20 @@ class TestTwoExpertPath:
         with pytest.raises(GameError):
             selection_probabilities_exact(s, eps)
 
-    @pytest.mark.parametrize("s, eps, taken", [
-        (np.array([0.5, -1.0]), 0.7, True),
-        (np.array([0.5, -1.0]), np.float32(0.7), True),
-        (np.array([0.5, -1.0]), np.array(2.0), True),
-        (np.array([0.5, -1.0]), 3, True),
-        ([0.5, -1.0], 0.7, False),
-        (np.array([[0.5, -1.0]]), 0.7, False),
-        (np.array([0.5, -1.0]), np.array([0.7]), False),
-        (np.array([0.5, -1.0], dtype=np.float32), 0.7, False),
-        ([0, 1], 0.7, False),
-        (np.array([0.5, -1.0, 2.0]), 0.7, False),
+    @pytest.mark.parametrize("s, eps", [
+        (np.array([0.5, -1.0]), 0.7),
+        (np.array([0.5, -1.0]), np.float32(0.7)),
+        (np.array([0.5, -1.0]), np.array(2.0)),
+        (np.array([0.5, -1.0]), 3),
+        ([0.5, -1.0], 0.7),
+        (np.array([[0.5, -1.0]]), 0.7),
+        (np.array([0.5, -1.0]), np.array([0.7])),
+        (np.array([0.5, -1.0], dtype=np.float32), 0.7),
+        ([0, 1], 0.7),
     ])
-    def test_which_calls_take_it(self, monkeypatch, s, eps, taken):
-        calls = []
-        path = engine._two_expert_probabilities
-        monkeypatch.setattr(engine, "_two_expert_probabilities",
-                            lambda *a: calls.append(a) or path(*a))
+    def test_input_kinds(self, s, eps):
+        # arrays, lists, float32 and int scores, and rates of every kind
         assert_same_probabilities(s, eps)
-        assert len(calls) == (1 if taken else 0)
 
 
 class TestExactKernelMatchesReference:
@@ -245,27 +240,106 @@ def _meddling(t, cum, v_prev):
     return p
 
 
-def _reference_prot_callback(params):
-    """prot_probability_callback on the reference kernel."""
+def _reference_prot_callback(params, kernel=reference_selection_probabilities_exact):
+    """prot_probability_callback on the reference kernel, one step at a time."""
     def callback(t, cumulative, v_prev):
-        p = reference_selection_probabilities_exact(cumulative, epsilon_t(params, t, v_prev))
-        return float(p[0])
+        return float(kernel(cumulative, epsilon_t(params, t, v_prev))[0])
     return callback
 
 
+def _outcome(run, algorithm, config):
+    """A run's trace, or the type and message of the GameError it raised."""
+    try:
+        return run(algorithm, config)
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Prop1Trace), got
+    for f in dataclasses.fields(Prop1Trace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape, f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+# mu_t from about 0.2 to 3e12 (a), and both gamma kinds: a constant gamma's
+# mu_t is read once, any other's at every step.  Of the 1440 runs 244
+# raise: the volume overflows before step 400 (v0 >= 1), or, mostly at
+# small a, mu_t v overflows first and leaves a rate of 0.
+_GRID_A = (0.05, 0.3, 1.0, 3.0, 10.0, 50.0)
+_GRID_GAMMAS = (GammaSchedule.constant(0.999), GammaSchedule.constant(0.01),
+                GammaSchedule.power(1.0), GammaSchedule.power(0.5))
+
+
+def _near_tie_kernel(cumulative, eps):
+    """A deterministic stand-in for the exact kernel, row by row: the
+    leader gets 0.8, but where the rate-scaled gap is below 0.6 (a tie, or
+    close to one) the follower does.  Against it the leader is often the
+    wrong guess."""
+    s = np.asarray(cumulative, dtype=float)
+    gap = np.asarray(eps) * np.abs(s[..., 0] - s[..., 1])
+    lead = np.where(gap < 0.6, 0.4, 0.8)
+    p1 = np.where(s[..., 0] <= s[..., 1], lead, 1.0 - lead)
+    return np.stack((p1, 1.0 - p1), axis=-1)
+
+
 class TestProp1RunMatchesReference:
-    @pytest.mark.parametrize("horizon", [30, 200])
-    @pytest.mark.parametrize("v0", [1e-3, 1.0, 2.0])
+    @pytest.mark.parametrize("horizon", [1, 30, 200, 400])
+    @pytest.mark.parametrize("v0", [1e-3, 1.0, 2.0, 1e2, 1e5])
     @pytest.mark.parametrize("eps", [0.25, 0.5, 0.9])
     def test_against_the_reference_kernel(self, eps, v0, horizon):
-        params = _prot_params(v0)
+        # PROT's run, played in batched calls, against the per-step loop on
+        # the former kernel: every field, or the same error at the same step
         config = AdversaryConfig(eps=eps, v0=v0, horizon=horizon)
+        for a in _GRID_A:
+            for gamma in _GRID_GAMMAS:
+                params = ScheduleParams(a=a, num_experts=2, gamma=gamma, v0=v0)
+                got = _outcome(prop1_run, prot_probability_callback(params), config)
+                want = _outcome(reference_prop1_run, _reference_prot_callback(params), config)
+                assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("gamma, v0", [
+        (GammaSchedule.power(1e3), 1.0),  # gamma(3) underflows to 0: no mu_3
+        (GammaSchedule.from_table([0.9, 0.5, 0.5, 0.1]), 1.0),  # no gamma(5)
+        (GammaSchedule.constant(1e-300), 1e-300),  # mu_1 v_0 underflows to 0
+        (GammaSchedule.power(300.0), 1e-300),  # mu_2 v_1 underflows to 0
+    ])
+    def test_schedule_errors_at_the_same_step(self, gamma, v0):
+        # an infinite rate 1/(mu_t v) is the kernel's error, the others the
+        # schedule's; each is raised where the per-step loop raises it
+        params = ScheduleParams(a=1.0, num_experts=2, gamma=gamma, v0=v0)
+        config = AdversaryConfig(eps=0.5, v0=v0, horizon=30)
+        want = _outcome(reference_prop1_run, _reference_prot_callback(params), config)
+        assert isinstance(want, tuple)
+        assert_same_outcome(_outcome(prop1_run, prot_probability_callback(params), config), want)
+
+    @pytest.mark.parametrize("v0", [1e-3, 1.0])
+    @pytest.mark.parametrize("gamma", [GammaSchedule.constant(0.999), GammaSchedule.power(0.5)])
+    @pytest.mark.parametrize("eps", [0.25, 0.9])
+    def test_wrong_guesses_are_replayed(self, monkeypatch, eps, gamma, v0):
+        # a kernel that hands near-ties to the follower makes the leader the
+        # wrong guess at some steps; each one costs another batched pass
+        passes = []
+
+        def kernel(cumulative, rate):
+            passes.append(np.shape(cumulative))
+            return _near_tie_kernel(cumulative, rate)
+
+        monkeypatch.setattr(adversary, "selection_probabilities_exact", kernel)
+        params = ScheduleParams(a=choose_a(1.0), num_experts=2, gamma=gamma, v0=v0)
+        config = AdversaryConfig(eps=eps, v0=v0, horizon=60)
         got = prop1_run(prot_probability_callback(params), config)
-        want = reference_prop1_run(_reference_prot_callback(params), config)
-        for f in dataclasses.fields(Prop1Trace):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert a.dtype == b.dtype and a.shape == b.shape, f.name
-            assert a.tobytes() == b.tobytes(), f.name
+        want = reference_prop1_run(_reference_prot_callback(params, _near_tie_kernel), config)
+        assert_same_outcome(got, want)
+        assert len(passes) > 1
+        # some losses went to the follower, or to expert 2 on a tie
+        cum = np.cumsum(np.column_stack((got.s1, got.s2)), axis=0)[:-1]
+        leader_is_1 = np.concatenate(([True], cum[:, 0] <= cum[:, 1]))
+        assert ((got.s1 > 0) != leader_is_1).any()
 
     @pytest.mark.parametrize("eps", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("callback", ["prot", "leader", "meddling"])

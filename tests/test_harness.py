@@ -274,6 +274,14 @@ class TestRunExperiment:
         with pytest.raises(GameError, match="must be integers"):
             base_config(seeds=seeds)
 
+    @pytest.mark.parametrize("seeds", [5, "ab", None, (0, 1), [0.5], [-1], [True], [0, False],
+                                       [1, "2"], {"count": True}, {"count": 2, "base": -1}])
+    def test_bad_seeds_rejected_at_parse_time(self, seeds):
+        # an int raised a bare TypeError, "ab" ran seeds 'a' and 'b', 0.5 and
+        # -1 failed only in the run, and True ran as seed 1
+        with pytest.raises(GameError, match="seeds"):
+            base_config(seeds=seeds)
+
     def test_ifpl_option(self):
         rep = run_experiment(base_config(run_ifpl=True))
         assert "ifpl_total" in rep.bounds

@@ -178,9 +178,9 @@ class TestMu:
     @pytest.mark.parametrize("a", [5.5, np.float32(5.5), 5.5, 5, 5.0, np.array(5.0)],
                              ids=["float", "float32", "float-again", "int", "float-5", "0-d"])
     def test_cached_coefficient_is_the_formula(self, a):
-        # the coefficient is cached per (a, N); an equal float32 a rounds
-        # differently and a 0-d array a cannot be a key, and each still
-        # gets the bits of the uncached formula
+        # the coefficient is formed once per params object; a float32, int
+        # or 0-d array a (a float32 rounds differently from the equal
+        # float) still gets the bits of the formula formed afresh
         p = ScheduleParams(a=a, num_experts=3, gamma=GammaSchedule.constant(0.25))
         coef = math.sqrt(2.0 * a * math.expm1(3.0 / a) / (1.0 + math.log(3)))
         assert mu_t(p, 1) == coef * math.sqrt(0.25)
