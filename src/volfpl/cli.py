@@ -16,7 +16,7 @@ import numpy as np
 
 from .adversary import AdversaryConfig, prop1_run, prot_probability_callback
 from .engine import selection_probabilities_exact, selection_probabilities_mc
-from .harness import ExperimentConfig, hannan_check, resolve_game, run_experiment
+from .harness import ExperimentConfig, hannan_check, parse_seeds, resolve_game, run_experiment
 from .perturbation import RngSpec
 from .schedule import (
     LOSS_MODES,
@@ -99,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        config.seeds = [args.seed]
+        config.seeds = parse_seeds([args.seed])
     if args.seeds is not None:
-        config.seeds = list(range(args.seeds))
+        config.seeds = parse_seeds({"count": args.seeds})
     if args.regime:
         config.regime = args.regime
     if args.out:
@@ -120,10 +120,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_adversary(args) -> int:
     gamma_cfg = args.gamma or {"kind": "power", "delta": 1.0}
-    a = choose_a(args.target_eps, args.loss_mode or "general") if args.target_eps else args.a
+    loss_mode = args.loss_mode or "general"
+    # a target eps of 0 reaches choose_a, which rejects it
+    a = args.a if args.target_eps is None else choose_a(args.target_eps, loss_mode)
     params = ScheduleParams(
         a=a, num_experts=2, gamma=GammaSchedule.from_config(gamma_cfg),
-        v0=args.v0, loss_mode=args.loss_mode or "general",
+        v0=args.v0, loss_mode=loss_mode,
     )
     config = AdversaryConfig(eps=args.eps, v0=args.v0, horizon=args.horizon)
     trace = prop1_run(prot_probability_callback(params), config)

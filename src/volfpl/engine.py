@@ -327,6 +327,38 @@ def _scalar_rate(eps):
     return None
 
 
+def _require_rates(eps) -> None:
+    """Raise GameError unless every rate of an array is finite and positive."""
+    if not (np.isfinite(eps) & (eps > 0)).all():
+        raise GameError(f"eps must be finite and positive, got {eps}")
+
+
+# log1p(-b u) of the leader (b = 1) at the one node u = 1/2 of N = 2, from
+# the ufunc that forms the follower's term
+_LEADER_LOG = float(np.log1p(np.array([-0.5]))[0])
+
+
+def _two_expert_probabilities(x) -> np.ndarray:
+    """(P{leader}, P{follower}) of two experts as a (2, ...) array, from the
+    follower's scaled gap ``x = eps (min s - max s) <= 0`` of each problem.
+
+    These are the node kernel's operations at N = 2, where the one node
+    u = 1/2 has weight 1: b = exp(x) (the leader's b is 1), the logs
+    log1p(-b/2), their sum S and P{j} = min(exp(S - log_j) b_j, 1).  IEEE
+    addition is commutative, so S does not depend on which column leads.
+    """
+    b = np.exp(x)
+    logs = np.log1p(np.multiply(b, -0.5))
+    total = np.add(logs, _LEADER_LOG)
+    p = np.empty((2,) + np.shape(x))
+    np.subtract(total, _LEADER_LOG, out=p[0])
+    np.subtract(total, logs, out=p[1])
+    np.exp(p, out=p)
+    p[1] *= b
+    # the node kernel's clamp at 1, kept so that every bit is the node kernel's
+    return np.minimum(p, 1.0, out=p)
+
+
 def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     """P{argmin_i (s_i - xi_i / eps) = j} for i.i.d. Exp(1) perturbations.
 
@@ -339,19 +371,17 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     (...): leading axes are independent problems.  Non-finite scores and
     rates that are not finite and positive raise GameError.
 
-    The kernel is expert-major: the M problems become the last, contiguous
-    axis of an (N, M) copy of the scores, and the logs are (N, k, M).  The
-    leader's minimum, the sum over experts and the sum over nodes then
-    combine whole length-M rows, one after another in index order, instead
-    of reducing a short axis per problem.  That order does not depend on
-    M, so every problem of a batched call gives the bits a call on that
-    problem alone gives; the copy and the layout are what fix it.
-
-    Many calls are one small problem (a ratio check), where numpy's fixed
-    cost per operation outweighs the arithmetic.  So a scalar rate is
-    checked by Python comparisons, and with one node (N <= 2) the node
-    weight is exactly 1 and the node sum has one term: both passes are
-    skipped, as they would leave every bit as it is.
+    One expert is chosen with probability exactly 1.  Two experts depend
+    only on the scaled gap between them (:func:`_two_expert_probabilities`).
+    From three on, the kernel is expert-major: the M problems become the
+    last, contiguous axis of an (N, M) copy of the scores, and the logs are
+    (N, k, M).  The leader's minimum, the sum over experts and the sum over
+    nodes then combine whole length-M rows, one after another in index
+    order, instead of reducing a short axis per problem.  That order does
+    not depend on M, so every problem of a batched call gives the bits a
+    call on that problem alone gives; the copy and the layout are what fix
+    it.  A scalar rate is checked by Python comparisons, as many calls are
+    one small problem (a ratio check).
     """
     s = np.asarray(cumulative, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
@@ -363,12 +393,22 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     rate = _scalar_rate(eps)
     if rate is None:
         eps = np.asarray(eps, dtype=float)
-        if not (np.isfinite(eps) & (eps > 0)).all():
-            raise GameError(f"eps must be finite and positive, got {eps}")
+        _require_rates(eps)
         if eps.ndim and eps.shape != shape:
             shape = np.broadcast_shapes(shape, eps.shape)
             s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
         rate = eps.reshape(-1)
+    if n == 1:
+        return np.ones(shape + (1,))
+    if n == 2:
+        first, second = s.reshape(-1, 2).T
+        with np.errstate(over="ignore"):
+            x = np.subtract(np.minimum(first, second), np.maximum(first, second))
+            x *= rate
+        p = _two_expert_probabilities(x)
+        # row j of the result is expert j: the second expert leads where
+        # it is strictly lower (on a tie both rows are equal)
+        return np.where(second < first, p[::-1], p).T.reshape(shape + (2,))
     k = (n + 1) // 2
     neg_u, w = _gauss_legendre_unit(k)
     # (N, M); a copy even where the transpose is contiguous, as it is
@@ -382,17 +422,13 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     logs = np.multiply(b[:, None], neg_u)  # (N, k, M)
     np.log1p(logs, out=logs)
     # Both sums reduce a leading axis, which numpy adds one row after
-    # another wherever the rest of the block holds two or more entries
-    # (k M for the experts, N M for the nodes); where it does not (N <= 2
-    # and one problem), a sum has at most two terms.
+    # another: the rest of the block holds k M >= 2 entries for the experts
+    # and N M >= 3 for the nodes.
     terms = np.subtract(np.add.reduce(logs, axis=0)[:, None], logs.transpose(1, 0, 2),
                         order="C")
     np.exp(terms, out=terms)  # (k, N, M)
-    if k == 1:
-        p = terms[0]
-    else:
-        terms *= w
-        p = np.add.reduce(terms, axis=0)
+    terms *= w
+    p = np.add.reduce(terms, axis=0)
     p *= b
     # Rounding can lift the leader's probability a few ulps above 1.
     return np.minimum(p, 1.0, out=p).T.reshape(shape + (n,))

@@ -163,6 +163,27 @@ def row_peaks(values) -> np.ndarray:
     return np.abs(values.T, order="C").max(axis=0)
 
 
+def volume_from_peaks(delta_v, v0: float = 0.0):
+    """(volume, fluc) of a game whose step t has the peak ``delta_v[t-1]``.
+
+    Returns ``v`` of length T+1 (``v[0] = v0``) and ``fluc`` of length T.
+    The peaks are checked only when the volume is not finite: a peak that is
+    not finite raises GameError as a loss matrix does, and a volume that
+    overflows raises naming the first step where it is not finite.
+    """
+    v = np.full(len(delta_v) + 1, v0, dtype=float)
+    with np.errstate(over="ignore"):
+        np.add(v0, np.cumsum(delta_v, out=v[1:]), out=v[1:])
+    # v never decreases, so its last entry is finite only if all are.
+    if not np.isfinite(v[-1]):
+        if not np.isfinite(delta_v).all():
+            raise GameError("loss matrix contains non-finite entries")
+        bad = np.argmax(~np.isfinite(v))
+        raise GameError(f"volume is not finite at step {bad}: losses overflow")
+    # v is 0 only while all losses so far are 0 (0/0 = 0); no positive v is below 5e-324
+    return v, delta_v / np.maximum(v[1:], 5e-324)
+
+
 def volume_trace(losses: LossMatrix, v0: float = 0.0):
     """Per-step (volume, delta_v, fluc) arrays for a whole game.
 
@@ -171,15 +192,7 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     overflows raises GameError naming the first step where it is not finite.
     """
     delta_v = row_peaks(losses.values)
-    v = np.full(len(delta_v) + 1, v0, dtype=float)
-    with np.errstate(over="ignore"):
-        np.add(v0, np.cumsum(delta_v, out=v[1:]), out=v[1:])
-    # v never decreases, so its last entry is finite only if all are.
-    if not np.isfinite(v[-1]):
-        bad = np.argmax(~np.isfinite(v))
-        raise GameError(f"volume is not finite at step {bad}: losses overflow")
-    # v is 0 only while all losses so far are 0 (0/0 = 0); no positive v is below 5e-324
-    fluc = delta_v / np.maximum(v[1:], 5e-324)
+    v, fluc = volume_from_peaks(delta_v, v0)
     return v, delta_v, fluc
 
 

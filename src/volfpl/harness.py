@@ -111,25 +111,10 @@ class ExperimentConfig:
         # the known keys are the dataclass's fields, so to_dict() parses back
         reject_unknown_keys(cfg, [f.name for f in fields(cls)], "experiment config")
         require_keys(cfg, ("game", "schedule"), "experiment config")
-        seeds = cfg.get("seeds", [0])
-        if isinstance(seeds, dict):
-            reject_unknown_keys(seeds, ("count", "base"), "seeds")
-            require_keys(seeds, ("count",), "seeds")
-            count, base = seeds["count"], seeds.get("base", 0)
-            if not (_is_int(count) and _is_int(base)):
-                raise GameError(f"seeds count and base must be integers, got {count!r}, {base!r}")
-            seeds = list(range(base, base + count))
-        # a seed is checked here, not first in the run: a string is not a
-        # list of one-letter seeds, and True is not seed 1
-        if not (isinstance(seeds, list) and all(_is_int(x) and x >= 0 for x in seeds)):
-            raise GameError(f"seeds must be a list of non-negative integers or "
-                            f"{{'count': ..., 'base': ...}}, got {seeds!r}")
-        if len(seeds) < 1:
-            raise GameError("need at least one seed")
         return cls(
             game=cfg["game"],
             schedule=cfg["schedule"],
-            seeds=list(seeds),
+            seeds=parse_seeds(cfg.get("seeds", [0])),
             regime=cfg.get("regime", "per-step"),
             run_ifpl=bool(cfg.get("run_ifpl", False)),
             out=cfg.get("out"),
@@ -137,6 +122,29 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def parse_seeds(seeds) -> list:
+    """The seeds of a config, a list or ``{'count': ..., 'base': ...}``, as a
+    list; GameError unless they are one or more non-negative integers.
+
+    Seeds are checked here, not first in the run: a string is not a list of
+    one-letter seeds, and True is not seed 1.  The CLI's seed flags go
+    through this check too.
+    """
+    if isinstance(seeds, dict):
+        reject_unknown_keys(seeds, ("count", "base"), "seeds")
+        require_keys(seeds, ("count",), "seeds")
+        count, base = seeds["count"], seeds.get("base", 0)
+        if not (_is_int(count) and _is_int(base)):
+            raise GameError(f"seeds count and base must be integers, got {count!r}, {base!r}")
+        seeds = list(range(base, base + count))
+    if not (isinstance(seeds, list) and all(_is_int(x) and x >= 0 for x in seeds)):
+        raise GameError(f"seeds must be a list of non-negative integers or "
+                        f"{{'count': ..., 'base': ...}}, got {seeds!r}")
+    if len(seeds) < 1:
+        raise GameError("need at least one seed")
+    return list(seeds)
 
 
 def _is_int(x) -> bool:

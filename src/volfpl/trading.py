@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _deterministic_rates, selection_probabilities_exact
-from .game import GameError, LossMatrix, read_csv, write_csv
+from .engine import _require_rates, _two_expert_probabilities
+from .game import GameError, read_csv, volume_from_peaks, write_csv
 from .perturbation import as_generator
-from .schedule import ScheduleParams, _main_coef
+from .schedule import ScheduleParams, _main_coef, epsilon_values, mu_values
 
 
 _PRICE_HEADER = ["price"]
@@ -133,9 +133,14 @@ def expert_gains(prices: PriceSeries, c: float):
 
 
 def volatility_identity_check(prices: PriceSeries) -> float:
-    """Residual |(S_M - S_0)^2 - (sum 2(S_t - S_0) dS_t + sum dS_t^2)|."""
+    """Residual |(S_M - S_0)^2 - (sum 2(S_t - S_0) dS_t + sum dS_t^2)|;
+    moves whose squares or sums overflow raise GameError."""
     s = prices.prices
-    return _residual_from_moves(s, *_moves(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _residual_from_moves(s, *_moves(s))
+    if not math.isfinite(residual):
+        raise GameError(f"volatility identity residual is {residual}: the price moves overflow")
+    return residual
 
 
 @dataclass(frozen=True)
@@ -156,18 +161,36 @@ class TradingConfig:
             raise GameError("trading gains are signed: the schedule needs loss_mode 'general'")
 
 
-def _prot_gains(s1, s2, schedule: ScheduleParams):
-    """Per-step gains (P{I_t=1} - P{I_t=2}) s1_t and the engine's trace of
-    PROT on the loss matrix (s2, s1) = (-s1, s1), the gains negated."""
-    scores, eps, trace = _deterministic_rates(LossMatrix(np.column_stack([s2, s1])),
-                                              schedule, False)
-    p = selection_probabilities_exact(scores, eps)
-    return (p[:, 0] - p[:, 1]) * s1, trace
+def _prot_gains(s1, schedule: ScheduleParams):
+    """Per-step gains (P{I_t=1} - P{I_t=2}) s1_t of PROT on the game
+    (s2, s1) = (-s1, s1), with ``(v, fluc, cum)``: the volume (v_0 first),
+    the fluctuation and cum = (0, cumsum(s1)).
+
+    Every step's peak is |s1_t|.  Step t's scores are the running sums
+    (cumsum(-s1), C) of steps before t; the first is -C bit for bit up to
+    the sign of a zero, which exp(eps * 0) does not see, so the follower's
+    scaled gap is eps (-|C| - |C|).  The first expert leads where C is not
+    negative (on a tie both probabilities are equal), and the gain's factor
+    is the difference of the kernel's two columns in that order.
+    """
+    v, fluc = volume_from_peaks(np.abs(s1), schedule.v0)
+    cum = np.zeros(len(s1) + 1)
+    np.cumsum(s1, out=cum[1:])
+    eps = epsilon_values(mu_values(schedule, len(s1)), v[:-1])
+    # v > 0 here, so a rate is infinite only where mu_t v underflows
+    _require_rates(eps)
+    c_prev = cum[:-1]
+    with np.errstate(over="ignore"):
+        x = np.multiply(np.abs(c_prev), -2.0)
+        x *= eps
+    p = _two_expert_probabilities(x)
+    p0, p1 = np.where(c_prev < 0, p[::-1], p)
+    return (p0 - p1) * s1, (v, fluc, cum)
 
 
 def learner_gain(prices: PriceSeries, config: TradingConfig):
     """Derandomized learner gain G_t = (P{I_t=1} - P{I_t=2}) s1_t: (per step, cumulative)."""
-    gains, _ = _prot_gains(*expert_gains(prices, config.c), config.schedule)
+    gains, _ = _prot_gains(expert_gains(prices, config.c)[0], config.schedule)
     return gains, np.cumsum(gains)
 
 
@@ -182,8 +205,13 @@ def _defensive_bound(s1, schedule: ScheduleParams) -> float:
 
 def defensive_lower_bound(prices: PriceSeries, config: TradingConfig) -> float:
     """The defensive lower bound of a price path under a constant-gamma
-    trading config (see :func:`_defensive_bound`)."""
-    return _defensive_bound(expert_gains(prices, config.c)[0], config.schedule)
+    trading config (see :func:`_defensive_bound`); gains or a volume that
+    overflow raise GameError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _defensive_bound(expert_gains(prices, config.c)[0], config.schedule)
+    if not math.isfinite(bound):
+        raise GameError(f"defensive bound is {bound}: the gains or their volume overflow")
+    return bound
 
 
 @dataclass
@@ -211,19 +239,20 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries) -> Tradin
     fluctuation, and the defensive lower bound.
 
     The bound comes first, so a gamma that is not constant raises before the
-    engine's one pass over the game (-s1, s1), whose cumulative losses are the
-    expert curves.  Steps whose fluctuation exceeds the constant gamma are
+    one pass over s1 that gives the gains, the volume and the first
+    expert's curve.  Steps whose fluctuation exceeds the constant gamma are
     flagged rather than rejected; the hypothesis is asymptotic.
     """
     s = prices.prices
     moves = _moves(s)
     s1, s2 = _gains_from_moves(*moves, config.c)
     bound = _defensive_bound(s1, config.schedule)
-    gains, (v, _, fluc, _, cum) = _prot_gains(s1, s2, config.schedule)
+    gains, (v, fluc, cum) = _prot_gains(s1, config.schedule)
     return TradingReport(
         prices=s,
-        s1_cum=cum[1:, 1],
-        s2_cum=cum[1:, 0],
+        s1_cum=cum[1:],
+        # not -s1_cum: where a partial sum is exactly 0 both sums hold +0.0
+        s2_cum=np.cumsum(s2),
         learner_cum=np.cumsum(gains),
         volume=v[1:],
         fluc=fluc,

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from volfpl import (
     RunRecord,
     TradingReport,
     RngSpec,
+    ScheduleError,
     ScheduleParams,
     bounded_unit_game,
     choose_a,
@@ -32,7 +34,7 @@ from volfpl import (
     run_experiment,
     volume_trace,
 )
-from volfpl import engine, harness
+from volfpl import cli, engine, harness
 from volfpl.cli import main as cli_main
 from volfpl.game import check_fluctuation_bound
 from volfpl.harness import resolve_game
@@ -499,6 +501,47 @@ class TestCli:
             assert len(rows) == steps + 1 and all(len(r) == width for r in rows), name
             assert all(math.isfinite(float(cell)) or cell == "inf"
                        for row in rows[1:] for cell in row), name
+
+    @staticmethod
+    def small_run_config(tmp_path, **extra):
+        cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5, "seed": 1},
+               "schedule": {"target_eps": 1.0, "N": 2,
+                            "gamma": {"kind": "power", "delta": 1.0}, "v0": 1.0}, **extra}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seeds", "0"], "need at least one seed"),
+        (["--seed", "-3"], "non-negative integers"),
+        (["--seed", "1", "--seeds", "0"], "need at least one seed"),
+    ], ids=["no-seeds", "negative-seed", "seeds-after-seed"])
+    def test_seed_flags_checked_before_the_run(self, tmp_path, monkeypatch, flags, message):
+        # the flags go through the config's seeds check, as a seeds key would
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        with pytest.raises(GameError, match=message):
+            cli_main(["run", "--config", self.small_run_config(tmp_path)] + flags)
+
+    def test_seed_flags_override_the_config(self, tmp_path, monkeypatch, capsys):
+        seeds = []
+
+        def record(config):
+            seeds.append(config.seeds)
+            return SimpleNamespace(to_json_dict=dict)
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        cfg_path = self.small_run_config(tmp_path, seeds=[4, 5])
+        assert cli_main(["run", "--config", cfg_path, "--seed", "7"]) == 0
+        assert cli_main(["run", "--config", cfg_path, "--seeds", "3"]) == 0
+        assert seeds == [[7], [0, 1, 2]]
+
+    def test_adversary_zero_target_eps_rejected(self):
+        # a target eps of 0 is not "no target": it does not fall back to --a
+        with pytest.raises(ScheduleError, match="target_eps must be positive"):
+            cli_main(["adversary", "--eps", "0.5", "--horizon", "5", "--target-eps", "0"])
 
     def test_adversary_subcommand(self, capsys):
         rc = cli_main(["adversary", "--eps", "0.5", "--horizon", "10"])

@@ -259,15 +259,15 @@ class TestTradingExperiment:
         assert header == "t,S,s1_cum,s2_cum,learner_cum,volume,fluc"
 
     def test_one_volume_trace_per_run(self, monkeypatch):
-        # gains, volume and fluctuation all come from the engine's one pass
-        from volfpl import engine, trading
-        from volfpl.game import LossMatrix, volume_trace
+        # gains, volume and fluctuation all come from the one pass over s1
+        from volfpl import engine, game, trading
+        from volfpl.game import LossMatrix, volume_from_peaks, volume_trace
 
         calls = []
-        for mod in (engine, trading):
-            if hasattr(mod, "volume_trace"):
-                monkeypatch.setattr(mod, "volume_trace",
-                                    lambda *a: calls.append(a) or volume_trace(*a))
+        for mod in (engine, game, trading):
+            if hasattr(mod, "volume_from_peaks"):
+                monkeypatch.setattr(mod, "volume_from_peaks",
+                                    lambda *a: calls.append(a) or volume_from_peaks(*a))
         ps = fbm_generate(0.5, 256, seed=5)
         cfg = make_config(gamma_const=0.05, v0=0.5)
         rep = run_trading_experiment(cfg, ps)
@@ -299,9 +299,9 @@ class TestTradingExperiment:
         from volfpl import trading
 
         def no_pass(*args):
-            raise AssertionError("the engine pass ran")
+            raise AssertionError("the pass over s1 ran")
 
-        monkeypatch.setattr(trading, "_deterministic_rates", no_pass)
+        monkeypatch.setattr(trading, "volume_from_peaks", no_pass)
         params = ScheduleParams(a=choose_a(1.0), num_experts=2,
                                 gamma=GammaSchedule.power(1.0), v0=1.0)
         with pytest.raises(GameError, match="assumes a constant gamma"):

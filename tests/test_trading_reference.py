@@ -2,10 +2,12 @@
 replaced: every output bit for bit.
 
 The references are the former trading run and its engine pass, kept as
-they were: a second cumsum for each expert curve, the volume and the
-cumulative table built by ``np.concatenate`` and ``np.vstack``, a masked
-divide for the fluctuation, mu_t from a gamma array, a second gamma array
-for the fluctuation flags, and the defensive bound taken after the pass.
+they were: the game (-s1, s1) as a loss matrix, a second cumsum for each
+expert curve, the volume and the cumulative table built by
+``np.concatenate`` and ``np.vstack``, a masked divide for the fluctuation,
+mu_t from a gamma array, a second gamma array for the fluctuation flags, the
+defensive bound taken after the pass, and the probabilities from the frozen
+N-expert kernel of ``test_exact_reference``, not the kernel under test.
 """
 
 import math
@@ -27,11 +29,12 @@ from volfpl import (
     fbm_generate,
     learner_gain,
     run_trading_experiment,
-    selection_probabilities_exact,
     volatility_identity_check,
 )
 from volfpl.game import row_peaks
 from volfpl.schedule import _checked_mu, _main_coef, epsilon_values
+
+from test_exact_reference import reference_selection_probabilities_exact
 
 
 def reference_volume_trace(losses, v0=0.0):
@@ -67,7 +70,7 @@ def reference_deterministic_rates(game, params, infeasible):
 def reference_prot_gains(s1, schedule):
     scores, eps, trace = reference_deterministic_rates(
         LossMatrix(np.column_stack([-s1, s1])), schedule, False)
-    p = selection_probabilities_exact(scores, eps)
+    p = reference_selection_probabilities_exact(scores, eps)
     return (p[:, 0] - p[:, 1]) * s1, trace
 
 
@@ -169,6 +172,49 @@ class TestTradingRunMatchesReference:
                      lambda: reference_run_trading_experiment(cfg, ps),
                      lambda: learner_gain(ps, cfg), lambda: reference_learner_gain(ps, cfg)):
             with np.errstate(over="ignore"), pytest.raises(GameError) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("prices", [[0.0, 1e200, -1e200], [0.0, 1e153] * 100],
+                             ids=["gains", "volume"])
+    def test_overflowing_gains_raise_in_the_public_checks(self, prices):
+        # a RuntimeWarning is an error in this suite, so none is emitted
+        # before the GameError
+        ps = PriceSeries(np.array(prices))
+        with pytest.raises(GameError, match="defensive bound is nan"):
+            defensive_lower_bound(ps, _config(1.0, 0.01, 1.0))
+        with pytest.raises(GameError, match="residual is nan"):
+            volatility_identity_check(ps)
+
+    def test_zero_partial_sum(self):
+        # C_3 = 0 - 1 + 1 is +0, and so is the third partial sum of -s1:
+        # the negated curve -C would hold -0.0 there
+        ps = PriceSeries(np.array([0.0, 1.0, 0.5, 1.5, 1.0]))
+        report = assert_same_run(_config(1.0, 0.01, 1.0), ps)
+        negated = -np.cumsum(expert_gains(ps, 1.0)[0])
+        assert (np.signbit(negated) != np.signbit(report.s2_cum)).any()
+
+    def test_tiny_negative_lead(self):
+        # at step 3, C = -2e-18 < 0 but exp(eps (-|C| - |C|)) rounds to 1, so
+        # both probabilities are equal and their difference is +0; a sign
+        # taken from C would make it -0.0
+        ps = PriceSeries(np.array([0.0, -1e-9, 0.0, 1e-9]))
+        cfg = _config(1.0, 0.01, 1.0)
+        assert_same_run(cfg, ps)
+        s1 = expert_gains(ps, 1.0)[0]
+        lead = np.concatenate([[0.0], np.cumsum(s1)[:-1]])
+        gains = learner_gain(ps, cfg)[0]
+        assert ((lead < 0) & (gains == 0) & ~np.signbit(gains)).any()
+
+    def test_infinite_rate_raises_alike(self):
+        # mu_t v_0 underflows to 0 at the first steps, so their rate is inf
+        ps, cfg = _path(0.5, 257), _config(1.0, 1e-100, 1e-300)
+        messages = set()
+        for call in (lambda: run_trading_experiment(cfg, ps),
+                     lambda: reference_run_trading_experiment(cfg, ps),
+                     lambda: learner_gain(ps, cfg), lambda: reference_learner_gain(ps, cfg)):
+            with pytest.raises(GameError, match="eps must be finite and positive") as err:
                 call()
             messages.add(str(err.value))
         assert len(messages) == 1
