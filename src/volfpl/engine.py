@@ -121,50 +121,69 @@ def prot_select(cumulative, eps, xi):
     divided.  An infinite rate makes the perturbation term vanish (follow
     the leader).  ``cumulative`` has shape (..., N), ``eps`` is a scalar or
     has shape (...), and ``xi`` broadcasts against (..., N); the argmin runs
-    over the last axis.  NaN scores, rates that are not positive and
-    perturbations that are not finite raise GameError, so no score is NaN.
+    over the last axis.  Shapes that do not broadcast, NaN scores, rates
+    that are not positive and perturbations that are not finite raise
+    GameError, so no score is NaN.
     """
     s = np.asarray(cumulative, dtype=float)
     eps = np.asarray(eps, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if s.ndim < 1 or xi.shape[-1:] != s.shape[-1:]:
         raise GameError(f"shape mismatch: {s.shape} vs {xi.shape}")
+    try:
+        rows = np.broadcast_shapes(s.shape[:-1], eps.shape, xi.shape[:-1])
+    except ValueError:
+        raise GameError(f"scores of shape {s.shape}, rates of shape {eps.shape} and "
+                        f"perturbations of shape {xi.shape} do not broadcast") from None
     _require_scores_and_rates(s, eps)
     if not np.isfinite(xi).all():
         at = tuple(np.argwhere(~np.isfinite(xi))[0].tolist())
         raise GameError(f"perturbations must be finite, got {xi[at]!r} at index {at}")
-    ftl = np.isinf(eps)
-    choice = _argmin_last(np.where(ftl, 1.0, eps)[..., None] * s - xi)
-    if ftl.any():
-        # [()] turns where's 0-d result back into a scalar for one row
-        choice = np.where(ftl, _argmin_last(s), choice)[()]
-    return choice
+    # the scores and rates take their joint row shape, expanded only where
+    # xi's rows stretch a size-1 axis; xi's extra leading axes broadcast in
+    # the add, and its negated copy holds the scores when it has their shape
+    own = rows[len(rows) - len(np.broadcast_shapes(s.shape[:-1], eps.shape)):]
+    scaled = _scaled_scores(np.broadcast_to(s, own + s.shape[-1:]), np.broadcast_to(eps, own))
+    neg_xi = np.negative(xi)
+    out = neg_xi if neg_xi.shape == rows + s.shape[-1:] else None
+    # [()] turns one row's 0-d choice back into a scalar
+    return _perturbed_choice(*scaled, neg_xi, out=out)[()]
 
 
 def _scaled_scores(base, eps):
-    """What every draw of a Monte Carlo call shares, from the (T, N) scores
-    and (T,) rates: the scaled scores ``where(ftl, 1, eps) * base``, the
-    steps whose rate is infinite (follow the leader) and their leaders."""
+    """What every draw of a selection shares, from scores of shape (..., N)
+    and rates of shape (...): the scaled scores ``where(ftl, 1, eps) *
+    base``, the mask ``ftl`` of the rows whose rate is infinite (follow the
+    leader) and the leaders of those rows."""
     ftl = np.isinf(eps)
-    steps = np.flatnonzero(ftl)
-    return np.where(ftl, 1.0, eps)[:, None] * base, steps, _argmin_last(base[steps])
+    return np.where(ftl, 1.0, eps)[..., None] * base, ftl, _argmin_last(base[ftl])
 
 
-def _chunk_choices(scaled, ftl_steps, leaders, shape, gen):
-    """PROT's (m, T) choices for one chunk of fresh draws of ``shape``,
-    (m, T, N) or (m, 1, N) for one draw per run.
+def _perturbed_choice(scaled, ftl, leaders, neg_xi, out=None):
+    """PROT's choice, without checks, from :func:`_scaled_scores` and the
+    negated draws ``-xi``: the argmin of ``scaled + (-xi)`` over the last
+    axis, and the leaders at the follow-the-leader rows.
 
-    The score ``scaled - xi`` is formed in the draw buffer as
-    ``scaled + log(1 - U)``: IEEE defines ``a - b`` as ``a + (-b)``, so its
-    bits are those :func:`prot_select` computes.  With one draw per run the
-    score gets its own array.  Steps with an infinite rate take their
-    leaders.
+    IEEE defines ``a - b`` as ``a + (-b)``, so the scores are the bits of
+    ``eps s - xi``.  ``out`` may be the draw buffer, which then holds them.
+    The caller makes sure no score is NaN.
     """
-    buf = _neg_exponential_array(shape, gen)
-    score = np.add(scaled, buf, out=buf if shape[1] == len(scaled) else None)
-    choice = _argmin_last(score)
-    choice[:, ftl_steps] = leaders
+    choice = np.asarray(_argmin_last(np.add(scaled, neg_xi, out=out)))
+    choice[..., ftl] = leaders
     return choice
+
+
+def _chunk_choices(scaled, ftl, leaders, shape, gen):
+    """PROT's choices for one chunk of m fresh draws of ``shape``, (m,) +
+    ``scaled.shape``, or (m, 1, N) for one draw per run of (T, N) scores.
+
+    The draws come negated, ``log(1 - U)``, and the scores are formed in
+    their buffer where they have its shape; with one draw per run of
+    several steps the scores get their own array.
+    """
+    neg_xi = _neg_exponential_array(shape, gen)
+    return _perturbed_choice(scaled, ftl, leaders, neg_xi,
+                             out=neg_xi if shape[1:] == scaled.shape else None)
 
 
 def _expert_cum(values) -> np.ndarray:
@@ -187,7 +206,7 @@ def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: b
 
     Returns ``(scores, eps, trace)``: the (T, N) cumulative losses each
     step's choice sees, the (T,) rates, and the tuple ``(v, delta_v, fluc,
-    mu, cum)`` that :func:`_record` reads, ``cum`` the whole (T+1, N) table.
+    mu, cum)`` a run's record reads, ``cum`` the whole (T+1, N) table.
     """
     v, delta_v, fluc = volume_trace(game, params.v0)
     cum = _expert_cum(game.values)
@@ -196,24 +215,25 @@ def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: b
     return cum[seen], epsilon_values(mu, v[seen]), (v, delta_v, fluc, mu, cum)
 
 
-def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasible: bool):
-    """Step through an adaptive game; returns the game, choices, rates and
-    the trace tuple of :func:`_deterministic_rates`.
+def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, neg_xi, infeasible: bool):
+    """Step through an adaptive game; returns the game played and the
+    choices.
 
-    The loop fills the table of running scores row by row and keeps a
-    :class:`RunningVolume`; the volumes are read from the finished game.
-    The callback sees the scores through a read-only view, so a callback
-    that writes into them raises instead of changing the run.
+    The loop fills the table of running scores row by row and keeps the
+    :class:`RunningVolume` each step's rate needs.  The callback sees the
+    scores through a read-only view, so a callback that writes into them
+    raises instead of changing the run.  A row is checked by its shape and
+    its peak max|s_t|, into which NaN and infinities propagate.
 
-    Each step selects as :func:`prot_select` does, without its checks:
-    ``_run`` checked the perturbations once, the scores sum losses checked
-    finite (so none is NaN), and :func:`epsilon_values` raises on a rate
-    that is not positive.
+    Each step selects through :func:`_perturbed_choice` on the negated
+    draws ``neg_xi``, without :func:`prot_select`'s checks: ``_run`` checked
+    the perturbations once, the scores sum losses checked finite (so none
+    is NaN), and :func:`epsilon_values` raises on a rate that is not
+    positive.
     """
     mu = mu_values(params, T)
     values = np.empty((T, N))
     chosen = np.empty(T, dtype=int)
-    eps = np.empty(T)
     cum = np.zeros((T + 1, N))
     seen = cum.view()
     seen.flags.writeable = False
@@ -222,30 +242,18 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, xi, infeasibl
     for t in range(T):
         v_prev = volume.v
         s_t = np.asarray(step_fn(t + 1, history, seen[t]), dtype=float)
-        if s_t.shape != (N,) or not np.all(np.isfinite(s_t)):
+        if s_t.shape != (N,) or not math.isfinite(peak := float(np.max(np.abs(s_t)))):
             raise GameError(f"callback returned invalid losses at step {t + 1}")
-        v_t = volume.add(float(np.max(np.abs(s_t))), t + 1)
+        v_t = volume.add(peak, t + 1)
         np.add(cum[t], s_t, out=cum[t + 1])
         if infeasible:
             rate, scores = epsilon_values(mu[t], v_t, t + 1), cum[t + 1]
         else:
             rate, scores = epsilon_values(mu[t], v_prev, t + 1), cum[t]
-        eps[t] = rate
-        # an infinite rate is follow the leader
-        chosen[t] = _argmin_last(scores if rate == math.inf else rate * scores - xi[t])
+        chosen[t] = _perturbed_choice(*_scaled_scores(scores, rate), neg_xi[t])
         values[t] = s_t
         history.append(int(chosen[t]))
-    game = LossMatrix(values)
-    return game, chosen, eps, volume_trace(game, params.v0) + (mu, cum)
-
-
-def _record(game: LossMatrix, chosen, eps, xi, trace) -> RunRecord:
-    """The record of a finished run; matrix and callback runs both end here."""
-    v, delta_v, fluc, mu, cum = trace
-    loss = game.values[np.arange(game.num_steps), chosen]
-    return RunRecord(chosen=chosen, loss=loss, cum_loss=np.cumsum(loss), v=v[1:],
-                     delta_v=delta_v, fluc=fluc, mu=mu, eps=eps, expert_cum=cum[-1],
-                     perturbations=np.array(xi))
+    return LossMatrix(values), chosen
 
 
 def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
@@ -275,12 +283,18 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
     else:
         xi = sample_exponential_array((T, N), as_generator(rng))
 
+    neg_xi = np.negative(xi)
     if callable(losses):
-        game, chosen, eps, trace = _callback_run(losses, T, N, params, xi, infeasible)
-    else:
-        base, eps, trace = _deterministic_rates(game, params, infeasible)
-        chosen = prot_select(base, eps, xi)
-    return _record(game, chosen, eps, xi, trace)
+        game, chosen = _callback_run(losses, T, N, params, neg_xi, infeasible)
+    # every record is read from the table of the game played
+    base, eps, (v, delta_v, fluc, mu, cum) = _deterministic_rates(game, params, infeasible)
+    if not callable(losses):
+        # the game, its rates and the draws are checked: no score is NaN
+        chosen = _perturbed_choice(*_scaled_scores(base, eps), neg_xi, out=neg_xi)
+    loss = game.values[np.arange(T), chosen]
+    return RunRecord(chosen=chosen, loss=loss, cum_loss=np.cumsum(loss), v=v[1:],
+                     delta_v=delta_v, fluc=fluc, mu=mu, eps=eps, expert_cum=cum[-1],
+                     perturbations=np.array(xi))
 
 
 def prot_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
@@ -443,19 +457,17 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     if num_samples < 1:
         raise GameError(f"need num_samples >= 1, got {num_samples}")
     s = np.asarray(cumulative, dtype=float)
-    _require_scores_and_rates(s, np.asarray(eps, dtype=float))
-    # one step: the scores as a (1, N) row with a (1,) rate
-    scaled, ftl_steps, leaders = _scaled_scores(s[None], np.full(1, eps, dtype=float))
+    eps = np.asarray(eps, dtype=float)
+    _require_scores_and_rates(s, eps)
+    scaled, ftl, leaders = _scaled_scores(s, eps)
     gen = as_generator(rng)
     n = len(s)
     counts = np.zeros(n, dtype=np.int64)
     chunk = max(1, min(num_samples, _MAX_CHUNK_ELEMS // max(n, 1)))
-    done = 0
-    while done < num_samples:
+    for done in range(0, num_samples, chunk):
         m = min(chunk, num_samples - done)
-        choice = _chunk_choices(scaled, ftl_steps, leaders, (m, 1, n), gen)
-        counts += np.bincount(choice.ravel(), minlength=n)
-        done += m
+        choice = _chunk_choices(scaled, ftl, leaders, (m, n), gen)
+        counts += np.bincount(choice, minlength=n)
     return counts / num_samples
 
 
@@ -505,6 +517,8 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     ``np.take`` over the flattened game and sums them with ``np.cumsum``,
     in the order ``prot_run`` sums them.
     """
+    if num_runs < 1:
+        raise GameError(f"need num_runs >= 1, got {num_runs}")
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
     game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
@@ -517,7 +531,7 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     if T == 0:
         return np.zeros((num_runs, 1))
     base, rate, _ = _deterministic_rates(game, params, infeasible)
-    scaled, ftl_steps, leaders = _scaled_scores(base, rate)
+    scaled, ftl, leaders = _scaled_scores(base, rate)
 
     gen = as_generator(rng)
     out = np.empty((num_runs, len(cps)))
@@ -527,8 +541,7 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     cp_idx = cps - 1
     for done in range(0, num_runs, chunk):
         m = min(chunk, num_runs - done)
-        choice = _chunk_choices(scaled, ftl_steps, leaders,
-                                (m, 1 if regime == "once" else T, N), gen)
+        choice = _chunk_choices(scaled, ftl, leaders, (m, 1 if regime == "once" else T, N), gen)
         choice += offsets
         picked = np.take(flat, choice)
         out[done:done + m] = np.cumsum(picked, axis=1, out=picked)[:, cp_idx]

@@ -121,9 +121,15 @@ def _gains_from_moves(offset, ds, c: float):
 
 
 def _residual_from_moves(s, offset, ds) -> float:
-    lhs = (s[-1] - s[0]) ** 2
-    rhs = float(np.sum(2.0 * offset * ds) + np.sum(ds**2))
-    return abs(lhs - rhs)
+    """The identity's residual (see :func:`volatility_identity_check`) for
+    the public check and the run alike; overflow raises GameError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (s[-1] - s[0]) ** 2
+        rhs = float(np.sum(2.0 * offset * ds) + np.sum(ds**2))
+        residual = abs(lhs - rhs)
+    if not math.isfinite(residual):
+        raise GameError(f"volatility identity residual is {residual}: the price moves overflow")
+    return residual
 
 
 def expert_gains(prices: PriceSeries, c: float):
@@ -136,11 +142,9 @@ def volatility_identity_check(prices: PriceSeries) -> float:
     """Residual |(S_M - S_0)^2 - (sum 2(S_t - S_0) dS_t + sum dS_t^2)|;
     moves whose squares or sums overflow raise GameError."""
     s = prices.prices
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = _residual_from_moves(s, *_moves(s))
-    if not math.isfinite(residual):
-        raise GameError(f"volatility identity residual is {residual}: the price moves overflow")
-    return residual
+    with np.errstate(over="ignore"):
+        moves = _moves(s)
+    return _residual_from_moves(s, *moves)
 
 
 @dataclass(frozen=True)
@@ -244,9 +248,12 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries) -> Tradin
     flagged rather than rejected; the hypothesis is asymptotic.
     """
     s = prices.prices
-    moves = _moves(s)
-    s1, s2 = _gains_from_moves(*moves, config.c)
-    bound = _defensive_bound(s1, config.schedule)
+    # moves, gains or a bound that overflow raise GameError in the pass (its
+    # volume then overflows too) or in the identity, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        moves = _moves(s)
+        s1, s2 = _gains_from_moves(*moves, config.c)
+        bound = _defensive_bound(s1, config.schedule)
     gains, (v, fluc, cum) = _prot_gains(s1, config.schedule)
     return TradingReport(
         prices=s,

@@ -61,6 +61,14 @@ class TestProtSelect:
         with pytest.raises(GameError):
             prot_select([1.0, 2.0], 1.0, [0.0])
 
+    def test_leading_shapes_that_do_not_broadcast(self):
+        # these used to fail with numpy's bare "operands could not be broadcast"
+        with pytest.raises(GameError, match=r"\(2, 2\), rates of shape \(3,\) and "
+                                             r"perturbations of shape \(2,\)"):
+            prot_select([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0, 3.0], [0.0, 0.0])
+        with pytest.raises(GameError, match="do not broadcast"):
+            prot_select(np.zeros((2, 2)), 1.0, np.zeros((3, 2)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_perturbation_raises(self, bad):
         xi = np.zeros((4, 2))
@@ -610,6 +618,37 @@ class TestProbabilityRatio:
             probability_ratio_check([0.0, 0.0, 0.0], [5.0, 0.0, 0.0], p, 1, 5.0, 10.0)
 
 
+class TestChunkChoiceMarginals:
+    """Per-step choice frequencies of the Monte Carlo chunk body, which
+    batch_cumulative_losses runs, against the exact marginals: a wrong
+    choice at one step would not show in a total."""
+
+    @pytest.mark.parametrize("infeasible", [False, True], ids=["prot", "ifpl"])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_match_the_exact_probabilities(self, n, regime, infeasible):
+        T, runs = 16, 20_000
+        values = np.random.default_rng(40 + n).uniform(-1, 1, (T, n))
+        values[:3] = 0.0  # from v0 = 0 the first rates are infinite
+        base, eps, _ = engine._deterministic_rates(LossMatrix(values), power_params(n=n, v0=0.0),
+                                                   infeasible)
+        # two more follow-the-leader steps, where the leader is not expert 1
+        eps = eps.copy()
+        eps[[8, 12]] = math.inf
+        ftl = np.isinf(eps)
+        assert ftl.sum() == (5 if infeasible else 6)
+        leaders = np.argmin(base[ftl], axis=-1)
+        assert leaders[-2:].any()
+        choice = engine._chunk_choices(*engine._scaled_scores(base, eps),
+                                       (runs, 1 if regime == "once" else T, n),
+                                       RngSpec(n, 8).generator())
+        assert choice.shape == (runs, T)
+        assert (choice[:, ftl] == leaders).all()
+        freq = (choice[:, ~ftl, None] == np.arange(n)).mean(axis=0)
+        p = selection_probabilities_exact(base[~ftl], eps[~ftl])
+        assert np.all(np.abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / runs))
+
+
 def _reference_cumulative_losses(values, params, num_runs, rng, regime, infeasible,
                                  checkpoints):
     """Each run's learner loss by the plain formula: values[t, argmin(where(
@@ -710,14 +749,30 @@ class TestBatchMonteCarlo:
 
     @pytest.mark.parametrize("infeasible", [False, True])
     @pytest.mark.parametrize("regime", ["per-step", "once"])
-    def test_single_run_matches_prot_run(self, infeasible, regime):
-        losses = np.random.default_rng(4).uniform(-1, 1, (200, 3))
-        p = power_params(n=3, v0=1.0)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_single_run_matches_prot_run(self, infeasible, regime, n):
+        random = np.random.default_rng(4).uniform(-1, 1, (200, n))
+        # zero first rows from v0 = 0: follow-the-leader steps
+        ftl = random.copy()
+        ftl[:5] = 0.0
+        cps = np.array([1, 5, 6, 7, 17, 200])
         run = ifpl_run if infeasible else prot_run
-        rec = run(losses, p, rng=RngSpec(12), regime=regime)
-        batch = batch_cumulative_losses(losses, p, 1, RngSpec(12), regime=regime,
-                                        infeasible=infeasible)
-        assert rec.cum_loss[-1] == batch[0, 0]
+        for losses, v0 in ((random, 1.0), (ftl, 0.0)):
+            p = power_params(n=n, v0=v0)
+            rec = run(losses, p, rng=RngSpec(12), regime=regime)
+            batch = batch_cumulative_losses(losses, p, 1, RngSpec(12), regime=regime,
+                                            infeasible=infeasible, checkpoints=cps)
+            assert rec.cum_loss[cps - 1].tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("num_runs", [0, -2])
+    def test_needs_a_run(self, num_runs):
+        # 0 runs gave a mean of nan with "Mean of empty slice", -2 numpy's
+        # bare "negative dimensions are not allowed"
+        losses, p = np.ones((3, 2)), power_params(v0=1.0)
+        with pytest.raises(GameError, match="num_runs >= 1"):
+            batch_cumulative_losses(losses, p, num_runs, RngSpec(0))
+        with pytest.raises(GameError, match="num_runs >= 1"):
+            monte_carlo_regret(losses, p, num_runs, RngSpec(0))
 
     def test_volume_overflow_raises(self):
         with pytest.raises(GameError, match="step 18"):

@@ -295,6 +295,30 @@ class TestTradingExperiment:
         assert len(calls) == 1
         assert rep.defensive_bound == defensive_lower_bound(ps, cfg)
 
+    def test_overflowing_identity_raises_as_the_check_does(self):
+        # the moves' squares overflow while the gains C * moves (about
+        # -4e100) stay finite, so neither the bound nor the pass raises; the
+        # run used to report a residual of nan with three RuntimeWarnings,
+        # which this suite turns into errors
+        ps = PriceSeries(np.array([0.0, 1e200, -1e200]))
+        cfg = make_config(c=1e-300)
+        assert np.isfinite(expert_gains(ps, cfg.c)[0]).all()
+        messages = set()
+        for call in (lambda: run_trading_experiment(cfg, ps),
+                     lambda: volatility_identity_check(ps)):
+            with pytest.raises(GameError, match="residual is nan") as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        # where the moves themselves overflow (3.4e308), or only the volume
+        # of finite gains does, the run raises in its pass, before the
+        # identity is read; it used to warn first, in the moves or the bound
+        for prices in ([-1.7e308, 1.7e308, 0.0], [0.0, 1e153] * 100):
+            with pytest.raises(GameError, match="non-finite|volume is not finite"):
+                run_trading_experiment(make_config(), PriceSeries(np.array(prices)))
+        with pytest.raises(GameError, match="residual is nan"):
+            volatility_identity_check(PriceSeries(np.array([-1.7e308, 1.7e308, 0.0])))
+
     def test_non_constant_gamma_raises_before_the_pass(self, monkeypatch):
         from volfpl import trading
 
