@@ -28,7 +28,7 @@ from .game import (
     write_csv,
 )
 from .perturbation import _neg_exponential_array, as_generator, sample_exponential_array
-from .schedule import ScheduleParams, alpha_t, epsilon_t, epsilon_values, mu_values
+from .schedule import ScheduleError, ScheduleParams, _alpha_split, epsilon_values, mu_t, mu_values
 
 REGIMES = ("per-step", "once")
 
@@ -108,8 +108,11 @@ def _argmin_last(x):
 
 
 def _require_scores_and_rates(s, eps) -> None:
-    """Raise GameError on a NaN score or a rate that is not positive: either
-    would make a perturbed score NaN (``0 * inf`` is NaN)."""
+    """Raise GameError on scores with no expert, a NaN score or a rate that
+    is not positive: the last two would make a perturbed score NaN (``0 *
+    inf`` is NaN)."""
+    if s.ndim < 1 or s.shape[-1] < 1:
+        raise GameError("need at least one expert")
     if np.isnan(s).any() or not (eps > 0).all():
         raise GameError(f"need scores without NaN and positive rates, got {s} and {eps}")
 
@@ -463,7 +466,7 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     gen = as_generator(rng)
     n = len(s)
     counts = np.zeros(n, dtype=np.int64)
-    chunk = max(1, min(num_samples, _MAX_CHUNK_ELEMS // max(n, 1)))
+    chunk = max(1, min(num_samples, _MAX_CHUNK_ELEMS // n))
     for done in range(0, num_samples, chunk):
         m = min(chunk, num_samples - done)
         choice = _chunk_choices(scaled, ftl, leaders, (m, n), gen)
@@ -488,9 +491,13 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     g = params.gamma(t)
     if fluc > g:
         raise GameError(f"fluc({t}) = {fluc:.6g} exceeds gamma({t}) = {g:.6g}")
-    # the rates first: a schedule that leaves no rate at step t raises there
-    eps_prot, eps_ifpl = epsilon_t(params, t, v_prev), epsilon_t(params, t, v_t)
-    factor = math.exp((3.0 / params.a) * g ** (1.0 - alpha_t(params, t)))
+    # the rates first, from one mu_t: a schedule that leaves no rate at step
+    # t raises there
+    if v_prev < 0:
+        raise ScheduleError(f"volume must be nonnegative, got {v_prev}")
+    mu = mu_t(params, t)
+    eps_prot, eps_ifpl = epsilon_values(mu, float(v_prev), t), epsilon_values(mu, float(v_t), t)
+    factor = math.exp((3.0 / params.a) * _alpha_split(params, g, t)[1])
     p_prot = selection_probabilities_exact(cumulative_prev, eps_prot)
     p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t, eps_ifpl)
     return bool(np.all(p_prot <= factor * p_ifpl + slack))

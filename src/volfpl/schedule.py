@@ -14,6 +14,14 @@ defined; the closed (square-root) form is total in gamma and is what the
 engine evaluates.  ``alpha_t`` itself is only meaningful when
 ``gamma(t) < min(A, 1/A)`` (this keeps it inside (0, 1)), and raises outside
 that domain.
+
+Each per-step quantity is written once, as an expression over one step or
+an array of steps: ``GammaSchedule.values``, :func:`_alpha_split` (alpha_t
+and the split terms gamma^{1-alpha_t}, gamma^{alpha_t}, from gamma(t)),
+:func:`mu_values` and :func:`epsilon_values`.  The scalar forms ``gamma(t)``,
+:func:`alpha_t`, :func:`mu_t` and :func:`epsilon_t` are one-step reads of
+them (``mu_t`` takes ``math.sqrt``, which rounds as ``np.sqrt`` does) and
+agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -75,7 +83,9 @@ class GammaSchedule:
         if t < 1:
             raise ScheduleError(f"step index must be >= 1, got {t}")
         if self.kind == "power":
-            return float(t) ** -self.delta
+            # numpy's array power, which values() takes too: Python's float
+            # power gives other last bits at some steps
+            return float(np.asarray(float(t)) ** -self.delta)
         if self.kind == "constant":
             return self.c
         if t > len(self.table_values):
@@ -185,13 +195,8 @@ class ScheduleParams:
             )
 
     def to_config(self) -> dict:
-        return {
-            "a": self.a,
-            "N": self.num_experts,
-            "gamma": self.gamma.to_config(),
-            "v0": self.v0,
-            "loss_mode": self.loss_mode,
-        }
+        return {"a": self.a, "N": self.num_experts, "gamma": self.gamma.to_config(),
+                "v0": self.v0, "loss_mode": self.loss_mode}
 
     CONFIG_KEYS = ("a", "target_eps", "N", "gamma", "v0", "loss_mode")
 
@@ -207,22 +212,34 @@ class ScheduleParams:
             a = choose_a(float(cfg["target_eps"]), cfg.get("loss_mode", "general"))
         else:
             raise ScheduleError("schedule config needs 'a' or 'target_eps'")
-        return cls(
-            a=a,
-            num_experts=int(cfg["N"]),
-            gamma=GammaSchedule.from_config(cfg["gamma"]),
-            v0=float(cfg.get("v0", 0.0)),
-            loss_mode=cfg.get("loss_mode", "general"),
-        )
+        return cls(a=a, num_experts=int(cfg["N"]), gamma=GammaSchedule.from_config(cfg["gamma"]),
+                   v0=float(cfg.get("v0", 0.0)), loss_mode=cfg.get("loss_mode", "general"))
+
+
+def _alpha_split(params: ScheduleParams, g, step: int = 1):
+    """alpha_t and the split terms gamma(t)^{1-alpha_t}, gamma(t)^{alpha_t}
+    from ``g``: gamma(t) at step ``step``, or an array of gamma(t) at the
+    steps ``step``, ``step + 1``, ...
+
+    gamma is non-increasing, so if any of the steps is outside the alpha
+    domain the first one is, and raises
+    :meth:`ScheduleParams.require_alpha_domain`'s error there; if gamma(t)
+    underflows to 0 at any, it does at the last, and the first such step
+    raises GameError.
+    """
+    g = np.asarray(g)
+    if g.size:
+        params.require_alpha_domain(step)
+        if g.flat[-1] == 0:
+            t = step + int(np.argmax(g.ravel() == 0))
+            raise GameError(f"schedule invalid at step {t}: gamma({t}) = 0.0 leaves no alpha_t")
+    alpha = 0.5 * (1.0 - np.log(1.0 / params.coef_A) / np.log(g))
+    return alpha, np.power(g, 1.0 - alpha), np.power(g, alpha)
 
 
 def alpha_t(params: ScheduleParams, t: int) -> float:
     """Exponent splitting the per-step bound; strictly in (0, 1) on its domain."""
-    params.require_alpha_domain(t)
-    g = params.gamma(t)
-    if not g > 0:
-        raise GameError(f"schedule invalid at step {t}: gamma({t}) = {g} leaves no alpha_t")
-    return 0.5 * (1.0 - math.log(1.0 / params.coef_A) / math.log(g))
+    return float(_alpha_split(params, params.gamma(t), t)[0])
 
 
 def mu_t(params: ScheduleParams, t: int) -> float:
@@ -249,8 +266,8 @@ def _checked_mu(mu, step):
 
 def mu_values(params: ScheduleParams, T: int) -> np.ndarray:
     """mu_t for t = 1..T, vectorized; raises where gamma(t) underflows to 0."""
-    if params.gamma.kind == "constant":  # every mu_t is the one double coef * sqrt(c)
-        return _checked_mu(np.full(T, params._mu_coef * math.sqrt(params.gamma.c)), 1)
+    if params.gamma.kind == "constant":  # every mu_t is the one double mu_1
+        return np.full(T, mu_t(params, 1))
     ts = np.arange(1, T + 1)
     return _checked_mu(params._mu_coef * np.sqrt(params.gamma.values(ts)), 1)
 
@@ -370,14 +387,15 @@ def general_bound(params: ScheduleParams, T: int, delta_v) -> float:
     Requires the alpha domain to be valid for all t <= T.
     """
     delta_v = _checked_delta_v(T, delta_v)
-    c1 = 2.0 * math.expm1(3.0 / params.a)
-    c2 = params.a * expected_max_bound(params.num_experts)
-    total = 0.0
-    for t in range(1, T + 1):
-        g = params.gamma(t)
-        al = alpha_t(params, t)
-        total += (c1 * g ** (1.0 - al) + c2 * g**al) * delta_v[t - 1]
-    return total
+    # a step outside the alpha domain is step 1 (see _alpha_split), checked
+    # before gamma.values, which would raise first at a step past a table
+    if T:
+        params.require_alpha_domain()
+    _, split, power = _alpha_split(params, params.gamma.values(np.arange(1, T + 1)))
+    terms = (2.0 * math.expm1(3.0 / params.a) * split
+             + params.a * expected_max_bound(params.num_experts) * power) * delta_v
+    # summed one step after another, as a running total would
+    return float(np.cumsum(terms)[-1]) if T else 0.0
 
 
 def optimized_bound(params: ScheduleParams, T: int, delta_v) -> float:
@@ -396,8 +414,8 @@ def fpl_ifpl_gap_bound(params: ScheduleParams, delta_v) -> float:
 
 def ifpl_regret_bound(params: ScheduleParams, delta_v) -> float:
     """IFPL bound term a(1+ln N) sum gamma(t)^{alpha_t} dv_t = (1+ln N) sum mu_t dv_t,
-    half of :func:`optimized_bound`."""
-    return _tuned_coef(params) * _weighted_volume(params, np.size(delta_v), delta_v)
+    half of :func:`optimized_bound` and so the gap bound itself."""
+    return fpl_ifpl_gap_bound(params, delta_v)
 
 
 def poly_bound(N: int, T: int, alpha: float, delta: float, target_eps: float) -> float:

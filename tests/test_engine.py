@@ -80,12 +80,12 @@ class TestProtSelect:
 
     @pytest.mark.parametrize("s, eps", [
         ([0.0, math.nan], 1.0), ([math.nan, 0.0, 1.0], math.inf), ([0.0, 1.0], math.nan),
-        ([0.0, math.inf], 0.0), ([0.0, 1.0], -1.0),
+        ([0.0, math.inf], 0.0), ([0.0, 1.0], -1.0), ([], 1.0),
     ])
     def test_nan_score_or_bad_rate_raises(self, s, eps):
         # each would give a NaN score, where the two-expert compare and
-        # np.argmin can disagree
-        with pytest.raises(GameError, match="NaN"):
+        # np.argmin can disagree; no experts leave nothing to choose
+        with pytest.raises(GameError, match="NaN" if s else "need at least one expert"):
             prot_select(s, eps, np.zeros(len(s)))
 
 
@@ -208,17 +208,26 @@ class TestRunLoops:
     def test_callback_replay_is_bit_identical(self, run, regime, n, v0):
         # a callback that replays a matrix goes through the step loop, which
         # selects without prot_select's per-step checks, the matrix through
-        # one vectorized selection; v0 = 0 starts PROT with an infinite
-        # rate, and every seventh step ties all experts
+        # one vectorized selection; five zero steps first keep v0 = 0 runs
+        # on infinite rates (follow the leader), and every seventh step ties
+        # all experts.  Every record field has the same dtype, shape and
+        # bytes (np.array_equal would take -0.0 for 0.0), and a one-run
+        # batch from the same rng ends at the same total
         values = np.random.default_rng(31).uniform(-2, 2, (300, n))
         values[::7, 1:] = values[::7, :1]
+        values[:5] = 0.0
         losses = LossMatrix(values)
         p = power_params(n=n, v0=v0)
         matrix = run(losses, p, rng=RngSpec(7), regime=regime)
+        assert np.isinf(matrix.eps[0]) == (v0 == 0.0)
         replay = run(lambda t, history, cum: losses.row(t), p, rng=RngSpec(7), regime=regime,
                      num_steps=300)
         for f in dataclasses.fields(RunRecord):
-            assert np.array_equal(getattr(matrix, f.name), getattr(replay, f.name)), f.name
+            a, b = getattr(matrix, f.name), getattr(replay, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        total = batch_cumulative_losses(losses, p, 1, RngSpec(7), regime=regime,
+                                        infeasible=run is ifpl_run)
+        assert matrix.cum_loss[-1] == total[0, 0]
 
     @pytest.mark.parametrize("callback", [False, True])
     def test_exact_tie_of_scaled_scores(self, callback):
@@ -561,9 +570,9 @@ class TestMcProbabilities:
         mc = selection_probabilities_mc([0.0, 2.0], 1.0, 1000, RngSpec(0))
         assert mc.sum() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("s, eps", [([0.0, math.nan], 1.0), ([0.0, 1.0], 0.0)])
+    @pytest.mark.parametrize("s, eps", [([0.0, math.nan], 1.0), ([0.0, 1.0], 0.0), ([], 1.0)])
     def test_nan_score_or_bad_rate_raises(self, s, eps):
-        with pytest.raises(GameError, match="NaN"):
+        with pytest.raises(GameError, match="NaN" if s else "need at least one expert"):
             selection_probabilities_mc(s, eps, 10, RngSpec(0))
 
     def test_chunking_is_bit_exact(self, monkeypatch):

@@ -9,6 +9,7 @@ from volfpl import (
     AdversaryConfig,
     GameError,
     GammaSchedule,
+    RngSpec,
     ScheduleError,
     ScheduleParams,
     alpha_t,
@@ -23,13 +24,29 @@ from volfpl import (
     poly_bound,
     probability_ratio_check,
     prot_probability_callback,
+    prot_run,
     regret_bound,
 )
-from volfpl.schedule import epsilon_values
+from volfpl.perturbation import expected_max_bound
+from volfpl.schedule import _alpha_split, epsilon_values
 
 
 def params_power(a=10.0, n=2, delta=1.0, **kw):
     return ScheduleParams(a=a, num_experts=n, gamma=GammaSchedule.power(delta), **kw)
+
+
+def reference_general_bound(params, T, delta_v):
+    """general_bound as it was: a loop over the steps in Python floats, with
+    alpha_t from math.log and the split terms from Python's power."""
+    c1 = 2.0 * math.expm1(3.0 / params.a)
+    c2 = params.a * expected_max_bound(params.num_experts)
+    total = 0.0
+    for t in range(1, T + 1):
+        params.require_alpha_domain(t)
+        g = params.gamma(t)
+        al = 0.5 * (1.0 - math.log(1.0 / params.coef_A) / math.log(g))
+        total += (c1 * g ** (1.0 - al) + c2 * g**al) * delta_v[t - 1]
+    return total
 
 
 class TestGammaSchedule:
@@ -101,7 +118,7 @@ class TestGammaSchedule:
     def test_values_vectorized(self):
         g = GammaSchedule.power(0.5)
         ts = np.arange(1, 11)
-        assert np.allclose(g.values(ts), [g(int(t)) for t in ts])
+        assert g.values(ts).tobytes() == np.array([g(int(t)) for t in ts]).tobytes()
 
     @pytest.mark.parametrize("g", [GammaSchedule.power(1.0), GammaSchedule.constant(0.5)])
     def test_values_reject_steps_below_one(self, g):
@@ -167,13 +184,30 @@ class TestMu:
         assert mus.tobytes() == np.array([mu_t(p, t) for t in range(1, 21)]).tobytes()
 
     @pytest.mark.parametrize("gamma", [GammaSchedule.constant(0.03), GammaSchedule.power(0.7),
-                                       GammaSchedule.from_table([0.5, 0.25, 0.25, 1e-3])],
-                             ids=["constant", "power", "table"])
+                                       GammaSchedule.from_table([0.5, 0.25, 0.25, 1e-3]),
+                                       GammaSchedule.power(1.0),
+                                       GammaSchedule.from_table(np.geomspace(0.9, 1e-4, 5000))],
+                             ids=["constant", "power", "table", "power-1", "long-table"])
     def test_mu_values_matches_scalar_for_every_kind(self, gamma):
+        # every scalar form is one step of its array form, byte for byte:
+        # gamma(t), mu_t, eps_t and, where the alpha domain holds, alpha_t
+        # (Python's float power once gave other last bits than numpy's, at
+        # t = 6 for delta = 0.7 and at t = 1923 for delta = 1)
         p = ScheduleParams(a=7.0, num_experts=3, gamma=gamma)
-        for T in (0, 1, 4):
+        last = len(gamma.table_values) if gamma.kind == "table" else 5000
+        for T in sorted({0, 1, min(4, last), last}):
+            ts = np.arange(1, T + 1)
+            assert gamma.values(ts).tobytes() == np.array([gamma(t) for t in ts]).tobytes()
             want = np.array([mu_t(p, t) for t in range(1, T + 1)], dtype=float)
             assert mu_values(p, T).tobytes() == want.tobytes()
+            vol = np.linspace(0.0, 50.0, T)
+            want = np.array([epsilon_t(p, t, v) for t, v in zip(ts, vol)], dtype=float)
+            assert epsilon_values(mu_values(p, T), vol).tobytes() == want.tobytes()
+            inside = np.array([t for t in ts if p.alpha_domain_ok(t)], dtype=int)
+            want = np.array([alpha_t(p, t) for t in inside], dtype=float)
+            got = _alpha_split(p, gamma.values(inside), inside[0] if len(inside) else 1)[0]
+            assert got.tobytes() == want.tobytes()
+        assert len(inside) > 0
 
     @pytest.mark.parametrize("a", [5.5, np.float32(5.5), 5.5, 5, 5.0, np.array(5.0)],
                              ids=["float", "float32", "float-again", "int", "float-5", "0-d"])
@@ -232,6 +266,13 @@ class TestEpsilon:
         eps = epsilon_values(mu_values(p, 4), vol)
         assert eps.tolist() == [epsilon_t(p, t, v) for t, v in zip(range(1, 5), vol)]
         assert eps[0] == math.inf
+        # a run's rates are the same doubles: gamma(t) = 1/t over 2000 steps
+        # (t = 1923 is where Python's and numpy's power once disagreed)
+        p = params_power(a=choose_a(1.0), v0=1.0)
+        rec = prot_run(np.random.default_rng(0).uniform(-1, 1, (2000, 2)), p, rng=RngSpec(0))
+        v_prev = np.concatenate(([p.v0], rec.v[:-1]))
+        want = np.array([epsilon_t(p, t, v) for t, v in zip(range(1, 2001), v_prev)])
+        assert rec.eps.tobytes() == want.tobytes()
 
 
 class TestChooseA:
@@ -290,6 +331,45 @@ class TestBounds:
             gb = general_bound(p, 20, dv)
             ob = optimized_bound(p, 20, dv)
             assert gb == pytest.approx(ob, rel=1e-9)
+
+    def test_general_bound_matches_the_step_loop(self):
+        # the vectorized bound against the per-step loop it replaced, on
+        # random constant and table schedules inside the alpha domain: the
+        # same running sum, with alpha_t and the split terms from numpy's
+        # log and power, within 1e-15 relative
+        gen = np.random.default_rng(22)
+        for k in range(200):
+            a = math.exp(gen.uniform(math.log(3), math.log(100)))
+            n = int(gen.integers(2, 50))
+            probe = ScheduleParams(a=a, num_experts=n, gamma=GammaSchedule.constant(0.5))
+            cap = min(probe.coef_A, 1.0 / probe.coef_A)
+            T = int(gen.integers(1, 300))
+            if k % 2:
+                g = GammaSchedule.constant(cap * gen.uniform(0.01, 0.999))
+            else:
+                g = GammaSchedule.from_table(np.sort(cap * gen.uniform(1e-6, 0.999, T))[::-1])
+            p = ScheduleParams(a=a, num_experts=n, gamma=g)
+            dv = gen.uniform(0.0, 2.0, T)
+            dv[gen.uniform(size=T) < 0.2] = 0.0
+            want = reference_general_bound(p, T, dv)
+            assert general_bound(p, T, dv) == pytest.approx(want, rel=1e-15, abs=0)
+        assert general_bound(p, 0, []) == reference_general_bound(p, 0, []) == 0.0
+
+    @pytest.mark.parametrize("gamma, T", [
+        (GammaSchedule.power(1.0), 5),
+        (GammaSchedule.constant(0.5), 3),
+        (GammaSchedule.from_table([0.9, 0.01]), 2),
+        (GammaSchedule.from_table([0.9, 0.01]), 4),
+        (GammaSchedule.from_table([0.03, 0.01]), 4),
+    ], ids=["power", "constant", "table", "table-outside-and-short", "table-short"])
+    def test_general_bound_raises_as_the_step_loop(self, gamma, T):
+        # a = 10, N = 2: min(A, 1/A) = 0.041
+        p = ScheduleParams(a=10.0, num_experts=2, gamma=gamma)
+        with pytest.raises(GameError) as want:
+            reference_general_bound(p, T, np.ones(T))
+        with pytest.raises(GameError) as got:
+            general_bound(p, T, np.ones(T))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_ifpl_bound(self):
         p = params_power(n=3)
