@@ -381,8 +381,19 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
 
     With b_i = exp(-eps (s_i - min_k s_k)) in [0, 1] (1 for the leader),
     P{I=j} = int_0^1 b_j prod_{i != j} (1 - b_i u) du.  The integrand is a
-    polynomial of degree N - 1 in u, so ceil(N/2) Gauss-Legendre nodes give
-    it exactly; the product is taken as exp of a sum of log1p terms.
+    polynomial of degree N - 1 in u, so ceil(N/2) Gauss-Legendre nodes would
+    give it exactly in exact arithmetic; the product is taken as exp of a
+    sum of log1p terms.
+
+    In floating point each probability is within 128 (1 + max_i |x_i|) ulps
+    of the true integral of the float scores and rate, where
+    x_i = eps (min s - s_i); the tests check this against an 80-digit
+    ``decimal`` evaluation for N = 1..30.  Two sources set the bound.
+    numpy's ``leggauss`` weights are off by up to about 40 * 2^-52 relative
+    (at 8 and 12 nodes), which gives the worst error measured, about
+    45 (1 + max|x|) ulps near ties at N = 16.  And exp turns the rounding
+    of each x_i into a relative error of about |x_i| ulps in b_i, since
+    its condition number is |x|.
 
     ``cumulative`` has shape (..., N) and ``eps`` is a scalar or has shape
     (...): leading axes are independent problems.  Non-finite scores and
@@ -484,6 +495,8 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     """
     cumulative_prev = np.asarray(cumulative_prev, dtype=float)
     loss_t = np.asarray(loss_t, dtype=float)
+    if not (math.isfinite(v_prev) and math.isfinite(v_t)):
+        raise ScheduleError(f"volumes must be finite, got v_prev={v_prev}, v_t={v_t}")
     dv = v_t - v_prev
     if dv < -1e-15 * max(1.0, abs(v_t)):
         raise GameError("volume decreased")

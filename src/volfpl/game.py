@@ -144,8 +144,8 @@ def read_csv(path, expected_header) -> np.ndarray:
 
 def scaled_fluctuation(delta_v: float, v: float) -> float:
     """Return ``delta_v / v`` with the 0/0 = 0 convention; always in [0, 1]."""
-    if delta_v < 0 or v < 0:
-        raise GameError(f"negative inputs: delta_v={delta_v}, v={v}")
+    if not (0 <= delta_v < math.inf and 0 <= v < math.inf):
+        raise GameError(f"inputs must be finite and nonnegative: delta_v={delta_v}, v={v}")
     if v == 0:
         if delta_v != 0:
             raise GameError("delta_v > 0 with zero volume")
@@ -224,9 +224,14 @@ def check_fluctuation_bound(fluc_values, gamma):
     """Check ``fluc(t) <= gamma(t)`` for t = 1..T.
 
     Returns ``(True, None)`` if the bound holds everywhere, else
-    ``(False, t)`` with the least violating step.
+    ``(False, t)`` with the least violating step.  A value that is not
+    finite raises GameError naming it and its step.
     """
     fluc_values = np.asarray(fluc_values, dtype=float)
+    finite = np.isfinite(fluc_values)
+    if not finite.all():
+        t = int(np.argmin(finite))
+        raise GameError(f"fluc({t + 1}) = {fluc_values[t]} is not finite")
     ts = np.arange(1, len(fluc_values) + 1)
     bad = fluc_values > gamma.values(ts)
     if not bad.any():

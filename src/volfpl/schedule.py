@@ -158,9 +158,10 @@ class ScheduleParams:
         if self.loss_mode not in LOSS_MODES:
             raise ScheduleError(f"unknown loss mode {self.loss_mode!r}")
 
-    @property
+    @cached_property
     def coef_A(self) -> float:
-        """A = 2(e^{3/a} - 1) / (a (1 + ln N))."""
+        """A = 2(e^{3/a} - 1) / (a (1 + ln N)), formed once per params: each
+        alpha_t reads it twice."""
         return 2.0 * math.expm1(3.0 / self.a) / (self.a * expected_max_bound(self.num_experts))
 
     @cached_property
@@ -303,8 +304,8 @@ def epsilon_t(params: ScheduleParams, t: int, v_prev: float) -> float:
     The one-step case of :func:`epsilon_values`.  IFPL's eps'_t is the same
     formula at the end-of-step volume v_t.
     """
-    if v_prev < 0:
-        raise ScheduleError(f"volume must be nonnegative, got {v_prev}")
+    if not 0 <= v_prev < math.inf:
+        raise ScheduleError(f"volume must be finite and nonnegative, got {v_prev}")
     return epsilon_values(mu_t(params, t), float(v_prev), t)
 
 
@@ -366,7 +367,10 @@ def _tuned_coef(params: ScheduleParams) -> float:
 
 
 def _main_coef(num_experts: int, loss_mode: str, target_eps: float) -> float:
-    """2 sqrt((6+eps)(1+ln N)), or 2 sqrt((2+eps)(1+ln N)) for nonnegative losses."""
+    """2 sqrt((6+eps)(1+ln N)), or 2 sqrt((2+eps)(1+ln N)) for nonnegative losses;
+    ``target_eps`` must be finite and positive, as every ``a`` gives."""
+    if not 0 < target_eps < math.inf:
+        raise ScheduleError(f"target_eps must be finite and positive, got {target_eps}")
     c = _bound_constant(loss_mode) + target_eps
     return 2.0 * math.sqrt(c * expected_max_bound(num_experts))
 
@@ -420,6 +424,7 @@ def ifpl_regret_bound(params: ScheduleParams, delta_v) -> float:
 
 def poly_bound(N: int, T: int, alpha: float, delta: float, target_eps: float) -> float:
     """Polynomial-regime bound 2 sqrt((6+eps)(1+ln N)) T^{1 - delta/2 + alpha}."""
-    if alpha < 0 or delta <= 0:
-        raise ScheduleError("alpha must be >= 0 and delta > 0")
+    if not (0 <= alpha < math.inf and 0 < delta < math.inf):
+        raise ScheduleError(f"alpha must be finite and >= 0 and delta finite and > 0, "
+                            f"got alpha={alpha}, delta={delta}")
     return _main_coef(N, "general", target_eps) * float(T) ** (1.0 - 0.5 * delta + alpha)

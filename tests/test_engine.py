@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -330,31 +332,18 @@ class TestExactProbabilities:
     def test_single_expert(self):
         assert selection_probabilities_exact([4.0], 1.0)[0] == 1.0
 
-    @pytest.mark.parametrize("n", [3, 8, 20])
-    def test_three_experts_vs_direct_integral(self, n):
-        from scipy import integrate
-
-        s = np.array([0.0, 0.7, -0.4]) if n == 3 else np.random.default_rng(n).normal(0, 1, n)
-        eps = 1.3
-
-        def p_direct(j):
-            d = eps * (np.delete(s, j) - s[j])
-            # the integrand vanishes below x0 and is smooth above it
-            x0 = max(0.0, float(np.max(-d)))
-
-            def f(x):
-                fac = 1 - np.exp(-(d + x))
-                if np.any(fac <= 0):
-                    return 0.0
-                return math.exp(-x) * float(np.prod(fac))
-
-            val, _ = integrate.quad(f, x0, np.inf, limit=200)
-            return val
-
-        p = selection_probabilities_exact(s, eps)
-        for j in range(n):
-            assert p[j] == pytest.approx(p_direct(j), abs=1e-9)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("kind", ["ties", "near-ties", "spread"])
+    def test_within_the_ulp_bound_of_the_integral(self, kind):
+        # every N = 1..30, so every node count k = 1..15
+        gen = np.random.default_rng(22)
+        for n in range(1, 31):
+            if kind == "ties":
+                s = np.full(n, 0.7)
+            elif kind == "near-ties":  # max|x| < 0.1
+                s = gen.uniform(0.0, 0.07, n)
+            else:
+                s = gen.normal(0.0, 5.0, n)
+            _assert_within_the_ulp_bound(s, 1.3)
 
     def test_shift_invariance(self):
         # probabilities depend on score differences only
@@ -432,6 +421,38 @@ class TestExactProbabilities:
                 assert np.array_equal(p[i, r], selection_probabilities_exact(s[r], eps[i, 0]))
 
 
+def _decimal_probabilities(s, eps):
+    """The integral selection_probabilities_exact computes, at 80 digits from
+    the float scores and rate: P_j = b_j sum_k c_k / (k + 1), where
+    prod_{i != j} (1 - b_i u) = sum_k c_k u^k and b_i = exp(eps (min s - s_i))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        lead = Decimal(min(s))
+        b = [(Decimal(eps) * (lead - Decimal(v))).exp() for v in s]
+        probs = []
+        for j, b_j in enumerate(b):
+            c = [Decimal(1)]
+            for b_i in b[:j] + b[j + 1:]:
+                c = [hi - b_i * lo for hi, lo in zip(c + [0], [0] + c)]
+            probs.append(b_j * sum(c_k / (k + 1) for k, c_k in enumerate(c)))
+        return probs
+
+
+# The kernel's error bound in ulps of the integral, per unit of exp's
+# conditioning 1 + max|x| (see selection_probabilities_exact); the worst
+# measured is about 45, at N = 16 near ties.
+_ULP_BOUND = 128
+
+
+def _assert_within_the_ulp_bound(s, eps):
+    s = np.asarray(s, dtype=float)
+    p = selection_probabilities_exact(s, eps)
+    conditioning = 1.0 + float(np.max(eps * (s - s.min())))
+    for j, want in enumerate(_decimal_probabilities(s.tolist(), eps)):
+        ulps = float(abs(Decimal(float(p[j])) - want)) / math.ulp(float(want))
+        assert ulps <= _ULP_BOUND * conditioning, (j, ulps, conditioning, s.tolist(), eps)
+
+
 def _score_vectors(elements):
     return st.lists(elements, min_size=1, max_size=30).map(np.array)
 
@@ -449,6 +470,13 @@ class TestExactProbabilityProperties:
         p = selection_probabilities_exact(s, eps)
         assert np.all((p >= 0) & (p <= 1))
         assert abs(float(p.sum()) - 1.0) <= 1e-12
+
+    @settings(deadline=None)
+    @given(x=st.lists(st.just(0.0) | st.floats(-744.0, 0.0), min_size=1, max_size=30),
+           eps=st.floats(2.0 ** -10, 2.0 ** 10), c=st.floats(-1e3, 1e3))
+    def test_within_the_ulp_bound_of_the_integral(self, x, eps, c):
+        # scores whose scaled gaps x_i = eps (min s - s_i) keep max|x| <= 745
+        _assert_within_the_ulp_bound(c - np.array(x) / eps, eps)
 
     @settings(deadline=None)
     @given(s=_score_vectors(_MODERATE_SCORES), eps=st.floats(1e-3, 1e3),
@@ -811,3 +839,28 @@ class TestBatchMonteCarlo:
         p = power_params(v0=1.0)
         mean, se = monte_carlo_regret(losses, p, 2000, RngSpec(4))
         assert isinstance(mean, float) and se > 0
+
+
+class TestWholeRunScale:
+    @settings(deadline=None, max_examples=30)
+    @given(k=st.sampled_from([1, -1, 60, -60, 900, -900]), v0=st.sampled_from([0.0, 1.0]),
+           regime=st.sampled_from(engine.REGIMES), seed=st.integers(0, 2**32 - 1))
+    def test_power_of_two_scale_scales_the_run_exactly(self, k, v0, regime, seed):
+        # eps_t s is scale-free and scaling by 2^k is exact: every choice
+        # stays, and every loss, volume and regret scales by exactly 2^k
+        game = np.random.default_rng(seed).normal(0.0, 1.0, (2000, 5))
+        params, scaled = power_params(n=5, v0=v0), power_params(n=5, v0=math.ldexp(v0, k))
+        run = prot_run(game, params, rng=RngSpec(seed), regime=regime)
+        big = prot_run(np.ldexp(game, k), scaled, rng=RngSpec(seed), regime=regime)
+        assert big.chosen.tobytes() == run.chosen.tobytes()
+        for name in ("loss", "cum_loss", "v", "delta_v", "expert_cum"):
+            assert getattr(big, name).tobytes() == np.ldexp(getattr(run, name), k).tobytes(), name
+        assert big.regret == math.ldexp(run.regret, k)
+        assert big.eps.tobytes() == np.ldexp(run.eps, -k).tobytes()
+        assert (big.fluc.tobytes(), big.mu.tobytes()) == (run.fluc.tobytes(), run.mu.tobytes())
+        cps = [1, 7, 1000, 2000]
+        totals = batch_cumulative_losses(game, params, 50, RngSpec(seed), regime=regime,
+                                         checkpoints=cps)
+        big_totals = batch_cumulative_losses(np.ldexp(game, k), scaled, 50, RngSpec(seed),
+                                             regime=regime, checkpoints=cps)
+        assert big_totals.tobytes() == np.ldexp(totals, k).tobytes()

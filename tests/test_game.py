@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,12 @@ from volfpl import (
     GameError,
     LossMatrix,
     GammaSchedule,
+    ScheduleParams,
     check_fluctuation_bound,
+    epsilon_t,
+    poly_bound,
+    probability_ratio_check,
+    regret_bound,
     scaled_fluctuation,
     volume_trace,
 )
@@ -154,3 +161,30 @@ class TestVolumeTrace:
         lm = LossMatrix(gen.uniform(-5, 5, (100, 3)))
         _, _, fluc = volume_trace(lm, 0.0)
         assert np.all((fluc >= 0) & (fluc <= 1))
+
+
+_PARAMS = ScheduleParams(a=10.0, num_experts=2, gamma=GammaSchedule.power(1.0), v0=1.0)
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: scaled_fluctuation(NAN, 1.0), "delta_v=nan"),
+    (lambda: scaled_fluctuation(1.0, NAN), "v=nan"),
+    (lambda: scaled_fluctuation(INF, INF), "delta_v=inf, v=inf"),
+    (lambda: check_fluctuation_bound([0.1, NAN], GammaSchedule.power(1.0)), r"fluc\(2\) = nan"),
+    (lambda: epsilon_t(_PARAMS, 5, NAN), "got nan"),
+    (lambda: epsilon_t(_PARAMS, 5, INF), "got inf"),
+    (lambda: probability_ratio_check([0.0, 0.0], [0.0, 0.0], _PARAMS, 5, NAN, 1.0),
+     "v_prev=nan"),
+    (lambda: probability_ratio_check([0.0, 0.0], [0.0, 0.0], _PARAMS, 5, 1.0, INF), "v_t=inf"),
+    (lambda: regret_bound(_PARAMS, 2, [1.0, 1.0], NAN), "got nan"),
+    (lambda: regret_bound(_PARAMS, 2, [1.0, 1.0], -10.0), "got -10.0"),
+    (lambda: poly_bound(2, 1024, 0.1, 1.0, NAN), "got nan"),
+    (lambda: poly_bound(2, 1024, NAN, 1.0, 1.0), "alpha=nan"),
+], ids=["fluc-nan-delta", "fluc-nan-volume", "fluc-inf", "fluc-bound-nan", "eps-nan-volume",
+        "eps-inf-volume", "ratio-nan-volume", "ratio-inf-volume", "regret-nan-eps",
+        "regret-negative-eps", "poly-nan-eps", "poly-nan-alpha"])
+def test_non_finite_inputs_raise_naming_the_value(call, named):
+    # each of these returned nan, passed, or raised a misleading error
+    with pytest.raises(GameError, match=named):
+        call()
