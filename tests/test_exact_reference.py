@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volfpl import (
@@ -26,7 +26,7 @@ from volfpl import (
 )
 from volfpl import adversary
 from volfpl.adversary import AdversaryError
-from volfpl.engine import _expert_cum
+from volfpl.engine import _expert_cum, _two_expert_probabilities
 from volfpl.game import RunningVolume
 
 
@@ -147,12 +147,21 @@ _BAD_RATES = st.sampled_from([0.0, -0.0, 0, -1.0, -1e300, -5e-324, math.nan, mat
 
 class TestTwoExpertPath:
     """Problems of two experts at a scalar rate, alone or as rows of a
-    batch (every step of the adversary's game): the former kernel's bits."""
+    batch (every step of the adversary's game): the former kernel's bits,
+    which trading's two-expert kernel gives too."""
 
     @settings(deadline=None, max_examples=1500)
     @given(s0=_SCORES, s1=_SCORES, eps=_scalar_rates())
+    @example(s0=-1e300, s1=1e300, eps=1e10)  # the scaled gap overflows to -inf
     def test_same_bits(self, s0, s1, eps):
         assert_same_probabilities(np.array([s0, s1]), eps)
+        # _two_expert_probabilities on the follower's scaled gap gives the
+        # kernel's columns in (leader, follower) order
+        with np.errstate(over="ignore"):
+            x = np.subtract([min(s0, s1)], [max(s0, s1)]) * np.asarray(eps, dtype=float)
+        p = selection_probabilities_exact(np.array([s0, s1]), eps)
+        order = [1, 0] if s1 < s0 else [0, 1]
+        assert _two_expert_probabilities(x)[:, 0].tobytes() == p[order].tobytes()
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data(), pool=st.lists(_SCORES, min_size=1, max_size=4),

@@ -10,6 +10,7 @@ from volfpl import (
     ScheduleParams,
     check_fluctuation_bound,
     epsilon_t,
+    max_tail_bound,
     poly_bound,
     probability_ratio_check,
     regret_bound,
@@ -181,9 +182,13 @@ NAN, INF = math.nan, math.inf
     (lambda: regret_bound(_PARAMS, 2, [1.0, 1.0], -10.0), "got -10.0"),
     (lambda: poly_bound(2, 1024, 0.1, 1.0, NAN), "got nan"),
     (lambda: poly_bound(2, 1024, NAN, 1.0, 1.0), "alpha=nan"),
+    (lambda: GammaSchedule.power(NAN), "got nan"),
+    (lambda: ScheduleParams(a=INF, num_experts=2, gamma=GammaSchedule.power(1.0)), "got inf"),
+    (lambda: max_tail_bound(2, NAN), "got nan"),
 ], ids=["fluc-nan-delta", "fluc-nan-volume", "fluc-inf", "fluc-bound-nan", "eps-nan-volume",
         "eps-inf-volume", "ratio-nan-volume", "ratio-inf-volume", "regret-nan-eps",
-        "regret-negative-eps", "poly-nan-eps", "poly-nan-alpha"])
+        "regret-negative-eps", "poly-nan-eps", "poly-nan-alpha", "power-nan-delta",
+        "params-inf-a", "tail-nan-threshold"])
 def test_non_finite_inputs_raise_naming_the_value(call, named):
     # each of these returned nan, passed, or raised a misleading error
     with pytest.raises(GameError, match=named):

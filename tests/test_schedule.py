@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from volfpl import (
     regret_bound,
 )
 from volfpl.perturbation import expected_max_bound
-from volfpl.schedule import _alpha_split, epsilon_values
+from volfpl.schedule import LOSS_MODES, _alpha_split, epsilon_values
 
 
 def params_power(a=10.0, n=2, delta=1.0, **kw):
@@ -475,6 +476,29 @@ class TestScheduleParams:
             6 * math.expm1(1.0), 6.0)
         assert p.target_eps == f3 - k
         assert 0 < p.target_eps < eps
+
+    @staticmethod
+    def _decimal_target_eps(a, loss_mode):
+        """2a(e^{3/a}-1) - 6, or a(e^{2/a}-1) - 2, of the double ``a`` to 80
+        digits: the precision grows with a, as about log10(a) leading
+        digits of the rate cancel."""
+        k, c = (1, 2) if loss_mode == "nonnegative" else (2, 3)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 80 + 2 * max(0, decimal.Decimal(a).adjusted())
+            a = decimal.Decimal(a)
+            return float(k * a * ((c / a).exp() - 1) - k * c)
+
+    # target_eps is the rate's excess over 6 (2): where that is small the
+    # series is summed instead, so no a loses more than a few ulps; the
+    # bound leaves room for the ~9x cancellation just above x = 1/4
+    @pytest.mark.parametrize("loss_mode", LOSS_MODES)
+    def test_target_eps_against_decimal(self, loss_mode):
+        grid = np.geomspace(3.0, 1e300, 301).tolist()
+        edges = [12.0, 8.0, choose_a(1.0, loss_mode), 1e15, 1e17]
+        for a in grid + edges + [math.nextafter(e, d) for e in edges for d in (0, math.inf)]:
+            got = params_power(a=a, loss_mode=loss_mode).target_eps
+            want = self._decimal_target_eps(a, loss_mode)
+            assert abs(got - want) <= 32 * 2.0 ** -52 * want, (a, got, want)
 
     @pytest.mark.parametrize("a", [3.0, 5.0, 40.0, 1e4])
     def test_main_bound_at_own_eps_is_optimized_bound(self, a):
