@@ -1,6 +1,8 @@
 """Command-line surface: run, adversary, trading, verify-bounds, hannan, probe.
 
 Config comes from a JSON file (--config) with flag overrides; flags win.
+Every command builds its schedule through ``ScheduleParams.from_config``,
+so the schedule flags mean the same in each.
 Outputs are CSV/JSON files under --out.
 """
 
@@ -23,7 +25,6 @@ from .schedule import (
     GammaSchedule,
     ScheduleParams,
     alpha_t,
-    choose_a,
     general_bound,
     mu_t,
     optimized_bound,
@@ -44,6 +45,19 @@ def _schedule_flags(parser):
     parser.add_argument("--gamma", type=_parse_gamma, help="power:DELTA or const:C")
     parser.add_argument("--target-eps", type=float, dest="target_eps")
     parser.add_argument("--loss-mode", choices=LOSS_MODES, dest="loss_mode")
+
+
+def _apply_schedule_flags(schedule: dict, args) -> dict:
+    """A schedule config with the flags of :func:`_schedule_flags` applied,
+    in place: --target-eps replaces ``a``, the others replace their key."""
+    if args.gamma:
+        schedule["gamma"] = args.gamma
+    if args.target_eps is not None:
+        schedule.pop("a", None)
+        schedule["target_eps"] = args.target_eps
+    if args.loss_mode:
+        schedule["loss_mode"] = args.loss_mode
+    return schedule
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,27 +120,15 @@ def _cmd_run(args) -> int:
         config.regime = args.regime
     if args.out:
         config.out = args.out
-    if args.gamma:
-        config.schedule["gamma"] = args.gamma
-    if args.target_eps is not None:
-        config.schedule.pop("a", None)
-        config.schedule["target_eps"] = args.target_eps
-    if args.loss_mode:
-        config.schedule["loss_mode"] = args.loss_mode
+    _apply_schedule_flags(config.schedule, args)
     report = run_experiment(config)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_adversary(args) -> int:
-    gamma_cfg = args.gamma or {"kind": "power", "delta": 1.0}
-    loss_mode = args.loss_mode or "general"
-    # a target eps of 0 reaches choose_a, which rejects it
-    a = args.a if args.target_eps is None else choose_a(args.target_eps, loss_mode)
-    params = ScheduleParams(
-        a=a, num_experts=2, gamma=GammaSchedule.from_config(gamma_cfg),
-        v0=args.v0, loss_mode=loss_mode,
-    )
+    params = ScheduleParams.from_config(_apply_schedule_flags(
+        {"a": args.a, "N": 2, "gamma": {"kind": "power", "delta": 1.0}, "v0": args.v0}, args))
     config = AdversaryConfig(eps=args.eps, v0=args.v0, horizon=args.horizon)
     trace = prop1_run(prot_probability_callback(params), config)
     if args.out:
@@ -147,10 +149,9 @@ def _cmd_trading(args) -> int:
     else:
         prices = fbm_generate(args.hurst, args.steps, scale=args.scale,
                               drift=args.drift, seed=args.seed)
-    params = ScheduleParams(
-        a=choose_a(args.target_eps), num_experts=2,
-        gamma=GammaSchedule.constant(args.gamma_const), v0=args.v0,
-    )
+    params = ScheduleParams.from_config({
+        "target_eps": args.target_eps, "N": 2, "v0": args.v0,
+        "gamma": {"kind": "constant", "c": args.gamma_const}})
     report = run_trading_experiment(TradingConfig(c=args.c, schedule=params), prices)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

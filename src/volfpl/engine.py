@@ -107,16 +107,6 @@ def _argmin_last(x):
     return choice.astype(np.intp)
 
 
-def _require_scores_and_rates(s, eps) -> None:
-    """Raise GameError on scores with no expert, a NaN score or a rate that
-    is not positive: the last two would make a perturbed score NaN (``0 *
-    inf`` is NaN)."""
-    if s.ndim < 1 or s.shape[-1] < 1:
-        raise GameError("need at least one expert")
-    if np.isnan(s).any() or not (eps > 0).all():
-        raise GameError(f"need scores without NaN and positive rates, got {s} and {eps}")
-
-
 def prot_select(cumulative, eps, xi):
     """argmin_i (eps s^i - xi^i), ties to the lowest index: PROT's choice.
 
@@ -138,7 +128,12 @@ def prot_select(cumulative, eps, xi):
     except ValueError:
         raise GameError(f"scores of shape {s.shape}, rates of shape {eps.shape} and "
                         f"perturbations of shape {xi.shape} do not broadcast") from None
-    _require_scores_and_rates(s, eps)
+    if s.shape[-1] < 1:
+        raise GameError("need at least one expert")
+    # a NaN score or a rate that is not positive would make a perturbed
+    # score NaN (``0 * inf`` is NaN)
+    if np.isnan(s).any() or not (eps > 0).all():
+        raise GameError(f"need scores without NaN and positive rates, got {s} and {eps}")
     if not np.isfinite(xi).all():
         at = tuple(np.argwhere(~np.isfinite(xi))[0].tolist())
         raise GameError(f"perturbations must be finite, got {xi[at]!r} at index {at}")
@@ -197,10 +192,19 @@ def _expert_cum(values) -> np.ndarray:
 
 
 def _mean_se(samples):
-    """Mean and standard error over the first axis (SE 0 for one sample)."""
+    """Mean and standard error over the first axis (SE 0 for one sample).
+
+    Each column is first scaled into [-1, 1] by the power of two of its
+    largest |value|, and both results are scaled back: the squared
+    deviations of values past about 1e154 would overflow to an infinite
+    SE.  Scaling by a power of two is exact, so the bits are those of the
+    unscaled formulas wherever those do not overflow.
+    """
     x = np.asarray(samples, dtype=float)
+    e = np.frexp(np.max(np.abs(x), axis=0))[1]
+    x = np.ldexp(x, -e)
     se = x.std(axis=0, ddof=1) / math.sqrt(len(x)) if len(x) > 1 else np.zeros(x.shape[1:])
-    return x.mean(axis=0), se
+    return np.ldexp(x.mean(axis=0), e), np.ldexp(se, e)
 
 
 def _deterministic_rates(game: LossMatrix, params: ScheduleParams, infeasible: bool):
@@ -276,6 +280,9 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
 
     if perturbations is not None:
         xi = np.asarray(perturbations, dtype=float)
+        if regime == "once" and xi.shape not in ((N,), (1, N)):
+            raise GameError(f"regime 'once' takes {N} perturbations, as (N,) or (1, N), "
+                            f"got shape {xi.shape}")
         xi = np.broadcast_to(xi, (T, N)) if regime == "once" else xi.reshape(T, N)
         finite = np.isfinite(xi).all(axis=1)
         if not finite.all():
@@ -307,9 +314,9 @@ def prot_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
     A loss matrix is played in one vectorized selection over all steps; a
     callback ``fn(t, chosen_history, cumulative) -> vector`` of length
     ``params.num_experts`` is stepped through, and needs ``num_steps``.
-    ``perturbations`` overrides sampling with fixed values (shape (N,) for the
-    ``once`` regime, (T, N) for ``per-step``); otherwise ``rng`` drives an
-    inverse-CDF exponential sampler.
+    ``perturbations`` overrides sampling with fixed values (shape (N,) or
+    (1, N) for the ``once`` regime, (T, N) for ``per-step``); otherwise
+    ``rng`` drives an inverse-CDF exponential sampler.
     """
     return _run(losses, params, rng, regime, perturbations, False, num_steps)
 
@@ -361,10 +368,11 @@ def _two_expert_probabilities(x) -> np.ndarray:
     logs = np.log1p(np.multiply(b, -0.5))
     total = np.add(logs, _LEADER_LOG)
     p = np.empty((2,) + np.shape(x))
-    np.subtract(total, _LEADER_LOG, out=p[0])
-    np.subtract(total, logs, out=p[1])
+    # p[0, ...] is a view even for a 0-d gap, where p[0] is a scalar
+    np.subtract(total, _LEADER_LOG, out=p[0, ...])
+    np.subtract(total, logs, out=p[1, ...])
     np.exp(p, out=p)
-    p[1] *= b
+    p[1, ...] *= b
     # the node kernel's clamp at 1, kept so that every bit is the node kernel's
     return np.minimum(p, 1.0, out=p)
 
@@ -442,25 +450,25 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
 
 
 def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) -> np.ndarray:
-    """Empirical selection frequencies over fresh exponential perturbations.
+    """Empirical selection frequencies: the counts of :func:`prot_select`'s
+    choices for one row of scores over fresh exponential perturbations,
+    drawn in chunks of at most ``_MAX_CHUNK_ELEMS`` doubles.
 
-    An infinite rate is follow the leader, as in :func:`prot_select`; NaN
-    scores and rates that are not positive raise GameError.
+    An infinite rate is follow the leader; NaN scores and rates that are
+    not positive raise GameError, as in :func:`prot_select`.
     """
     if num_samples < 1:
         raise GameError(f"need num_samples >= 1, got {num_samples}")
     s = np.asarray(cumulative, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    _require_scores_and_rates(s, eps)
-    scaled, ftl, leaders = _scaled_scores(s, eps)
+    if s.ndim != 1 or len(s) < 1:
+        raise GameError(f"need at least one expert in one row of scores, got shape {s.shape}")
     gen = as_generator(rng)
     n = len(s)
     counts = np.zeros(n, dtype=np.int64)
     chunk = max(1, min(num_samples, _MAX_CHUNK_ELEMS // n))
     for done in range(0, num_samples, chunk):
-        m = min(chunk, num_samples - done)
-        choice = _chunk_choices(scaled, ftl, leaders, (m, n), gen)
-        counts += np.bincount(choice, minlength=n)
+        xi = sample_exponential_array((min(chunk, num_samples - done), n), gen)
+        counts += np.bincount(prot_select(s, eps, xi), minlength=n)
     return counts / num_samples
 
 

@@ -230,12 +230,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """
     losses = resolve_game(config.game)
     params = ScheduleParams.from_config(config.schedule)
-    records = []
-    for seed in config.seeds:
-        try:
-            records.append(prot_run(losses, params, RngSpec(seed), regime=config.regime))
-        except Exception as exc:
-            raise GameError(f"seed {seed}: {exc}") from exc
+    records = [_seeded_run(prot_run, losses, params, seed, RngSpec(seed), config.regime)
+               for seed in config.seeds]
 
     first = records[0]
     best = float(np.min(first.expert_cum))
@@ -256,7 +252,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     }
     if config.run_ifpl:
         ifpl_mean, ifpl_se = _mean_se([
-            ifpl_run(losses, params, RngSpec(seed, stream_id=1), regime=config.regime).total_loss
+            _seeded_run(ifpl_run, losses, params, seed, RngSpec(seed, stream_id=1),
+                        config.regime).total_loss
             for seed in config.seeds
         ])
         bounds["ifpl_total"] = best + bounds["ifpl_term"]
@@ -279,6 +276,15 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     return report
 
 
+def _seeded_run(run, losses, params, seed, rng, regime) -> RunRecord:
+    """``run(losses, params, rng, regime=regime)``, its errors re-raised
+    with the seed attached."""
+    try:
+        return run(losses, params, rng, regime=regime)
+    except Exception as exc:
+        raise GameError(f"seed {seed}: {exc}") from exc
+
+
 def hannan_check(losses: LossMatrix, params: ScheduleParams, rng,
                  regime: str = "per-step") -> dict:
     """Single-trajectory consistency trend report.
@@ -286,7 +292,7 @@ def hannan_check(losses: LossMatrix, params: ScheduleParams, rng,
     Verifies sum gamma(t)^2 < infinity (analytically for power/constant
     schedules) and reports the normalized regret (s_{1:T} - min_i s^i_{1:T})
     / v_T at checkpoints T in {2^k}.  A decreasing trend is evidence, not
-    proof.
+    proof.  ``losses`` is a :class:`LossMatrix` or a (T, N) array.
     """
     summable = params.gamma.square_summable()
     warning = None
@@ -295,6 +301,7 @@ def hannan_check(losses: LossMatrix, params: ScheduleParams, rng,
     elif summable is None:
         warning = "gamma table: square-summability undecidable from a finite prefix"
 
+    losses = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
     record = prot_run(losses, params, rng, regime=regime)
     T = losses.num_steps
     checkpoints = [2**k for k in range(1, T.bit_length())]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volfpl import (
     AdversaryConfig,
@@ -130,6 +134,27 @@ class TestProp1Run:
         cfg = AdversaryConfig(eps=0.5, horizon=3)
         with pytest.raises(AdversaryError):
             prop1_run(lambda t, cum, v: 1.5, cfg)
+
+    @settings(deadline=None, max_examples=300)
+    @given(k=st.sampled_from([40, -40, -900]), eps=st.floats(0.05, 0.95),
+           v0=st.floats(0.5, 4.0), horizon=st.integers(1, 40),
+           gamma=st.sampled_from([GammaSchedule.constant(0.9), GammaSchedule.constant(0.01),
+                                  GammaSchedule.power(1.0), GammaSchedule.power(0.5)]))
+    def test_power_of_two_scale_against_prot(self, k, eps, v0, horizon, gamma):
+        # scaling v0 by 2^k scales every loss and volume by exactly 2^k and
+        # every rate by 2^-k, so PROT's probabilities and the scale-free
+        # fields keep their bits
+        def run(v0):
+            params = ScheduleParams(a=choose_a(1.0), num_experts=2, gamma=gamma, v0=v0)
+            return prop1_run(prot_probability_callback(params),
+                             AdversaryConfig(eps=eps, v0=v0, horizon=horizon))
+
+        base, scaled = run(v0), run(math.ldexp(v0, k))
+        for name in ("p1", "fluc", "norm_regret_lb"):
+            assert getattr(scaled, name).tobytes() == getattr(base, name).tobytes(), name
+        for name in ("m", "v", "s1", "s2"):
+            want = np.ldexp(getattr(base, name), k)
+            assert getattr(scaled, name).tobytes() == want.tobytes(), name
 
     def test_csv_shape(self, tmp_path):
         cfg = AdversaryConfig(eps=0.5, horizon=5)

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -179,6 +180,19 @@ class TestRunLoops:
         with pytest.raises(GameError, match="step 1"):
             run(INTRO_GAME, p, regime="once", perturbations=[0.0, bad])
 
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @pytest.mark.parametrize("shape", [(7, 2), (7, 1), (2, 2), (1,), (3,), (2, 1), (1, 2, 1)])
+    def test_once_perturbations_take_one_value_per_expert(self, run, shape):
+        # a (T, N) table or a (T, 1) column used to be broadcast and played
+        # as per-step draws; (N,) and (1, N) are the one draw of every step
+        p = power_params(v0=1.0)
+        with pytest.raises(GameError, match=re.escape(f"got shape {shape}")):
+            run(INTRO_GAME, p, regime="once", perturbations=np.ones(shape))
+        flat = run(INTRO_GAME, p, regime="once", perturbations=[0.3, 1.2])
+        row = run(INTRO_GAME, p, regime="once", perturbations=[[0.3, 1.2]])
+        assert flat.chosen.tobytes() == row.chosen.tobytes()
+        assert flat.perturbations.tobytes() == row.perturbations.tobytes()
+
     def test_expert_count_mismatch(self):
         with pytest.raises(GameError):
             prot_run(INTRO_GAME, power_params(n=3), rng=RngSpec(0))
@@ -230,6 +244,31 @@ class TestRunLoops:
         total = batch_cumulative_losses(losses, p, 1, RngSpec(7), regime=regime,
                                         infeasible=run is ifpl_run)
         assert matrix.cum_loss[-1] == total[0, 0]
+
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), n=st.integers(1, 5), T=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), regime=st.sampled_from(engine.REGIMES),
+           v0=st.sampled_from([0.0, 1.0]))
+    def test_one_run_three_paths(self, run, data, n, T, seed, regime, v0):
+        # the fixed games above as a property: on games with zero rows,
+        # tied rows and a single expert, the matrix run, its callback replay
+        # and a one-run batch from the same rng agree
+        values = np.random.default_rng(seed).uniform(-2, 2, (T, n))
+        rows = np.array(data.draw(st.lists(st.sampled_from(["plain", "zero", "tied"]),
+                                           min_size=T, max_size=T)))
+        values[rows == "zero"] = 0.0
+        values[rows == "tied"] = values[rows == "tied", :1]
+        p = power_params(n=n, v0=v0)
+        matrix = run(values, p, rng=RngSpec(seed), regime=regime)
+        replay = run(lambda t, history, cum: values[t - 1], p, rng=RngSpec(seed), regime=regime,
+                     num_steps=T)
+        for f in dataclasses.fields(RunRecord):
+            a, b = getattr(matrix, f.name), getattr(replay, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        total = batch_cumulative_losses(values, p, 1, RngSpec(seed), regime=regime,
+                                        infeasible=run is ifpl_run)
+        assert matrix.total_loss == total[0, 0]
 
     @pytest.mark.parametrize("run", [prot_run, ifpl_run])
     @settings(deadline=None, max_examples=100)

@@ -162,6 +162,8 @@ class TestTwoExpertPath:
         p = selection_probabilities_exact(np.array([s0, s1]), eps)
         order = [1, 0] if s1 < s0 else [0, 1]
         assert _two_expert_probabilities(x)[:, 0].tobytes() == p[order].tobytes()
+        # a 0-d gap gives a (2,) array
+        assert _two_expert_probabilities(x.reshape(())).tobytes() == p[order].tobytes()
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data(), pool=st.lists(_SCORES, min_size=1, max_size=4),

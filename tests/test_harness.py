@@ -6,6 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -293,6 +296,47 @@ class TestRunExperiment:
         assert "ifpl_total" in rep.bounds
         assert rep.checks["ifpl_within_bound"]
 
+    @staticmethod
+    def csv_config(tmp_path, rows, schedule, **extra):
+        path = tmp_path / "game.csv"
+        LossMatrix(rows).to_csv(path)
+        return ExperimentConfig.from_dict({
+            "game": {"kind": "csv", "path": str(path)},
+            "schedule": {"N": 2, "gamma": _POWER_GAMMA, "v0": 1.0, **schedule}, **extra})
+
+    def test_huge_losses_keep_a_finite_standard_error(self, tmp_path):
+        # the squared deviations of regrets near 1e200 overflowed: se_regret
+        # was inf, so every "<= bound + 3 SE" check passed whatever the
+        # bound, and report.json held Infinity
+        cfg = self.csv_config(tmp_path, [[1.0, 0.0], [0.0, 1.0]] * 3 + [[1e200, 0.0], [0.0, 1e200]],
+                              {"a": 3}, seeds=list(range(8)), out=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = run_experiment(cfg)
+        # the exact mean and SE of the per-seed regrets, under relative
+        # bounds fixed beforehand: a few ulps of rounding in the float sums
+        game, params = resolve_game(cfg.game), ScheduleParams.from_config(cfg.schedule)
+        regrets = [Fraction(prot_run(game, params, RngSpec(s)).regret) for s in cfg.seeds]
+        n = len(regrets)
+        mean = sum(regrets) / n
+        var = sum((r - mean) ** 2 for r in regrets) / (n - 1) / n
+        with localcontext() as ctx:
+            ctx.prec = 40
+            se = (Decimal(var.numerator) / Decimal(var.denominator)).sqrt()
+            assert se > 0
+            assert abs(Decimal(rep.se_regret) - se) <= Decimal("1e-13") * se
+        assert abs(Fraction(rep.mean_regret) - mean) <= Fraction(1, 10**13) * max(map(abs, regrets))
+        json.loads((tmp_path / "out" / "report.json").read_text(),
+                   parse_constant=lambda c: pytest.fail(f"report.json holds {c}"))
+
+    def test_ifpl_errors_name_the_seed(self, tmp_path):
+        # PROT's errors had the seed attached, IFPL's not: IFPL's rate at
+        # step 3 reads v_3, where mu_t v_3 overflows
+        cfg = self.csv_config(tmp_path, [[1.0, 0.0], [0.0, 1.0], [1e300, 0.0]], {"a": 0.05},
+                              seeds=[3, 4], run_ifpl=True)
+        with pytest.raises(GameError, match=r"^seed 3: rate 1/\(mu_t v\) is 0 at step 3"):
+            run_experiment(cfg)
+
     def test_output_files(self, tmp_path):
         out = tmp_path / "exp"
         run_experiment(base_config(out=str(out)))
@@ -461,6 +505,12 @@ class TestHannanCheck:
         rep = hannan_check(LossMatrix([[0, 0], [0, 0], [1, 1]]), params, RngSpec(0))
         assert rep["checkpoints"] == [{"T": 2, "normalized_regret": 0.0},
                                       {"T": 3, "normalized_regret": 0.0}]
+
+    def test_accepts_a_plain_array(self):
+        # prot_run takes arrays, and hannan_check failed on one after the run
+        game, params = self.game(), self.params(1.0)
+        assert hannan_check(game.values, params, RngSpec(0)) == hannan_check(game, params,
+                                                                              RngSpec(0))
 
     def test_decreasing_trend_on_summable_schedule(self):
         rep = hannan_check(self.game(), self.params(1.0), RngSpec(0))
