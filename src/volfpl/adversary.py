@@ -47,6 +47,8 @@ def prop1_step(v_prev: float, p1: float, eps: float):
     """
     if not v_prev > 0:
         raise AdversaryError(f"v_prev must be positive, got {v_prev}")
+    if not 0 < eps < 1:
+        raise AdversaryError(f"eps must be in (0,1), got {eps}")
     if not 0 <= p1 <= 1:
         raise AdversaryError(f"p1 must be a probability, got {p1}")
     m = 4.0 * v_prev / eps
@@ -87,12 +89,13 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
     batched exact calls, with the results of the per-step loop.
     """
     if isinstance(algorithm, _ProtProbabilities):
-        s, p1, m, v = _play_prot(algorithm.params, config)
+        first, p1, m, v = _play_prot(algorithm.params, config)
     else:
-        s, p1, m, v = _play(algorithm, config)
+        first, p1, m, v = _play(algorithm, config)
     # the loss of a step is its peak, so M_t is the step's delta_v and the
     # loop's running volume is volume_trace's v
     m, v = np.array(m), np.array(v)
+    s = np.column_stack((np.where(first, m, 0.0), np.where(first, 0.0, m)))
     e_loss = s[:, 0] * p1 + s[:, 1] * (1.0 - p1)
     expected_cum = np.cumsum(e_loss)
     min_cum = _expert_cum(s)[1:].min(axis=1)
@@ -103,9 +106,9 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
 
 def _play(algorithm, config: AdversaryConfig):
     """The game one step at a time, the callback asked at each step; returns
-    the (T, 2) losses, p1, and the lists of M_t and of volumes v_t."""
+    whether expert 1 takes each step's loss, p1, and the lists of M_t and of
+    volumes v_t."""
     T = config.horizon
-    s = np.zeros((T, 2))
     p1 = np.empty(T)
     m, v = [], []
     # the experts' cumulative losses, as Python floats: each sum rounds as
@@ -120,11 +123,10 @@ def _play(algorithm, config: AdversaryConfig):
         a, b, mt = prop1_step(v_prev, p, config.eps)
         v.append(volume.add(mt, t))
         m.append(mt)
-        s[t - 1, 0 if a else 1] = mt  # the other expert's loss stays 0
         p1[t - 1] = p
         c1 += a
         c2 += b
-    return s, p1, m, v
+    return p1 >= 0.5, p1, m, v
 
 
 def _play_prot(params: ScheduleParams, config: AdversaryConfig):
@@ -179,8 +181,7 @@ def _play_prot(params: ScheduleParams, config: AdversaryConfig):
         c1, c2 = scores[j - k]
         c1, c2 = (c1 + m[j], c2) if first[j] else (c1, c2 + m[j])
         k = j + 1
-    s = np.column_stack((np.where(first, m, 0.0), np.where(first, 0.0, m)))
-    return s, p1, m, v
+    return first, p1, m, v
 
 
 @dataclass(frozen=True)

@@ -278,20 +278,20 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
         if N != params.num_experts:
             raise GameError(f"params expect {params.num_experts} experts, game has {N}")
 
-    if perturbations is not None:
-        xi = np.asarray(perturbations, dtype=float)
-        if regime == "once" and xi.shape not in ((N,), (1, N)):
-            raise GameError(f"regime 'once' takes {N} perturbations, as (N,) or (1, N), "
-                            f"got shape {xi.shape}")
-        xi = np.broadcast_to(xi, (T, N)) if regime == "once" else xi.reshape(T, N)
-        finite = np.isfinite(xi).all(axis=1)
-        if not finite.all():
-            t = int(np.argmin(finite))
-            raise GameError(f"perturbations must be finite, got {xi[t]} at step {t + 1}")
-    elif regime == "once":
-        xi = np.broadcast_to(sample_exponential_array(N, as_generator(rng)), (T, N))
+    # drawn perturbations have the shape a caller passes, and take its checks
+    if perturbations is None:
+        xi = sample_exponential_array((1 if regime == "once" else T, N), as_generator(rng))
     else:
-        xi = sample_exponential_array((T, N), as_generator(rng))
+        xi = np.asarray(perturbations, dtype=float)
+    if regime == "once" and xi.shape not in ((N,), (1, N)):
+        raise GameError(f"regime 'once' takes {N} perturbations, as (N,) or (1, N), "
+                        f"got shape {xi.shape}")
+    if regime == "per-step" and xi.shape != (T, N):
+        raise GameError(f"regime 'per-step' takes ({T}, {N}) perturbations, got shape {xi.shape}")
+    xi = np.broadcast_to(xi, (T, N))
+    if not np.isfinite(xi).all():
+        t = int(np.argmin(np.isfinite(xi).all(axis=1)))
+        raise GameError(f"perturbations must be finite, got {xi[t]} at step {t + 1}")
 
     neg_xi = np.negative(xi)
     if callable(losses):
@@ -315,8 +315,9 @@ def prot_run(losses, params: ScheduleParams, rng=None, regime: str = "per-step",
     callback ``fn(t, chosen_history, cumulative) -> vector`` of length
     ``params.num_experts`` is stepped through, and needs ``num_steps``.
     ``perturbations`` overrides sampling with fixed values (shape (N,) or
-    (1, N) for the ``once`` regime, (T, N) for ``per-step``); otherwise
-    ``rng`` drives an inverse-CDF exponential sampler.
+    (1, N) for the ``once`` regime, exactly (T, N) for ``per-step``; any
+    other shape raises GameError); otherwise ``rng`` drives an inverse-CDF
+    exponential sampler, which draws (1, N) or (T, N).
     """
     return _run(losses, params, rng, regime, perturbations, False, num_steps)
 
@@ -457,7 +458,7 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     An infinite rate is follow the leader; NaN scores and rates that are
     not positive raise GameError, as in :func:`prot_select`.
     """
-    if num_samples < 1:
+    if not num_samples >= 1:
         raise GameError(f"need num_samples >= 1, got {num_samples}")
     s = np.asarray(cumulative, dtype=float)
     if s.ndim != 1 or len(s) < 1:
@@ -492,7 +493,9 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     if fluc > g:
         raise GameError(f"fluc({t}) = {fluc:.6g} exceeds gamma({t}) = {g:.6g}")
     # the rates first, from one mu_t: a schedule that leaves no rate at step
-    # t raises there
+    # t raises there.  A tiny negative v_prev gets past the checks above
+    # (v_t - v_prev rounds to v_t, so fluc = 1 <= gamma(1)) and would give a
+    # negative rate.
     if v_prev < 0:
         raise ScheduleError(f"volume must be nonnegative, got {v_prev}")
     mu = mu_t(params, t)
@@ -524,7 +527,7 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     ``np.take`` over the flattened game and sums them with ``np.cumsum``,
     in the order ``prot_run`` sums them.
     """
-    if num_runs < 1:
+    if not num_runs >= 1:
         raise GameError(f"need num_runs >= 1, got {num_runs}")
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
@@ -535,12 +538,12 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
     if checkpoints is not None and not np.all((cps >= 1) & (cps <= T)):
         raise GameError(f"checkpoints must lie in 1..{T}, got {cps.tolist()}")
+    gen = as_generator(rng)
     if T == 0:
         return np.zeros((num_runs, 1))
     base, rate, _ = _deterministic_rates(game, params, infeasible)
     scaled, ftl, leaders = _scaled_scores(base, rate)
 
-    gen = as_generator(rng)
     out = np.empty((num_runs, len(cps)))
     chunk = max(1, min(num_runs, _MAX_CHUNK_ELEMS // (T * N)))
     flat = game.values.ravel()

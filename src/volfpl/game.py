@@ -188,9 +188,12 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     """Per-step (volume, delta_v, fluc) arrays for a whole game.
 
     Returns ``v`` of length T+1 (``v[0] = v0``), and ``delta_v``, ``fluc`` of
-    length T, all indexed so entry t-1 belongs to step t.  A volume that
-    overflows raises GameError naming the first step where it is not finite.
+    length T, all indexed so entry t-1 belongs to step t.  A ``v0`` that is
+    not finite and nonnegative raises GameError, and so does a volume that
+    overflows, naming the first step where it is not finite.
     """
+    if not 0 <= v0 < math.inf:
+        raise GameError(f"v0 must be finite and nonnegative, got {v0}")
     delta_v = row_peaks(losses.values)
     v, fluc = volume_from_peaks(delta_v, v0)
     return v, delta_v, fluc

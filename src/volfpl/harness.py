@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .engine import RunRecord, _expert_cum, _mean_se, ifpl_run, prot_run
+from .engine import RunRecord, _mean_se, ifpl_run, monte_carlo_regret, prot_run
 from .game import (GameError, LossMatrix, check_fluctuation_bound, reject_unknown_keys,
-                   require_keys, row_peaks, write_csv)
+                   require_keys, row_peaks, volume_trace, write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -23,7 +23,11 @@ from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_boun
 # ---------------------------------------------------------------------------
 # Game generators
 
-def _check_loss_mode(loss_mode: str) -> None:
+def _check_game_args(num_experts: int, num_steps: int, loss_mode: str) -> None:
+    if not num_experts >= 1:
+        raise GameError(f"need at least one expert, got {num_experts}")
+    if not num_steps >= 0:
+        raise GameError(f"need num_steps >= 0, got {num_steps}")
     if loss_mode not in LOSS_MODES:
         raise GameError(f"unknown loss mode {loss_mode!r}")
 
@@ -41,7 +45,7 @@ def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
     the N row entries, uniform on [-1, 1) (or [0, 1) for nonnegative
     losses).
     """
-    _check_loss_mode(loss_mode)
+    _check_game_args(num_experts, num_steps, loss_mode)
     gen = as_generator(rng)
     if v0 <= 0:
         raise GameError("generator needs v0 > 0 to seed the volume")
@@ -66,7 +70,7 @@ def bounded_unit_game(num_experts: int, num_steps: int, rng,
                       loss_mode: str = "general") -> LossMatrix:
     """Losses in [-1, 1] (or [0, 1]) with max_i |s^i_t| = 1 every step, so
     that the volume is exactly t."""
-    _check_loss_mode(loss_mode)
+    _check_game_args(num_experts, num_steps, loss_mode)
     gen = as_generator(rng)
     if loss_mode == "nonnegative":
         rows = gen.uniform(0.0, 1.0, (num_steps, num_experts))
@@ -302,16 +306,15 @@ def hannan_check(losses: LossMatrix, params: ScheduleParams, rng,
         warning = "gamma table: square-summability undecidable from a finite prefix"
 
     losses = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
-    record = prot_run(losses, params, rng, regime=regime)
     T = losses.num_steps
     checkpoints = [2**k for k in range(1, T.bit_length())]
     if checkpoints and checkpoints[-1] != T:
         checkpoints.append(T)
-    cps = np.array(checkpoints, dtype=int)
-    regret = record.cum_loss[cps - 1] - _expert_cum(losses.values)[cps].min(axis=1)
-    v = record.v[cps - 1]
+    # one run of the Monte-Carlo kernel is the seeded run prot_run plays
+    regret, _ = monte_carlo_regret(losses, params, 1, rng, regime=regime, checkpoints=checkpoints)
+    v = volume_trace(losses, params.v0)[0][checkpoints]
     # v_t = 0 only while every loss so far is 0, so the regret is 0 too: 0/0 = 0, as for fluc
-    ratio = np.divide(regret, v, out=np.zeros(len(cps)), where=v > 0)
+    ratio = np.divide(regret, v, out=np.zeros(len(checkpoints)), where=v > 0)
     rows = [{"T": t, "normalized_regret": r} for t, r in zip(checkpoints, ratio.tolist())]
     return {
         "square_summable": summable,

@@ -26,12 +26,19 @@ class RngSpec:
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept an RngSpec, a Generator, or a plain integer seed."""
+    """Accept an RngSpec, a Generator, or a plain integer seed (anything
+    ``int`` takes, a float among them); anything else, None among them,
+    raises GameError naming it."""
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, RngSpec):
         return rng.generator()
-    return RngSpec(int(rng)).generator()
+    try:
+        seed = int(rng)
+    except (TypeError, ValueError, OverflowError):
+        raise GameError(f"rng must be an RngSpec, a Generator or an integer seed, "
+                        f"got {rng!r}") from None
+    return RngSpec(seed).generator()
 
 
 def inverse_exponential_cdf(u):
@@ -41,8 +48,8 @@ def inverse_exponential_cdf(u):
 
 def sample_exponential(n: int, gen: np.random.Generator) -> np.ndarray:
     """n i.i.d. Exp(1) draws via the inverse CDF."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not n >= 1:
+        raise GameError(f"need n >= 1, got {n}")
     return sample_exponential_array(n, gen)
 
 
@@ -77,6 +84,6 @@ def max_tail_bound(num_experts: int, a: float) -> float:
 
 def expected_max_bound(num_experts: int) -> float:
     """E(max_i xi^i) <= 1 + ln N; the true value is the harmonic number H_N."""
-    if num_experts < 1:
-        raise ValueError(f"need at least one expert, got {num_experts}")
+    if not num_experts >= 1:
+        raise GameError(f"need at least one expert, got {num_experts}")
     return 1.0 + math.log(num_experts)

@@ -27,6 +27,7 @@ agree with them bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,7 +49,9 @@ class GammaSchedule:
     """Non-increasing fluctuation bound gamma(t), 0 < gamma(t) <= 1.
 
     Kinds: ``power`` (gamma(t) = t^-delta), ``constant``, or ``table``.
-    Power schedules have gamma(1) = 1 exactly.
+    Power schedules have gamma(1) = 1 exactly.  The constructor checks the
+    kind's value, as the classmethods do, and stores it as float (a table
+    as a tuple of floats).
     """
 
     kind: str
@@ -56,27 +59,38 @@ class GammaSchedule:
     c: float = 0.0
     table_values: tuple = field(default_factory=tuple)
 
+    def __post_init__(self):
+        if self.kind == "power":
+            if not 0 < self.delta < math.inf:
+                raise ScheduleError(f"power exponent must be finite and positive, "
+                                    f"got {self.delta}")
+            object.__setattr__(self, "delta", float(self.delta))
+        elif self.kind == "constant":
+            if not 0 < self.c < 1:
+                raise ScheduleError(f"constant gamma must be in (0,1), got {self.c}")
+            object.__setattr__(self, "c", float(self.c))
+        elif self.kind == "table":
+            values = tuple(float(v) for v in self.table_values)
+            if not values:
+                raise ScheduleError("empty gamma table")
+            if any(not 0 < v <= 1 for v in values):
+                raise ScheduleError("table gamma values must be in (0,1]")
+            if any(b > a for a, b in zip(values, values[1:])):
+                raise ScheduleError("table gamma must be non-increasing")
+            object.__setattr__(self, "table_values", values)
+        else:
+            raise ScheduleError(f"unknown gamma kind {self.kind!r}")
+
     @classmethod
     def power(cls, delta: float) -> "GammaSchedule":
-        if not 0 < delta < math.inf:
-            raise ScheduleError(f"power exponent must be finite and positive, got {delta}")
-        return cls(kind="power", delta=float(delta))
+        return cls(kind="power", delta=delta)
 
     @classmethod
     def constant(cls, c: float) -> "GammaSchedule":
-        if not 0 < c < 1:
-            raise ScheduleError(f"constant gamma must be in (0,1), got {c}")
-        return cls(kind="constant", c=float(c))
+        return cls(kind="constant", c=c)
 
     @classmethod
     def from_table(cls, values) -> "GammaSchedule":
-        values = tuple(float(v) for v in values)
-        if not values:
-            raise ScheduleError("empty gamma table")
-        if any(not 0 < v <= 1 for v in values):
-            raise ScheduleError("table gamma values must be in (0,1]")
-        if any(b > a for a, b in zip(values, values[1:])):
-            raise ScheduleError("table gamma must be non-increasing")
         return cls(kind="table", table_values=values)
 
     def __call__(self, t: int) -> float:
@@ -151,8 +165,10 @@ class ScheduleParams:
     def __post_init__(self):
         if not 0 < self.a < math.inf:
             raise ScheduleError(f"a must be finite and positive, got {self.a}")
-        if self.num_experts < 1:
-            raise ScheduleError(f"need at least one expert, got {self.num_experts}")
+        n = self.num_experts
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ScheduleError(f"need at least one expert, as an integer, got {n!r}")
+        object.__setattr__(self, "num_experts", int(n))
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ScheduleError(f"v0 must be finite and nonnegative, got {self.v0}")
         if self.loss_mode not in LOSS_MODES:
@@ -442,7 +458,7 @@ def ifpl_regret_bound(params: ScheduleParams, delta_v) -> float:
 
 def poly_bound(N: int, T: int, alpha: float, delta: float, target_eps: float) -> float:
     """Polynomial-regime bound 2 sqrt((6+eps)(1+ln N)) T^{1 - delta/2 + alpha}."""
-    if not (0 <= alpha < math.inf and 0 < delta < math.inf):
-        raise ScheduleError(f"alpha must be finite and >= 0 and delta finite and > 0, "
-                            f"got alpha={alpha}, delta={delta}")
+    if not (1 <= T < math.inf and 0 <= alpha < math.inf and 0 < delta < math.inf):
+        raise ScheduleError(f"T must be finite and >= 1, alpha finite and >= 0 and delta "
+                            f"finite and > 0, got T={T}, alpha={alpha}, delta={delta}")
     return _main_coef(N, "general", target_eps) * float(T) ** (1.0 - 0.5 * delta + alpha)

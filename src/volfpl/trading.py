@@ -97,6 +97,8 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
     """
     if not 0 < hurst < 1:
         raise GameError(f"Hurst exponent must be in (0,1), got {hurst}")
+    if not all(map(math.isfinite, (scale, drift, s0))):
+        raise GameError(f"scale, drift and s0 must be finite, got {scale}, {drift}, {s0}")
     if steps < 1:
         raise GameError(f"need at least one step, got {steps}")
     gen = as_generator(seed)

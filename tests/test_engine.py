@@ -193,6 +193,21 @@ class TestRunLoops:
         assert flat.chosen.tobytes() == row.chosen.tobytes()
         assert flat.perturbations.tobytes() == row.perturbations.tobytes()
 
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @pytest.mark.parametrize("callback", [False, True], ids=["matrix", "callback"])
+    @pytest.mark.parametrize("shape", [(14,), (2, 7), (7, 3), (6, 2), (1, 2), (2,), (1, 7, 2)])
+    def test_per_step_perturbations_are_one_row_per_step(self, run, callback, shape):
+        # any T*N values used to be reshaped to (T, N): a flat vector or an
+        # (N, T) table was played on the wrong steps and experts, and a wrong
+        # size raised numpy's bare "cannot reshape"
+        p = power_params(v0=1.0)
+        game = (lambda t, history, cum: INTRO_GAME[t - 1]) if callback else INTRO_GAME
+        steps = {"num_steps": len(INTRO_GAME)} if callback else {}
+        with pytest.raises(GameError, match=re.escape(f"takes (7, 2) perturbations, got shape {shape}")):
+            run(game, p, perturbations=np.ones(shape), **steps)
+        xi = np.arange(14.0).reshape(7, 2) / 7
+        assert run(game, p, perturbations=xi, **steps).perturbations.tobytes() == xi.tobytes()
+
     def test_expert_count_mismatch(self):
         with pytest.raises(GameError):
             prot_run(INTRO_GAME, power_params(n=3), rng=RngSpec(0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,25 @@ from volfpl import (
     GameError,
     LossMatrix,
     GammaSchedule,
+    RngSpec,
     ScheduleParams,
+    as_generator,
+    batch_cumulative_losses,
+    bounded_unit_game,
     check_fluctuation_bound,
     epsilon_t,
+    expected_max_bound,
+    fbm_generate,
     max_tail_bound,
+    monte_carlo_regret,
     poly_bound,
     probability_ratio_check,
+    prop1_step,
+    random_fluc_bounded_game,
     regret_bound,
+    sample_exponential,
     scaled_fluctuation,
+    selection_probabilities_mc,
     volume_trace,
 )
 from volfpl.game import row_peaks
@@ -185,11 +197,40 @@ NAN, INF = math.nan, math.inf
     (lambda: GammaSchedule.power(NAN), "got nan"),
     (lambda: ScheduleParams(a=INF, num_experts=2, gamma=GammaSchedule.power(1.0)), "got inf"),
     (lambda: max_tail_bound(2, NAN), "got nan"),
+    (lambda: monte_carlo_regret(INTRO_GAME, _PARAMS, NAN, RngSpec(0)), "got nan"),
+    (lambda: selection_probabilities_mc([0.0, 1.0], 1.0, NAN, RngSpec(0)), "got nan"),
+    (lambda: as_generator(None), "got None"),
+    (lambda: batch_cumulative_losses(INTRO_GAME, _PARAMS, 1, None), "got None"),
+    (lambda: selection_probabilities_mc([0.0, 1.0], 1.0, 10, None), "got None"),
+    (lambda: fbm_generate(0.5, 10, seed=None), "got None"),
+    (lambda: volume_trace(LossMatrix(INTRO_GAME), v0=-5.0), "got -5.0"),
+    (lambda: poly_bound(2, NAN, 0.1, 1.0, 1.0), "T=nan"),
+    (lambda: expected_max_bound(0), "got 0"),
+    (lambda: poly_bound(0, 1024, 0.1, 1.0, 1.0), "got 0"),
+    (lambda: sample_exponential(0, np.random.default_rng(0)), "got 0"),
+    (lambda: random_fluc_bounded_game(0, 5, RngSpec(0)), "got 0"),
+    (lambda: bounded_unit_game(0, 5, RngSpec(0)), "got 0"),
+    (lambda: random_fluc_bounded_game(2, -1, RngSpec(0)), "got -1"),
+    (lambda: prop1_step(1.0, 0.5, 0.0), "got 0.0"),
+    (lambda: fbm_generate(0.5, 10, scale=INF), "inf"),
+    (lambda: fbm_generate(0.5, 10, drift=NAN), "nan"),
+    # v_t - v_prev rounds to v_t, so fluc = 1 = gamma(1) passes the
+    # fluctuation check and only the volume check stops a negative rate
+    (lambda: probability_ratio_check([0.0, 0.0], [1.0, 0.0], _PARAMS, 1, -1e-20, 1.0),
+     "got -1e-20"),
 ], ids=["fluc-nan-delta", "fluc-nan-volume", "fluc-inf", "fluc-bound-nan", "eps-nan-volume",
         "eps-inf-volume", "ratio-nan-volume", "ratio-inf-volume", "regret-nan-eps",
         "regret-negative-eps", "poly-nan-eps", "poly-nan-alpha", "power-nan-delta",
-        "params-inf-a", "tail-nan-threshold"])
+        "params-inf-a", "tail-nan-threshold", "mc-nan-runs", "mc-select-nan-samples",
+        "rng-none", "batch-none-rng", "mc-select-none-rng", "fbm-none-seed",
+        "volume-negative-v0", "poly-nan-horizon", "expected-max-no-experts",
+        "poly-no-experts", "exponential-no-draws", "random-game-no-experts",
+        "bounded-game-no-experts", "random-game-negative-steps", "prop1-zero-eps",
+        "fbm-inf-scale", "fbm-nan-drift", "ratio-negative-v-prev"])
 def test_non_finite_inputs_raise_naming_the_value(call, named):
-    # each of these returned nan, passed, or raised a misleading error
-    with pytest.raises(GameError, match=named):
-        call()
+    # each of these returned nan, passed, warned, or raised a misleading or
+    # bare numpy or Python error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GameError, match=named):
+            call()

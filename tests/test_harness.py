@@ -512,6 +512,37 @@ class TestHannanCheck:
         assert hannan_check(game.values, params, RngSpec(0)) == hannan_check(game, params,
                                                                               RngSpec(0))
 
+    @pytest.mark.parametrize("T", [0, 1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    @pytest.mark.parametrize("v0", [0.0, 1.0])
+    def test_regret_is_the_seeded_run(self, T, regime, v0):
+        # the reference is the former derivation: one prot_run record and the
+        # experts' cumulative losses at the power-of-two checkpoints
+        game = bounded_unit_game(3, T, RngSpec(T))
+        game.values[:T // 4] = 0.0  # zero volume while v0 = 0: the 0/0 = 0 rows
+        params = ScheduleParams(a=choose_a(1.0), num_experts=3,
+                                gamma=GammaSchedule.power(1.0), v0=v0)
+        record = prot_run(game, params, RngSpec(4), regime=regime)
+        cps = [2**k for k in range(1, T.bit_length())]
+        if cps and cps[-1] != T:
+            cps.append(T)
+        expert = np.zeros((T + 1, 3))
+        np.cumsum(game.values, axis=0, out=expert[1:])
+        rows = []
+        for t in cps:
+            regret = record.cum_loss[t - 1] - expert[t].min()
+            v = record.v[t - 1]
+            rows.append({"T": t, "normalized_regret": float(regret / v) if v > 0 else 0.0})
+        rep = hannan_check(game, params, RngSpec(4), regime=regime)
+        assert json.dumps(rep["checkpoints"]) == json.dumps(rows)
+        assert rep["decreasing_trend"] == (len(rows) >= 2 and rows[-1]["normalized_regret"]
+                                           <= rows[0]["normalized_regret"])
+
+    @pytest.mark.parametrize("T", [0, 1024])
+    def test_missing_rng_raises(self, T):
+        with pytest.raises(GameError, match="got None"):
+            hannan_check(self.game().values[:T], self.params(1.0), None)
+
     def test_decreasing_trend_on_summable_schedule(self):
         rep = hannan_check(self.game(), self.params(1.0), RngSpec(0))
         assert rep["decreasing_trend"]

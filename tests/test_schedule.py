@@ -116,6 +116,28 @@ class TestGammaSchedule:
         with pytest.raises(ScheduleError, match="unknown gamma kind"):
             GammaSchedule.from_config({"kind": kind, "delta": 1.0})
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: GammaSchedule("power", delta=-1.0), "power exponent .* got -1.0"),
+        (lambda: GammaSchedule("constant", c=5.0), r"constant gamma must be in \(0,1\), got 5.0"),
+        (lambda: GammaSchedule("cubic"), "unknown gamma kind 'cubic'"),
+        (lambda: GammaSchedule("table", table_values=(0.5, 0.9)), "non-increasing"),
+        (lambda: ScheduleParams(a=3.0, num_experts=2.5, gamma=GammaSchedule.power(1.0)),
+         "got 2.5"),
+    ], ids=["power-negative-delta", "constant-above-one", "unknown-kind", "table-increasing",
+            "fractional-experts"])
+    def test_constructor_checks_as_the_classmethods(self, build, named):
+        # the dataclass constructors used to take these: power gave gamma(2)
+        # = 2, constant gave 5, and an unknown kind failed only at first use
+        with pytest.raises(ScheduleError, match=named):
+            build()
+
+    def test_constructor_stores_floats(self):
+        g = GammaSchedule("table", table_values=[1, np.float32(0.5)])
+        assert g.table_values == (1.0, 0.5) and all(type(v) is float for v in g.table_values)
+        assert GammaSchedule("power", delta=1) == GammaSchedule.power(1.0)
+        p = ScheduleParams(a=3.0, num_experts=np.int64(4), gamma=GammaSchedule.power(1.0))
+        assert type(p.num_experts) is int and p.num_experts == 4
+
     def test_values_vectorized(self):
         g = GammaSchedule.power(0.5)
         ts = np.arange(1, 11)
