@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _expert_cum, _require_rates, selection_probabilities_exact
+from .engine import _require_rates, _two_expert_probabilities, selection_probabilities_exact
 from .game import GameError, RunningVolume, write_csv
 from .schedule import ScheduleParams, epsilon_t, epsilon_values, mu_t
 
@@ -95,11 +95,13 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
     # the loss of a step is its peak, so M_t is the step's delta_v and the
     # loop's running volume is volume_trace's v
     m, v = np.array(m), np.array(v)
-    s = np.column_stack((np.where(first, m, 0.0), np.where(first, 0.0, m)))
-    e_loss = s[:, 0] * p1 + s[:, 1] * (1.0 - p1)
+    s1, s2 = np.where(first, m, 0.0), np.where(first, 0.0, m)
+    e_loss = s1 * p1 + s2 * (1.0 - p1)
     expected_cum = np.cumsum(e_loss)
-    min_cum = _expert_cum(s)[1:].min(axis=1)
-    return Prop1Trace(m=m, s1=s[:, 0], s2=s[:, 1], p1=p1, e_loss=e_loss, v=v, fluc=m / v,
+    # each expert's cumsum is sequential and min is exact: the bits of the
+    # (T, 2) table's column sums
+    min_cum = np.minimum(np.cumsum(s1), np.cumsum(s2))
+    return Prop1Trace(m=m, s1=s1, s2=s2, p1=p1, e_loss=e_loss, v=v, fluc=m / v,
                       norm_regret_lb=(expected_cum - min_cum) / v,
                       expected_cum=expected_cum, min_cum=min_cum)
 
@@ -135,13 +137,14 @@ def _play_prot(params: ScheduleParams, config: AdversaryConfig):
     Against PROT the volumes, the losses M_t and the rates do not depend on
     which expert takes each loss, so they come first, each step's rate
     before its volume grows, as in the loop.  Then the leader (expert 1 on
-    a tie) is guessed to take every loss, and one call on the guessed
-    game's (T, 2) scores checks each guess: the loss goes to expert 1 where
-    p1 >= 1/2.  At the first step where a guess is wrong, the steps before
-    it stand, that step follows its p1 (its scores were right), and the
-    steps after it are guessed again, so each pass settles at least one
-    step.  A row of a batched call has the bits of its problem alone, so
-    every field is what the loop gives.
+    a tie) is guessed to take every loss, and one two-expert pass on the
+    guessed game's scaled gaps checks each guess: the loss goes to expert 1
+    where p1 >= 1/2.  At the first step where a guess is wrong, the steps
+    before it stand, that step follows its p1 (its scores were right), and
+    the steps after it are guessed again, so each pass settles at least one
+    step.  The pass gives the bits of the exact kernel on each step's
+    scores alone (at a tie both experts get the same value), so every field
+    is what the loop gives.
     """
     T, eps = config.horizon, config.eps
     volume = RunningVolume(config.v0)
@@ -164,21 +167,27 @@ def _play_prot(params: ScheduleParams, config: AdversaryConfig):
     c1 = c2 = 0.0
     k = 0
     while k < T:
-        scores, guess = [], []
+        cum1, cum2 = [], []  # the guessed game's scores at each step
         for mt in m[k:]:
-            scores.append((c1, c2))
-            guess.append(c1 <= c2)
-            if guess[-1]:
+            cum1.append(c1)
+            cum2.append(c2)
+            if c1 <= c2:
                 c1 += mt
             else:
                 c2 += mt
-        p1[k:] = selection_probabilities_exact(np.array(scores), rates[k:])[:, 0]
+        a, b = np.array(cum1), np.array(cum2)
+        guess = a <= b
+        # the kernel's scaled gap eps (min s - max s); the rates are finite
+        with np.errstate(over="ignore"):
+            x = (np.minimum(a, b) - np.maximum(a, b)) * rates[k:]
+        p = _two_expert_probabilities(x)
+        p1[k:] = np.where(guess, p[0], p[1])
         first[k:] = p1[k:] >= 0.5
         wrong = np.flatnonzero(first[k:] != guess)
         if not len(wrong):
             break
         j = k + int(wrong[0])
-        c1, c2 = scores[j - k]
+        c1, c2 = cum1[j - k], cum2[j - k]
         c1, c2 = (c1 + m[j], c2) if first[j] else (c1, c2 + m[j])
         k = j + 1
     return first, p1, m, v

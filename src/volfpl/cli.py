@@ -18,6 +18,7 @@ import numpy as np
 
 from .adversary import AdversaryConfig, prop1_run, prot_probability_callback
 from .engine import selection_probabilities_exact, selection_probabilities_mc
+from .game import GameError
 from .harness import ExperimentConfig, hannan_check, parse_seeds, resolve_game, run_experiment
 from .perturbation import RngSpec
 from .schedule import (
@@ -241,5 +242,17 @@ def main(argv=None) -> int:
     return _COMMANDS[args.command](args)
 
 
+def console_main(argv=None) -> int:
+    """:func:`main` for the shell: a GameError (a bad config, flag or game)
+    ends in one line on stderr and exit code 2, as argparse ends a bad
+    flag; any other exception is a bug and keeps its traceback."""
+    try:
+        return main(argv)
+    except GameError as exc:
+        message = " ".join(str(exc).split())
+        print(f"volfpl: error: {message}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -288,10 +288,13 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
                         f"got shape {xi.shape}")
     if regime == "per-step" and xi.shape != (T, N):
         raise GameError(f"regime 'per-step' takes ({T}, {N}) perturbations, got shape {xi.shape}")
+    # the rows given, before the broadcast: under 'once' one row, played at
+    # every step, so a game with no steps plays none of it
+    rows = np.atleast_2d(xi)
+    if T and not np.isfinite(rows).all():
+        t = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise GameError(f"perturbations must be finite, got {rows[t]} at step {t + 1}")
     xi = np.broadcast_to(xi, (T, N))
-    if not np.isfinite(xi).all():
-        t = int(np.argmin(np.isfinite(xi).all(axis=1)))
-        raise GameError(f"perturbations must be finite, got {xi[t]} at step {t + 1}")
 
     neg_xi = np.negative(xi)
     if callable(losses):
@@ -303,7 +306,7 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
         chosen = _perturbed_choice(*_scaled_scores(base, eps), neg_xi, out=neg_xi)
     loss = game.values[np.arange(T), chosen]
     return RunRecord(chosen=chosen, loss=loss, cum_loss=np.cumsum(loss), v=v[1:],
-                     delta_v=delta_v, fluc=fluc, mu=mu, eps=eps, expert_cum=cum[-1],
+                     delta_v=delta_v, fluc=fluc, mu=mu, eps=eps, expert_cum=cum[-1].copy(),
                      perturbations=np.array(xi))
 
 
@@ -356,11 +359,12 @@ def _two_expert_probabilities(x) -> np.ndarray:
     """(P{leader}, P{follower}) of two experts as a (2, ...) array, from the
     follower's scaled gap ``x = eps (min s - max s) <= 0`` of each problem.
 
-    The trading pass's fast path, roughly three times faster than
-    :func:`selection_probabilities_exact` on a (4096, 2) batch: the same
-    operations on the one signed gap instead of an (N, M) copy of the
-    scores.  At N = 2 the node kernel has one node, u = 1/2 with weight 1:
-    b = exp(x) (the leader's b is 1), the logs log1p(-b/2), their sum S and
+    The fast path of the trading pass and of the adversary against PROT,
+    roughly three times faster than :func:`selection_probabilities_exact`
+    on a (4096, 2) batch and on a (30, 2) one: the same operations on the
+    one signed gap instead of an (N, M) copy of the scores.  At N = 2 the
+    node kernel has one node, u = 1/2 with weight 1: b = exp(x) (the
+    leader's b is 1), the logs log1p(-b/2), their sum S and
     P{j} = min(exp(S - log_j) b_j, 1).  IEEE addition is commutative, so S
     does not depend on which column leads, and the tests pin these bits to
     the node kernel's.
@@ -478,8 +482,8 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
                             slack: float = 1e-9) -> bool:
     """Exact check of P{I_t=j} <= exp((3/a) gamma(t)^{1-alpha_t}) P{J_t=j}.
 
-    PROT probabilities use (s_{1:t-1}, eps_t); IFPL uses (s_{1:t}, eps'_t).
-    Requires fluc(t) <= gamma(t).
+    PROT probabilities use (s_{1:t-1}, eps_t); IFPL uses (s_{1:t}, eps'_t),
+    both from one kernel call.  Requires fluc(t) <= gamma(t).
     """
     cumulative_prev = np.asarray(cumulative_prev, dtype=float)
     loss_t = np.asarray(loss_t, dtype=float)
@@ -501,8 +505,20 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     mu = mu_t(params, t)
     eps_prot, eps_ifpl = epsilon_values(mu, float(v_prev), t), epsilon_values(mu, float(v_t), t)
     factor = math.exp((3.0 / params.a) * _alpha_split(params, g, t)[1])
-    p_prot = selection_probabilities_exact(cumulative_prev, eps_prot)
-    p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t, eps_ifpl)
+    if cumulative_prev.ndim < 1:  # stacked, a scalar would pass as two experts
+        raise GameError("need at least one expert")
+    # both problems in one call, stacked on a new leading axis: each row of
+    # a batched call has the bits of its problem alone
+    after = cumulative_prev + loss_t
+    scores = np.stack((np.broadcast_to(cumulative_prev, after.shape), after))
+    rates = np.reshape((eps_prot, eps_ifpl), (2,) + (1,) * (after.ndim - 1))
+    try:
+        p_prot, p_ifpl = selection_probabilities_exact(scores, rates)
+    except GameError:
+        # the error of the first problem that fails, naming it alone
+        selection_probabilities_exact(cumulative_prev, eps_prot)
+        selection_probabilities_exact(after, eps_ifpl)
+        raise
     return bool(np.all(p_prot <= factor * p_ifpl + slack))
 
 

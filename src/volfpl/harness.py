@@ -234,12 +234,18 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """
     losses = resolve_game(config.game)
     params = ScheduleParams.from_config(config.schedule)
-    records = [_seeded_run(prot_run, losses, params, seed, RngSpec(seed), config.regime)
-               for seed in config.seeds]
+    # the first seed's record is the trace; of the others only what the
+    # aggregate reads is kept, so memory grows with T per seed, not T N
+    first, regrets, cum_losses = None, [], []
+    for seed in config.seeds:
+        record = _seeded_run(prot_run, losses, params, seed, RngSpec(seed), config.regime)
+        if first is None:
+            first = record
+        regrets.append(record.regret)
+        cum_losses.append(record.cum_loss)
 
-    first = records[0]
     best = float(np.min(first.expert_cum))
-    mean_regret, se_regret = _mean_se([r.regret for r in records])
+    mean_regret, se_regret = _mean_se(regrets)
     ok, violating = check_fluctuation_bound(first.fluc, params.gamma)
     eps = params.target_eps
     bounds = {
@@ -263,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         bounds["ifpl_total"] = best + bounds["ifpl_term"]
         checks["ifpl_within_bound"] = bool(ifpl_mean <= bounds["ifpl_total"] + 3 * ifpl_se)
 
-    mean_cum, se_cum = _mean_se([r.cum_loss for r in records])
+    mean_cum, se_cum = _mean_se(cum_losses)
     report = AggregateReport(
         mean_cum_loss=mean_cum,
         se_cum_loss=se_cum,

@@ -26,9 +26,9 @@ class RngSpec:
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept an RngSpec, a Generator, or a plain integer seed (anything
-    ``int`` takes, a float among them); anything else, None among them,
-    raises GameError naming it."""
+    """Accept an RngSpec, a Generator, or a plain non-negative integer seed
+    (anything ``int`` takes, a float among them); anything else, None and
+    negative seeds among them, raises GameError naming it."""
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, RngSpec):
@@ -36,8 +36,10 @@ def as_generator(rng) -> np.random.Generator:
     try:
         seed = int(rng)
     except (TypeError, ValueError, OverflowError):
-        raise GameError(f"rng must be an RngSpec, a Generator or an integer seed, "
-                        f"got {rng!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        raise GameError(f"rng must be an RngSpec, a Generator or a non-negative integer seed, "
+                        f"got {rng!r}")
     return RngSpec(seed).generator()
 
 

@@ -10,6 +10,7 @@ deterministically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,8 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
         raise GameError(f"Hurst exponent must be in (0,1), got {hurst}")
     if not all(map(math.isfinite, (scale, drift, s0))):
         raise GameError(f"scale, drift and s0 must be finite, got {scale}, {drift}, {s0}")
-    if steps < 1:
-        raise GameError(f"need at least one step, got {steps}")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise GameError(f"steps must be an integer >= 1, got {steps!r}")
     gen = as_generator(seed)
     z = gen.standard_normal(steps)
     increments = _fgn(hurst, z) * float(steps) ** -hurst

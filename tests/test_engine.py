@@ -194,6 +194,18 @@ class TestRunLoops:
         assert flat.perturbations.tobytes() == row.perturbations.tobytes()
 
     @pytest.mark.parametrize("run", [prot_run, ifpl_run])
+    @pytest.mark.parametrize("shape", [(2,), (1, 2)])
+    def test_once_draw_is_checked_before_the_broadcast(self, run, shape):
+        # the one row of draws is checked, not its (T, N) broadcast: a bad
+        # value is named at step 1, and a game with no steps plays none
+        p = power_params(v0=1.0)
+        xi = np.array([0.5, math.nan]).reshape(shape)
+        with pytest.raises(GameError, match=re.escape("got [0.5 nan] at step 1")):
+            run(INTRO_GAME, p, regime="once", perturbations=xi)
+        record = run(np.zeros((0, 2)), p, regime="once", perturbations=xi)
+        assert record.num_steps == 0 and record.perturbations.shape == (0, 2)
+
+    @pytest.mark.parametrize("run", [prot_run, ifpl_run])
     @pytest.mark.parametrize("callback", [False, True], ids=["matrix", "callback"])
     @pytest.mark.parametrize("shape", [(14,), (2, 7), (7, 3), (6, 2), (1, 2), (2,), (1, 7, 2)])
     def test_per_step_perturbations_are_one_row_per_step(self, run, callback, shape):
@@ -747,6 +759,44 @@ class TestProbabilityRatio:
         p = self.valid_params()
         with pytest.raises(GameError):
             probability_ratio_check([0.0, 0.0, 0.0], [5.0, 0.0, 0.0], p, 1, 5.0, 10.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["one-step", "four-steps"])
+    def test_one_kernel_call_with_the_bits_of_two(self, monkeypatch, shape):
+        # PROT's and IFPL's problems go to the kernel stacked in one call,
+        # each with the bits of its own call; a 2-D cumulative_prev is a
+        # batch of steps
+        p = self.valid_params()
+        gen = np.random.default_rng(23)
+        cum, s_t = gen.normal(0, 2, shape), gen.uniform(-0.1, 0.1, shape)
+        t, v_prev, dv = 7, 20.0, 0.1
+        calls = []
+
+        def kernel(cumulative, eps):
+            out = selection_probabilities_exact(cumulative, eps)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(engine, "selection_probabilities_exact", kernel)
+        assert probability_ratio_check(cum, s_t, p, t, v_prev, v_prev + dv)
+        [probs] = calls
+        for got, scores, v in ((probs[0], cum, v_prev), (probs[1], cum + s_t, v_prev + dv)):
+            want = selection_probabilities_exact(scores, epsilon_t(p, t, v))
+            assert got.tobytes() == want.tobytes()
+
+    def test_kernel_errors_name_their_own_problem(self):
+        # the stacked call's errors are those of the two calls it replaced,
+        # in their order: PROT's scores, PROT's rate, then IFPL's scores
+        p = self.valid_params()
+        cases = [(([0.0, math.nan, 1.0], [1.0, 0.0, 0.0], 5.0, 5.05),
+                  re.escape("cumulative scores must be finite, got [ 0. nan  1.]")),
+                 (([0.0, 1.0, 1.0], [math.inf, 0.0, 0.0], 5.0, 5.05),
+                  re.escape("cumulative scores must be finite, got [inf  1.  1.]")),
+                 (([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], 0.0, 0.0),
+                  "^eps must be finite and positive, got inf$"),
+                 ((0.0, 1.0, 5.0, 5.05), "^need at least one expert$")]
+        for (cum, s_t, v_prev, v_t), message in cases:
+            with pytest.raises(GameError, match=message):
+                probability_ratio_check(cum, s_t, p, 3, v_prev, v_t)
 
 
 class TestChunkChoiceMarginals:

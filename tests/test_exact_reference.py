@@ -336,11 +336,14 @@ class TestProp1RunMatchesReference:
         # wrong guess at some steps; each one costs another batched pass
         passes = []
 
-        def kernel(cumulative, rate):
-            passes.append(np.shape(cumulative))
-            return _near_tie_kernel(cumulative, rate)
+        def two_expert_pass(x):
+            # _near_tie_kernel on the scaled gap x = eps (min s - max s):
+            # (leader, follower)
+            passes.append(np.shape(x))
+            lead = np.where(-x < 0.6, 0.4, 0.8)
+            return np.stack((lead, 1.0 - lead))
 
-        monkeypatch.setattr(adversary, "selection_probabilities_exact", kernel)
+        monkeypatch.setattr(adversary, "_two_expert_probabilities", two_expert_pass)
         params = ScheduleParams(a=choose_a(1.0), num_experts=2, gamma=gamma, v0=v0)
         config = AdversaryConfig(eps=eps, v0=v0, horizon=60)
         got = prop1_run(prot_probability_callback(params), config)

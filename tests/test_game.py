@@ -22,6 +22,7 @@ from volfpl import (
     poly_bound,
     probability_ratio_check,
     prop1_step,
+    prot_run,
     random_fluc_bounded_game,
     regret_bound,
     sample_exponential,
@@ -218,6 +219,10 @@ NAN, INF = math.nan, math.inf
     # fluctuation check and only the volume check stops a negative rate
     (lambda: probability_ratio_check([0.0, 0.0], [1.0, 0.0], _PARAMS, 1, -1e-20, 1.0),
      "got -1e-20"),
+    (lambda: as_generator(-1), "rng must be .*, got -1"),
+    (lambda: prot_run(INTRO_GAME, _PARAMS, rng=-1), "rng must be .*, got -1"),
+    (lambda: fbm_generate(0.5, NAN), "steps must be an integer >= 1, got nan"),
+    (lambda: fbm_generate(0.5, 10.5), "steps must be an integer >= 1, got 10.5"),
 ], ids=["fluc-nan-delta", "fluc-nan-volume", "fluc-inf", "fluc-bound-nan", "eps-nan-volume",
         "eps-inf-volume", "ratio-nan-volume", "ratio-inf-volume", "regret-nan-eps",
         "regret-negative-eps", "poly-nan-eps", "poly-nan-alpha", "power-nan-delta",
@@ -226,7 +231,8 @@ NAN, INF = math.nan, math.inf
         "volume-negative-v0", "poly-nan-horizon", "expected-max-no-experts",
         "poly-no-experts", "exponential-no-draws", "random-game-no-experts",
         "bounded-game-no-experts", "random-game-negative-steps", "prop1-zero-eps",
-        "fbm-inf-scale", "fbm-nan-drift", "ratio-negative-v-prev"])
+        "fbm-inf-scale", "fbm-nan-drift", "ratio-negative-v-prev", "rng-negative-seed",
+        "prot-negative-seed", "fbm-nan-steps", "fbm-fractional-steps"])
 def test_non_finite_inputs_raise_naming_the_value(call, named):
     # each of these returned nan, passed, warned, or raised a misleading or
     # bare numpy or Python error

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -169,6 +170,25 @@ class TestRunExperiment:
         a = run_experiment(base_config(seeds=[0, 1, 2, 3, 4]))
         b = run_experiment(base_config(seeds=[4, 2, 0, 3, 1]))
         assert a.mean_regret == pytest.approx(b.mean_regret, rel=1e-12)
+
+    def test_memory_grows_with_the_seeds_runs_not_their_tables(self):
+        # every seed's record used to be kept, each holding a (T, N) copy of
+        # its draws and a view that kept its (T + 1, N) score table alive:
+        # 14x the one-seed peak at 32 seeds
+        def peak(seeds):
+            config = ExperimentConfig(
+                game={"kind": "bounded", "n_experts": 30, "num_steps": 20_000, "seed": 1},
+                schedule={"target_eps": 1.0, "N": 30, "gamma": {"kind": "power", "delta": 1.0},
+                          "v0": 1.0},
+                seeds=list(range(seeds)))
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) <= 2 * peak(1)
 
     @pytest.mark.parametrize("key", ["game", "schedule"])
     def test_config_missing_key(self, key):
@@ -680,6 +700,34 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"]
         assert payload["max_mu_relative_gap"] <= 1e-10
+
+    @pytest.mark.parametrize("command, message", [
+        (["probe", "--cum", "2,1,1", "--eps", "inf"], "eps must be finite and positive, got inf"),
+        (["run", "--config", None], "seed 0: params expect 3 experts, game has 2"),
+    ], ids=["infinite-rate", "expert-count"])
+    def test_game_errors_end_in_one_line(self, tmp_path, command, message):
+        # a bad flag or config used to end in a Python traceback
+        cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5, "seed": 1},
+               "schedule": {"target_eps": 1.0, "N": 3,
+                            "gamma": {"kind": "power", "delta": 1.0}, "v0": 1.0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        command = [str(tmp_path / "cfg.json") if arg is None else arg for arg in command]
+        src = os.path.dirname(os.path.dirname(volfpl.__file__))
+        proc = subprocess.run([sys.executable, "-m", "volfpl.cli"] + command,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"volfpl: error: {message}"]
+        assert "Traceback" not in proc.stderr
+
+    def test_console_keeps_tracebacks_of_other_errors(self, monkeypatch):
+        # only a GameError is the user's: any other exception is a bug
+        def broken(args):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "probe", broken)
+        with pytest.raises(ZeroDivisionError):
+            cli.console_main(["probe", "--cum", "1,2", "--eps", "1"])
 
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(volfpl.__file__))
