@@ -138,13 +138,12 @@ def _play_prot(params: ScheduleParams, config: AdversaryConfig):
     which expert takes each loss, so they come first, each step's rate
     before its volume grows, as in the loop.  Then the leader (expert 1 on
     a tie) is guessed to take every loss, and one two-expert pass on the
-    guessed game's scaled gaps checks each guess: the loss goes to expert 1
-    where p1 >= 1/2.  At the first step where a guess is wrong, the steps
-    before it stand, that step follows its p1 (its scores were right), and
-    the steps after it are guessed again, so each pass settles at least one
-    step.  The pass gives the bits of the exact kernel on each step's
-    scores alone (at a tie both experts get the same value), so every field
-    is what the loop gives.
+    guessed game's score differences checks each guess: the loss goes to
+    expert 1 where p1 >= 1/2.  At the first step where a guess is wrong,
+    the steps before it stand, that step follows its p1 (its scores were
+    right), and the steps after it are guessed again, so each pass settles
+    at least one step.  The pass gives the bits of the exact kernel on each
+    step's scores alone, so every field is what the loop gives.
     """
     T, eps = config.horizon, config.eps
     volume = RunningVolume(config.v0)
@@ -176,14 +175,9 @@ def _play_prot(params: ScheduleParams, config: AdversaryConfig):
             else:
                 c2 += mt
         a, b = np.array(cum1), np.array(cum2)
-        guess = a <= b
-        # the kernel's scaled gap eps (min s - max s); the rates are finite
-        with np.errstate(over="ignore"):
-            x = (np.minimum(a, b) - np.maximum(a, b)) * rates[k:]
-        p = _two_expert_probabilities(x)
-        p1[k:] = np.where(guess, p[0], p[1])
+        p1[k:] = _two_expert_probabilities(a - b, rates[k:])[0]
         first[k:] = p1[k:] >= 0.5
-        wrong = np.flatnonzero(first[k:] != guess)
+        wrong = np.flatnonzero(first[k:] != (a <= b))
         if not len(wrong):
             break
         j = k + int(wrong[0])

@@ -355,31 +355,45 @@ def _require_rates(eps) -> None:
 _LEADER_LOG = float(np.log1p(np.array([-0.5]))[0])
 
 
-def _two_expert_probabilities(x) -> np.ndarray:
-    """(P{leader}, P{follower}) of two experts as a (2, ...) array, from the
-    follower's scaled gap ``x = eps (min s - max s) <= 0`` of each problem.
+def _two_expert_probabilities(d, eps) -> np.ndarray:
+    """(P{expert 1}, P{expert 2}) as a (2, ...) array, from the score
+    difference ``d = s^1 - s^2`` of each problem of two experts and its
+    rate: the bits of :func:`selection_probabilities_exact` on (s^1, s^2).
 
     The fast path of the trading pass and of the adversary against PROT,
-    roughly three times faster than :func:`selection_probabilities_exact`
-    on a (4096, 2) batch and on a (30, 2) one: the same operations on the
-    one signed gap instead of an (N, M) copy of the scores.  At N = 2 the
-    node kernel has one node, u = 1/2 with weight 1: b = exp(x) (the
+    roughly three times faster than the kernel on a (4096, 2) batch and on
+    a (30, 2) one: the kernel's N = 2 operations on one column instead of
+    an (N, M) copy of the scores.  The follower's scaled gap
+    eps (min s - max s) is -|d| eps, since IEEE rounds a - b to -(b - a).
+    The rule has one node, u = 1/2 with weight 1: b = exp(-|d| eps) (the
     leader's b is 1), the logs log1p(-b/2), their sum S and
     P{j} = min(exp(S - log_j) b_j, 1).  IEEE addition is commutative, so S
-    does not depend on which column leads, and the tests pin these bits to
-    the node kernel's.
+    does not depend on which expert leads.  Expert 1 leads where d <= 0;
+    on a tie both get the same value.
     """
-    b = np.exp(x)
-    logs = np.log1p(np.multiply(b, -0.5))
-    total = np.add(logs, _LEADER_LOG)
-    p = np.empty((2,) + np.shape(x))
-    # p[0, ...] is a view even for a 0-d gap, where p[0] is a scalar
-    np.subtract(total, _LEADER_LOG, out=p[0, ...])
-    np.subtract(total, logs, out=p[1, ...])
+    # |d| in an array of its own, also for a 0-d d, so the rest is in place
+    x = np.abs(d, out=np.empty(np.shape(d)))
+    np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        x *= eps
+    b = np.exp(x, out=x)
+    # (leader, follower) rows, views even for a 0-d d: the follower's
+    # log1p(-b/2) and their sum S are formed in the rows they turn into
+    p = np.empty((2,) + np.shape(d))
+    logs = np.log1p(np.multiply(b, -0.5, out=p[1, ...]), out=p[1, ...])
+    total = np.add(logs, _LEADER_LOG, out=p[0, ...])
+    np.subtract(total, logs, out=logs)
+    total -= _LEADER_LOG
     np.exp(p, out=p)
     p[1, ...] *= b
     # the node kernel's clamp at 1, kept so that every bit is the node kernel's
-    return np.minimum(p, 1.0, out=p)
+    np.minimum(p, 1.0, out=p)
+    # expert 1 leads where d <= 0; elsewhere the rows swap, through b's buffer
+    swap = np.greater(d, 0.0)
+    np.copyto(b, p[0, ...])
+    np.copyto(p[0, ...], p[1, ...], where=swap)
+    np.copyto(p[1, ...], b, where=swap)
+    return p
 
 
 def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
@@ -414,7 +428,7 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     the bits a call on that problem alone gives; the copy and the layout
     are what fix it.  At N <= 2 the rule has one node, u = 1/2 with weight
     exactly 1, so one expert gets exactly 1 and two experts get the bits
-    of :func:`_two_expert_probabilities` on their scaled gap.
+    of :func:`_two_expert_probabilities` on their score difference.
     """
     s = np.asarray(cumulative, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
@@ -482,8 +496,8 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
                             slack: float = 1e-9) -> bool:
     """Exact check of P{I_t=j} <= exp((3/a) gamma(t)^{1-alpha_t}) P{J_t=j}.
 
-    PROT probabilities use (s_{1:t-1}, eps_t); IFPL uses (s_{1:t}, eps'_t),
-    both from one kernel call.  Requires fluc(t) <= gamma(t).
+    PROT's probabilities are one exact call on (s_{1:t-1}, eps_t), IFPL's
+    one on (s_{1:t}, eps'_t).  Requires fluc(t) <= gamma(t).
     """
     cumulative_prev = np.asarray(cumulative_prev, dtype=float)
     loss_t = np.asarray(loss_t, dtype=float)
@@ -505,20 +519,8 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     mu = mu_t(params, t)
     eps_prot, eps_ifpl = epsilon_values(mu, float(v_prev), t), epsilon_values(mu, float(v_t), t)
     factor = math.exp((3.0 / params.a) * _alpha_split(params, g, t)[1])
-    if cumulative_prev.ndim < 1:  # stacked, a scalar would pass as two experts
-        raise GameError("need at least one expert")
-    # both problems in one call, stacked on a new leading axis: each row of
-    # a batched call has the bits of its problem alone
-    after = cumulative_prev + loss_t
-    scores = np.stack((np.broadcast_to(cumulative_prev, after.shape), after))
-    rates = np.reshape((eps_prot, eps_ifpl), (2,) + (1,) * (after.ndim - 1))
-    try:
-        p_prot, p_ifpl = selection_probabilities_exact(scores, rates)
-    except GameError:
-        # the error of the first problem that fails, naming it alone
-        selection_probabilities_exact(cumulative_prev, eps_prot)
-        selection_probabilities_exact(after, eps_ifpl)
-        raise
+    p_prot = selection_probabilities_exact(cumulative_prev, eps_prot)
+    p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t, eps_ifpl)
     return bool(np.all(p_prot <= factor * p_ifpl + slack))
 
 

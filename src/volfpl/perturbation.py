@@ -7,6 +7,7 @@ bit-for-bit reproducible from an :class:`RngSpec` across platforms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +17,20 @@ from .game import GameError
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Seed plus stream id; equal specs reproduce identical streams."""
+    """Seed plus stream id; equal specs reproduce identical streams.
+
+    Both are non-negative integers (numpy integers pass); anything else, a
+    bool or a string among them, raises GameError naming it.
+    """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise GameError(f"RngSpec {name} must be a non-negative integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.stream_id])

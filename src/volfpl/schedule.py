@@ -44,6 +44,11 @@ class ScheduleError(GameError):
     """Invalid learning-rate schedule or parameters."""
 
 
+# gamma kind -> (its config key, the field it reads)
+_GAMMA_KINDS = {"power": ("delta", "delta"), "constant": ("c", "c"),
+                "table": ("values", "table_values")}
+
+
 @dataclass(frozen=True)
 class GammaSchedule:
     """Non-increasing fluctuation bound gamma(t), 0 < gamma(t) <= 1.
@@ -51,7 +56,9 @@ class GammaSchedule:
     Kinds: ``power`` (gamma(t) = t^-delta), ``constant``, or ``table``.
     Power schedules have gamma(1) = 1 exactly.  The constructor checks the
     kind's value, as the classmethods do, and stores it as float (a table
-    as a tuple of floats).
+    as a tuple of floats); a field the kind does not read must be unset
+    (0, or an empty table) and is stored as its default, so that equal
+    schedules have equal configs.
     """
 
     kind: str
@@ -60,6 +67,15 @@ class GammaSchedule:
     table_values: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in _GAMMA_KINDS):
+            raise ScheduleError(f"unknown gamma kind {self.kind!r}")
+        read = _GAMMA_KINDS[self.kind][1]
+        for name, unset in (("delta", 0.0), ("c", 0.0), ("table_values", ())):
+            value = getattr(self, name)
+            if name != read:
+                if np.size(value) if name == "table_values" else value != unset:
+                    raise ScheduleError(f"{self.kind} gamma does not read {name}, got {value!r}")
+                object.__setattr__(self, name, unset)  # an empty list or array, say
         if self.kind == "power":
             if not 0 < self.delta < math.inf:
                 raise ScheduleError(f"power exponent must be finite and positive, "
@@ -69,7 +85,7 @@ class GammaSchedule:
             if not 0 < self.c < 1:
                 raise ScheduleError(f"constant gamma must be in (0,1), got {self.c}")
             object.__setattr__(self, "c", float(self.c))
-        elif self.kind == "table":
+        else:
             values = tuple(float(v) for v in self.table_values)
             if not values:
                 raise ScheduleError("empty gamma table")
@@ -78,8 +94,6 @@ class GammaSchedule:
             if any(b > a for a, b in zip(values, values[1:])):
                 raise ScheduleError("table gamma must be non-increasing")
             object.__setattr__(self, "table_values", values)
-        else:
-            raise ScheduleError(f"unknown gamma kind {self.kind!r}")
 
     @classmethod
     def power(cls, delta: float) -> "GammaSchedule":
@@ -132,24 +146,20 @@ class GammaSchedule:
         return None
 
     def to_config(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "delta": self.delta}
-        if self.kind == "constant":
-            return {"kind": "constant", "c": self.c}
-        return {"kind": "table", "values": list(self.table_values)}
+        key, name = _GAMMA_KINDS[self.kind]
+        value = getattr(self, name)
+        return {"kind": self.kind, key: list(value) if self.kind == "table" else value}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "GammaSchedule":
         kind = cfg.get("kind")
-        keys = {"power": "delta", "constant": "c", "table": "values"}
         # a kind that is not a string (a list, say) cannot be looked up
-        key = keys.get(kind) if isinstance(kind, str) else None
-        if key is None:
+        if not (isinstance(kind, str) and kind in _GAMMA_KINDS):
             raise ScheduleError(f"unknown gamma kind {kind!r}")
+        key, name = _GAMMA_KINDS[kind]
         reject_unknown_keys(cfg, ("kind", key), f"{kind} gamma config")
         require_keys(cfg, (key,), f"{kind} gamma config")
-        build = {"power": cls.power, "constant": cls.constant, "table": cls.from_table}[kind]
-        return build(cfg[key])
+        return cls(kind, **{name: cfg[key]})
 
 
 @dataclass(frozen=True)

@@ -174,11 +174,9 @@ def _prot_gains(s1, schedule: ScheduleParams):
     the fluctuation and cum = (0, cumsum(s1)).
 
     Every step's peak is |s1_t|.  Step t's scores are the running sums
-    (cumsum(-s1), C) of steps before t; the first is -C bit for bit up to
-    the sign of a zero, which exp(eps * 0) does not see, so the follower's
-    scaled gap is eps (-|C| - |C|).  The first expert leads where C is not
-    negative (on a tie both probabilities are equal), and the gain's factor
-    is the difference of the kernel's two columns in that order.
+    (cumsum(-s1), C) of steps before t, which are (-C, C) bit for bit up to
+    the sign of a zero, which exp(eps * 0) does not see; so the two-expert
+    pass gets the score difference d = -2C.
     """
     v, fluc = volume_from_peaks(np.abs(s1), schedule.v0)
     cum = np.zeros(len(s1) + 1)
@@ -186,13 +184,11 @@ def _prot_gains(s1, schedule: ScheduleParams):
     eps = epsilon_values(mu_values(schedule, len(s1)), v[:-1])
     # v > 0 here, so a rate is infinite only where mu_t v underflows
     _require_rates(eps)
-    c_prev = cum[:-1]
+    # |C| <= v is finite, but above half the largest double 2C is infinite
     with np.errstate(over="ignore"):
-        x = np.multiply(np.abs(c_prev), -2.0)
-        x *= eps
-    p = _two_expert_probabilities(x)
-    p0, p1 = np.where(c_prev < 0, p[::-1], p)
-    return (p0 - p1) * s1, (v, fluc, cum)
+        d = np.multiply(cum[:-1], -2.0)
+    p = _two_expert_probabilities(d, eps)
+    return (p[0] - p[1]) * s1, (v, fluc, cum)
 
 
 def learner_gain(prices: PriceSeries, config: TradingConfig):

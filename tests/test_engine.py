@@ -762,9 +762,9 @@ class TestProbabilityRatio:
 
     @pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["one-step", "four-steps"])
     def test_one_kernel_call_with_the_bits_of_two(self, monkeypatch, shape):
-        # PROT's and IFPL's problems go to the kernel stacked in one call,
-        # each with the bits of its own call; a 2-D cumulative_prev is a
-        # batch of steps
+        # PROT's and IFPL's problems go to the kernel as they are, in two
+        # calls, PROT's first, each with the bits of its own problem; a 2-D
+        # cumulative_prev is a batch of steps
         p = self.valid_params()
         gen = np.random.default_rng(23)
         cum, s_t = gen.normal(0, 2, shape), gen.uniform(-0.1, 0.1, shape)
@@ -778,14 +778,14 @@ class TestProbabilityRatio:
 
         monkeypatch.setattr(engine, "selection_probabilities_exact", kernel)
         assert probability_ratio_check(cum, s_t, p, t, v_prev, v_prev + dv)
-        [probs] = calls
-        for got, scores, v in ((probs[0], cum, v_prev), (probs[1], cum + s_t, v_prev + dv)):
+        assert len(calls) == 2
+        for got, scores, v in zip(calls, (cum, cum + s_t), (v_prev, v_prev + dv)):
             want = selection_probabilities_exact(scores, epsilon_t(p, t, v))
-            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_kernel_errors_name_their_own_problem(self):
-        # the stacked call's errors are those of the two calls it replaced,
-        # in their order: PROT's scores, PROT's rate, then IFPL's scores
+        # each kernel call's error names its own problem, in the calls'
+        # order: PROT's scores, PROT's rate, then IFPL's scores
         p = self.valid_params()
         cases = [(([0.0, math.nan, 1.0], [1.0, 0.0, 0.0], 5.0, 5.05),
                   re.escape("cumulative scores must be finite, got [ 0. nan  1.]")),

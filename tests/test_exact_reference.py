@@ -155,15 +155,14 @@ class TestTwoExpertPath:
     @example(s0=-1e300, s1=1e300, eps=1e10)  # the scaled gap overflows to -inf
     def test_same_bits(self, s0, s1, eps):
         assert_same_probabilities(np.array([s0, s1]), eps)
-        # _two_expert_probabilities on the follower's scaled gap gives the
-        # kernel's columns in (leader, follower) order
-        with np.errstate(over="ignore"):
-            x = np.subtract([min(s0, s1)], [max(s0, s1)]) * np.asarray(eps, dtype=float)
-        p = selection_probabilities_exact(np.array([s0, s1]), eps)
-        order = [1, 0] if s1 < s0 else [0, 1]
-        assert _two_expert_probabilities(x)[:, 0].tobytes() == p[order].tobytes()
-        # a 0-d gap gives a (2,) array
-        assert _two_expert_probabilities(x.reshape(())).tobytes() == p[order].tobytes()
+        # _two_expert_probabilities on the score difference (a Python
+        # float, infinite where it overflows) gives the kernel's bits: for
+        # the problem and its swap as rows of a batch, and for a 0-d
+        # difference as a (2,) array
+        batch = _two_expert_probabilities(np.array([s0 - s1, s1 - s0]), eps)
+        want = selection_probabilities_exact([[s0, s1], [s1, s0]], eps)
+        assert batch.T.tobytes() == want.tobytes()
+        assert _two_expert_probabilities(s0 - s1, eps).tobytes() == want[0].tobytes()
 
     @settings(deadline=None, max_examples=300)
     @given(data=st.data(), pool=st.lists(_SCORES, min_size=1, max_size=4),
@@ -336,12 +335,11 @@ class TestProp1RunMatchesReference:
         # wrong guess at some steps; each one costs another batched pass
         passes = []
 
-        def two_expert_pass(x):
-            # _near_tie_kernel on the scaled gap x = eps (min s - max s):
-            # (leader, follower)
-            passes.append(np.shape(x))
-            lead = np.where(-x < 0.6, 0.4, 0.8)
-            return np.stack((lead, 1.0 - lead))
+        def two_expert_pass(d, eps):
+            # _near_tie_kernel on the scores (d, 0), which differ by d as
+            # the guessed game's (s^1, s^2) do
+            passes.append(np.shape(d))
+            return _near_tie_kernel(np.stack((d, np.zeros_like(d)), axis=-1), eps).T
 
         monkeypatch.setattr(adversary, "_two_expert_probabilities", two_expert_pass)
         params = ScheduleParams(a=choose_a(1.0), num_experts=2, gamma=gamma, v0=v0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from volfpl import (
+    AdversaryConfig,
     GameError,
     LossMatrix,
     GammaSchedule,
@@ -14,6 +15,7 @@ from volfpl import (
     batch_cumulative_losses,
     bounded_unit_game,
     check_fluctuation_bound,
+    choose_a,
     epsilon_t,
     expected_max_bound,
     fbm_generate,
@@ -223,6 +225,28 @@ NAN, INF = math.nan, math.inf
     (lambda: prot_run(INTRO_GAME, _PARAMS, rng=-1), "rng must be .*, got -1"),
     (lambda: fbm_generate(0.5, NAN), "steps must be an integer >= 1, got nan"),
     (lambda: fbm_generate(0.5, 10.5), "steps must be an integer >= 1, got 10.5"),
+    (lambda: RngSpec(-1), "seed must be a non-negative integer, got -1"),
+    (lambda: RngSpec(0, -1), "stream_id must be a non-negative integer, got -1"),
+    (lambda: RngSpec("3"), "seed must be a non-negative integer, got '3'"),
+    (lambda: RngSpec(None), "seed must be a non-negative integer, got None"),
+    (lambda: RngSpec(True), "seed must be a non-negative integer, got True"),
+    # the rows below raised GameError already; each keeps one raise covered
+    (lambda: choose_a(1e-7), r"no a <= 1000000.0 satisfies the target"),
+    (lambda: AdversaryConfig(eps=0.5, horizon=0), "horizon must be >= 1, got 0"),
+    (lambda: LossMatrix(np.ones(3)), r"must be 2-d, got shape \(3,\)"),
+    (lambda: LossMatrix(np.ones((3, 0))), "need at least one expert"),
+    (lambda: scaled_fluctuation(1.0, 0.0), "delta_v > 0 with zero volume"),
+    (lambda: random_fluc_bounded_game(2, 5, 0, v0=0.0), "needs v0 > 0"),
+    (lambda: prot_run(INTRO_GAME, _PARAMS), "provide rng or explicit perturbations"),
+    (lambda: prot_run(INTRO_GAME, _PARAMS, rng=0, regime="x"), "unknown perturbation regime 'x'"),
+    (lambda: prot_run(lambda t, chosen, cum: [0.0, 0.0], _PARAMS, rng=0),
+     "callback games need num_steps"),
+    (lambda: batch_cumulative_losses(INTRO_GAME, _PARAMS, 1, 0, regime="x"),
+     "unknown perturbation regime 'x'"),
+    (lambda: batch_cumulative_losses(np.ones((4, 3)), _PARAMS, 1, 0),
+     "params expect 2 experts, game has 3"),
+    (lambda: probability_ratio_check([0.0, 0.0], [0.0, 0.0], _PARAMS, 5, 2.0, 1.0),
+     "volume decreased"),
 ], ids=["fluc-nan-delta", "fluc-nan-volume", "fluc-inf", "fluc-bound-nan", "eps-nan-volume",
         "eps-inf-volume", "ratio-nan-volume", "ratio-inf-volume", "regret-nan-eps",
         "regret-negative-eps", "poly-nan-eps", "poly-nan-alpha", "power-nan-delta",
@@ -232,7 +256,12 @@ NAN, INF = math.nan, math.inf
         "poly-no-experts", "exponential-no-draws", "random-game-no-experts",
         "bounded-game-no-experts", "random-game-negative-steps", "prop1-zero-eps",
         "fbm-inf-scale", "fbm-nan-drift", "ratio-negative-v-prev", "rng-negative-seed",
-        "prot-negative-seed", "fbm-nan-steps", "fbm-fractional-steps"])
+        "prot-negative-seed", "fbm-nan-steps", "fbm-fractional-steps", "rngspec-negative-seed",
+        "rngspec-negative-stream", "rngspec-string-seed", "rngspec-none-seed",
+        "rngspec-bool-seed", "choose-a-unreachable", "adversary-no-horizon",
+        "loss-matrix-1d", "loss-matrix-no-experts", "fluc-zero-volume",
+        "random-game-zero-v0", "prot-no-rng", "prot-unknown-regime", "prot-callback-no-steps",
+        "batch-unknown-regime", "batch-expert-mismatch", "ratio-volume-decreased"])
 def test_non_finite_inputs_raise_naming_the_value(call, named):
     # each of these returned nan, passed, warned, or raised a misleading or
     # bare numpy or Python error

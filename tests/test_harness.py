@@ -115,10 +115,16 @@ class TestGenerators:
         with pytest.raises(GameError, match="unknown loss mode 'nonneg'"):
             generator(2, 3, RngSpec(0), loss_mode="nonneg")
 
-    def test_bounded_game_volume_is_t(self):
-        lm = bounded_unit_game(5, 100, RngSpec(3))
+    @pytest.mark.parametrize("loss_mode", ["general", "nonnegative"])
+    def test_bounded_game_volume_is_t(self, loss_mode):
+        lm = bounded_unit_game(5, 100, RngSpec(3), loss_mode=loss_mode)
         v, _, _ = volume_trace(lm, 0.0)
         assert np.allclose(v[1:], np.arange(1, 101))
+        if loss_mode == "nonnegative":
+            # entries in [0, 1], each row's largest exactly 1, so v_t = t exactly
+            assert lm.values.min() >= 0.0 and lm.values.max() <= 1.0
+            assert (lm.values.max(axis=1) == 1.0).all()
+            assert v[1:].tolist() == list(range(1, 101))
 
     def test_poly_envelope_exact(self):
         lm = poly_envelope_game(3, 64, RngSpec(4), exponent=0.1)

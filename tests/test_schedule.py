@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 
 import numpy as np
@@ -89,9 +90,14 @@ class TestGammaSchedule:
         assert GammaSchedule.from_table([0.5, 0.25]).square_summable() is None
 
     def test_config_round_trip(self):
-        for g in (GammaSchedule.power(0.7), GammaSchedule.constant(0.3)):
-            back = GammaSchedule.from_config(g.to_config())
-            assert back(5) == g(5)
+        # every kind, through JSON: the same schedule, not only the same
+        # values; an empty table given to another kind is stored as ()
+        for g in (GammaSchedule.power(0.7), GammaSchedule.constant(0.3),
+                  GammaSchedule.from_table([0.9, 0.5, 0.5]),
+                  GammaSchedule("power", delta=2, table_values=[])):
+            back = GammaSchedule.from_config(json.loads(json.dumps(g.to_config())))
+            assert back == g and back.to_config() == g.to_config()
+            assert back(3) == g(3)
 
     @pytest.mark.parametrize("kind, key", [
         ("power", "delta"), ("constant", "c"), ("table", "values"),
@@ -123,8 +129,23 @@ class TestGammaSchedule:
         (lambda: GammaSchedule("table", table_values=(0.5, 0.9)), "non-increasing"),
         (lambda: ScheduleParams(a=3.0, num_experts=2.5, gamma=GammaSchedule.power(1.0)),
          "got 2.5"),
+        # a field the kind does not read: the schedule used to compare
+        # unequal to GammaSchedule.power(1.0), and its config dropped c
+        (lambda: GammaSchedule("power", delta=1.0, c=0.5), "power gamma does not read c, got 0.5"),
+        (lambda: GammaSchedule("table", table_values=[0.5], delta=2.0),
+         "table gamma does not read delta, got 2.0"),
+        (lambda: GammaSchedule.from_table([]), "empty gamma table"),
+        (lambda: GammaSchedule.from_table([1.5]), r"table gamma values must be in \(0,1\]"),
+        (lambda: ScheduleParams(a=3.0, num_experts=2, gamma=GammaSchedule.power(1.0), v0=-1.0),
+         "v0 must be finite and nonnegative, got -1.0"),
+        (lambda: ScheduleParams(a=3.0, num_experts=2, gamma=GammaSchedule.power(1.0),
+                                loss_mode="x"), "unknown loss mode 'x'"),
+        (lambda: ScheduleParams.from_config({"N": 2, "gamma": {"kind": "power", "delta": 1.0}}),
+         "schedule config needs 'a' or 'target_eps'"),
     ], ids=["power-negative-delta", "constant-above-one", "unknown-kind", "table-increasing",
-            "fractional-experts"])
+            "fractional-experts", "power-reads-no-c", "table-reads-no-delta", "table-empty",
+            "table-above-one", "params-negative-v0", "params-unknown-loss-mode",
+            "params-config-without-a"])
     def test_constructor_checks_as_the_classmethods(self, build, named):
         # the dataclass constructors used to take these: power gave gamma(2)
         # = 2, constant gave 5, and an unknown kind failed only at first use

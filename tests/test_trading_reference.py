@@ -207,6 +207,14 @@ class TestTradingRunMatchesReference:
         gains = learner_gain(ps, cfg)[0]
         assert ((lead < 0) & (gains == 0) & ~np.signbit(gains)).any()
 
+    def test_doubled_lead_overflows(self):
+        # C_2 = 2e154 (-6e153) = -1.2e308 and the volume are finite, but the
+        # score difference -2 C_2 of step 3 is not; the run gives the
+        # reference's bits without a RuntimeWarning, an error in this suite
+        ps = PriceSeries(np.array([0.0, 1e154, 4e153, 4e153]))
+        report = assert_same_run(_config(1.0, 0.01, 1.0), ps)
+        assert abs(report.s1_cum[1]) > np.finfo(float).max / 2
+
     def test_infinite_rate_raises_alike(self):
         # mu_t v_0 underflows to 0 at the first steps, so their rate is inf
         ps, cfg = _path(0.5, 257), _config(1.0, 1e-100, 1e-300)
