@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _require_rates, _two_expert_probabilities, selection_probabilities_exact
-from .game import GameError, RunningVolume, write_csv
+from .game import GameError, RunningVolume, require_count, write_csv
 from .schedule import ScheduleParams, epsilon_t, epsilon_values, mu_t
 
 
@@ -34,8 +34,8 @@ class AdversaryConfig:
             raise AdversaryError(f"eps must be in (0,1), got {self.eps}")
         if not self.v0 > 0:
             raise AdversaryError(f"v0 must be positive, got {self.v0}")
-        if self.horizon < 1:
-            raise AdversaryError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon",
+                           require_count(self.horizon, "horizon", error=AdversaryError))
 
 
 def prop1_step(v_prev: float, p1: float, eps: float):

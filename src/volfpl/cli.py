@@ -18,7 +18,7 @@ import numpy as np
 
 from .adversary import AdversaryConfig, prop1_run, prot_probability_callback
 from .engine import selection_probabilities_exact, selection_probabilities_mc
-from .game import GameError
+from .game import GameError, require_count
 from .harness import ExperimentConfig, hannan_check, parse_seeds, resolve_game, run_experiment
 from .perturbation import RngSpec
 from .schedule import (
@@ -172,7 +172,7 @@ def _cmd_trading(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     gen = RngSpec(args.seed, stream_id=77).generator()
     worst_mu, worst_bound = 0.0, 0.0
-    for _ in range(args.draws):
+    for _ in range(require_count(args.draws, "--draws")):
         a = math.exp(gen.uniform(math.log(3.0), math.log(100.0)))
         n = int(gen.integers(1, 50))
         params0 = ScheduleParams(a=a, num_experts=n,
@@ -215,7 +215,10 @@ def _cmd_hannan(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cum = np.array([float(x) for x in args.cum.split(",")])
+    try:
+        cum = np.array([float(x) for x in args.cum.split(",")])
+    except ValueError:
+        raise GameError(f"--cum must be comma-separated numbers, got {args.cum!r}") from None
     exact = selection_probabilities_exact(cum, args.eps)
     mc = selection_probabilities_mc(cum, args.eps, args.samples, RngSpec(args.seed))
     se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / args.samples)

@@ -23,6 +23,7 @@ from .game import (
     GameError,
     LossMatrix,
     RunningVolume,
+    require_count,
     scaled_fluctuation,
     volume_trace,
     write_csv,
@@ -271,7 +272,7 @@ def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
     if callable(losses):
         if num_steps is None:
             raise GameError("callback games need num_steps")
-        T, N = num_steps, params.num_experts
+        T, N = require_count(num_steps, "num_steps", 0), params.num_experts
     else:
         game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
         T, N = game.values.shape
@@ -476,8 +477,7 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     An infinite rate is follow the leader; NaN scores and rates that are
     not positive raise GameError, as in :func:`prot_select`.
     """
-    if not num_samples >= 1:
-        raise GameError(f"need num_samples >= 1, got {num_samples}")
+    require_count(num_samples, "num_samples")
     s = np.asarray(cumulative, dtype=float)
     if s.ndim != 1 or len(s) < 1:
         raise GameError(f"need at least one expert in one row of scores, got shape {s.shape}")
@@ -545,8 +545,7 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     ``np.take`` over the flattened game and sums them with ``np.cumsum``,
     in the order ``prot_run`` sums them.
     """
-    if not num_runs >= 1:
-        raise GameError(f"need num_runs >= 1, got {num_runs}")
+    require_count(num_runs, "num_runs")
     if regime not in REGIMES:
         raise GameError(f"unknown perturbation regime {regime!r}")
     game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +19,27 @@ class GameError(ValueError):
     """Invalid loss data or game input."""
 
 
-def require_keys(cfg: dict, keys, what: str) -> None:
-    """Raise GameError naming every one of ``keys`` that ``cfg`` lacks."""
-    missing = [key for key in keys if key not in cfg]
-    if missing:
-        raise GameError(f"{what} is missing {', '.join(map(repr, missing))}")
-
-
-def reject_unknown_keys(cfg: dict, known, what: str) -> None:
-    """Raise GameError naming every key of ``cfg`` that is not in ``known``."""
+def check_keys(cfg: dict, required, optional, what: str) -> None:
+    """Raise GameError naming every key of ``cfg`` that is neither required
+    nor optional, then every required key that ``cfg`` lacks."""
+    known = (*required, *optional)
     unknown = [key for key in cfg if key not in known]
     if unknown:
         raise GameError(f"{what} has unknown {', '.join(map(repr, unknown))} "
                         f"(known: {', '.join(known)})")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise GameError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
+def require_count(value, what: str, low: int = 1, error=GameError) -> int:
+    """``value`` as an int if it is an integer of at least ``low``: numpy
+    integers pass, while a bool, a float or a string raises ``error`` naming
+    ``what`` and the value.  The one rule for every count and seed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        rule = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise error(f"{what} must be {rule}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .engine import RunRecord, _mean_se, ifpl_run, monte_carlo_regret, prot_run
-from .game import (GameError, LossMatrix, check_fluctuation_bound, reject_unknown_keys,
-                   require_keys, row_peaks, volume_trace, write_csv)
+from .game import (GameError, LossMatrix, check_fluctuation_bound, check_keys, require_count,
+                   row_peaks, volume_trace, write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -24,10 +24,8 @@ from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_boun
 # Game generators
 
 def _check_game_args(num_experts: int, num_steps: int, loss_mode: str) -> None:
-    if not num_experts >= 1:
-        raise GameError(f"need at least one expert, got {num_experts}")
-    if not num_steps >= 0:
-        raise GameError(f"need num_steps >= 0, got {num_steps}")
+    require_count(num_experts, "num_experts")
+    require_count(num_steps, "num_steps", 0)
     if loss_mode not in LOSS_MODES:
         raise GameError(f"unknown loss mode {loss_mode!r}")
 
@@ -84,8 +82,9 @@ def bounded_unit_game(num_experts: int, num_steps: int, rng,
 def poly_envelope_game(num_experts: int, num_steps: int, rng,
                        exponent: float = 0.1) -> LossMatrix:
     """Losses with max_i |s^i_t| = t^exponent exactly (polynomial envelope)."""
-    envelope = np.arange(1, num_steps + 1, dtype=float) ** exponent
-    return LossMatrix(bounded_unit_game(num_experts, num_steps, rng).values * envelope[:, None])
+    # the game first: it checks the counts before arange reads them
+    return LossMatrix(bounded_unit_game(num_experts, num_steps, rng).values
+                      * (np.arange(1, num_steps + 1, dtype=float) ** exponent)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +111,19 @@ class ExperimentConfig:
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         if "target_eps" in cfg:
             raise GameError("the bound's eps comes from the schedule: set schedule.target_eps")
-        # the known keys are the dataclass's fields, so to_dict() parses back
-        reject_unknown_keys(cfg, [f.name for f in fields(cls)], "experiment config")
-        require_keys(cfg, ("game", "schedule"), "experiment config")
+        # the known keys are the dataclass's fields, game and schedule first,
+        # so to_dict() parses back
+        check_keys(cfg, ("game", "schedule"), [f.name for f in fields(cls)][2:],
+                   "experiment config")
+        run_ifpl = cfg.get("run_ifpl", False)
+        if not isinstance(run_ifpl, bool):
+            raise GameError(f"run_ifpl must be true or false, got {run_ifpl!r}")
         return cls(
             game=cfg["game"],
             schedule=cfg["schedule"],
             seeds=parse_seeds(cfg.get("seeds", [0])),
             regime=cfg.get("regime", "per-step"),
-            run_ifpl=bool(cfg.get("run_ifpl", False)),
+            run_ifpl=run_ifpl,
             out=cfg.get("out"),
         )
 
@@ -137,32 +140,34 @@ def parse_seeds(seeds) -> list:
     through this check too.
     """
     if isinstance(seeds, dict):
-        reject_unknown_keys(seeds, ("count", "base"), "seeds")
-        require_keys(seeds, ("count",), "seeds")
+        check_keys(seeds, ("count",), ("base",), "seeds")
         count, base = seeds["count"], seeds.get("base", 0)
-        if not (_is_int(count) and _is_int(base)):
-            raise GameError(f"seeds count and base must be integers, got {count!r}, {base!r}")
-        seeds = list(range(base, base + count))
-    if not (isinstance(seeds, list) and all(_is_int(x) and x >= 0 for x in seeds)):
+        try:
+            seeds = list(range(require_count(base, "seeds base", 0),
+                               base + require_count(count, "seeds count", 0)))
+        except GameError:
+            raise GameError(f"seeds count and base must be integers >= 0, "
+                            f"got {count!r}, {base!r}") from None
+    try:
+        parsed = [require_count(x, "seed", 0) for x in seeds] if isinstance(seeds, list) else None
+    except GameError:
+        parsed = None
+    if parsed is None:
         raise GameError(f"seeds must be a list of non-negative integers or "
                         f"{{'count': ..., 'base': ...}}, got {seeds!r}")
-    if len(seeds) < 1:
+    if len(parsed) < 1:
         raise GameError("need at least one seed")
-    return list(seeds)
+    return parsed
 
 
-def _is_int(x) -> bool:
-    """Whether a JSON value is an integer: a bool is not one."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-# The keys each game kind reads; any other key is a typo or an option the
-# kind does not have, and is rejected rather than dropped.
+# The keys each game kind reads, (required, optional); any other key is a
+# typo or an option the kind does not have, and is rejected rather than dropped.
+_GENERATOR_KEYS = ("kind", "n_experts", "num_steps")
 _GAME_KEYS = {
-    "random": ("kind", "n_experts", "num_steps", "seed", "v0", "loss_mode", "delta"),
-    "bounded": ("kind", "n_experts", "num_steps", "seed", "loss_mode"),
-    "poly": ("kind", "n_experts", "num_steps", "seed", "exponent"),
-    "csv": ("kind", "path"),
+    "random": (_GENERATOR_KEYS, ("seed", "v0", "loss_mode", "delta")),
+    "bounded": (_GENERATOR_KEYS, ("seed", "loss_mode")),
+    "poly": (_GENERATOR_KEYS, ("seed", "exponent")),
+    "csv": (("kind", "path"), ()),
 }
 
 
@@ -170,14 +175,11 @@ def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
     kind = game_cfg.get("kind")
     if not isinstance(kind, str) or kind not in _GAME_KEYS:
         raise GameError(f"unknown game kind {kind!r}")
-    reject_unknown_keys(game_cfg, _GAME_KEYS[kind], f"{kind} game config")
+    check_keys(game_cfg, *_GAME_KEYS[kind], f"{kind} game config")
     if kind == "csv":
-        require_keys(game_cfg, ("path",), "csv game config")
         return LossMatrix.from_csv(game_cfg["path"])
-    require_keys(game_cfg, ("n_experts", "num_steps"), "game config")
-    rng = RngSpec(int(game_cfg.get("seed", seed)), stream_id=10_000)
-    n = int(game_cfg["n_experts"])
-    T = int(game_cfg["num_steps"])
+    rng = RngSpec(game_cfg.get("seed", seed), stream_id=10_000)
+    n, T = game_cfg["n_experts"], game_cfg["num_steps"]
     if kind == "random":
         return random_fluc_bounded_game(
             n, T, rng,

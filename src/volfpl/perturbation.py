@@ -7,20 +7,19 @@ bit-for-bit reproducible from an :class:`RngSpec` across platforms.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameError
+from .game import GameError, require_count
 
 
 @dataclass(frozen=True)
 class RngSpec:
     """Seed plus stream id; equal specs reproduce identical streams.
 
-    Both are non-negative integers (numpy integers pass); anything else, a
-    bool or a string among them, raises GameError naming it.
+    Both are non-negative integers (numpy integers pass, stored as int);
+    anything else, a bool or a string among them, raises GameError naming it.
     """
 
     seed: int
@@ -28,30 +27,25 @@ class RngSpec:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise GameError(f"RngSpec {name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, require_count(getattr(self, name), f"RngSpec {name}", 0))
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.stream_id])
 
 
 def as_generator(rng) -> np.random.Generator:
-    """Accept an RngSpec, a Generator, or a plain non-negative integer seed
-    (anything ``int`` takes, a float among them); anything else, None and
-    negative seeds among them, raises GameError naming it."""
+    """Accept an RngSpec, a Generator, or a seed that :class:`RngSpec` takes
+    (a non-negative integer); anything else, a float, None or a negative
+    seed among them, raises GameError naming it."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, RngSpec):
-        return rng.generator()
-    try:
-        seed = int(rng)
-    except (TypeError, ValueError, OverflowError):
-        seed = None
-    if seed is None or seed < 0:
-        raise GameError(f"rng must be an RngSpec, a Generator or a non-negative integer seed, "
-                        f"got {rng!r}")
-    return RngSpec(seed).generator()
+    if not isinstance(rng, RngSpec):
+        try:
+            rng = RngSpec(rng)
+        except GameError:
+            raise GameError(f"rng must be an RngSpec, a Generator or a non-negative integer "
+                            f"seed, got {rng!r}") from None
+    return rng.generator()
 
 
 def inverse_exponential_cdf(u):
@@ -61,9 +55,7 @@ def inverse_exponential_cdf(u):
 
 def sample_exponential(n: int, gen: np.random.Generator) -> np.ndarray:
     """n i.i.d. Exp(1) draws via the inverse CDF."""
-    if not n >= 1:
-        raise GameError(f"need n >= 1, got {n}")
-    return sample_exponential_array(n, gen)
+    return sample_exponential_array(require_count(n, "n"), gen)
 
 
 def _neg_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
@@ -97,6 +89,4 @@ def max_tail_bound(num_experts: int, a: float) -> float:
 
 def expected_max_bound(num_experts: int) -> float:
     """E(max_i xi^i) <= 1 + ln N; the true value is the harmonic number H_N."""
-    if not num_experts >= 1:
-        raise GameError(f"need at least one expert, got {num_experts}")
-    return 1.0 + math.log(num_experts)
+    return 1.0 + math.log(require_count(num_experts, "num_experts"))

@@ -27,13 +27,12 @@ agree with them bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .game import GameError, reject_unknown_keys, require_keys
+from .game import GameError, check_keys, require_count
 from .perturbation import expected_max_bound
 
 
@@ -86,7 +85,12 @@ class GammaSchedule:
                 raise ScheduleError(f"constant gamma must be in (0,1), got {self.c}")
             object.__setattr__(self, "c", float(self.c))
         else:
-            values = tuple(float(v) for v in self.table_values)
+            # a 0-d or 2-d array fails the map: its list is a number, or holds lists
+            try:
+                values = tuple(map(float, np.array(self.table_values, dtype=float).tolist()))
+            except (TypeError, ValueError):
+                raise ScheduleError(f"gamma table must be a 1-d sequence of numbers, "
+                                    f"got {self.table_values!r}") from None
             if not values:
                 raise ScheduleError("empty gamma table")
             if any(not 0 < v <= 1 for v in values):
@@ -157,8 +161,7 @@ class GammaSchedule:
         if not (isinstance(kind, str) and kind in _GAMMA_KINDS):
             raise ScheduleError(f"unknown gamma kind {kind!r}")
         key, name = _GAMMA_KINDS[kind]
-        reject_unknown_keys(cfg, ("kind", key), f"{kind} gamma config")
-        require_keys(cfg, (key,), f"{kind} gamma config")
+        check_keys(cfg, ("kind", key), (), f"{kind} gamma config")
         return cls(kind, **{name: cfg[key]})
 
 
@@ -175,10 +178,8 @@ class ScheduleParams:
     def __post_init__(self):
         if not 0 < self.a < math.inf:
             raise ScheduleError(f"a must be finite and positive, got {self.a}")
-        n = self.num_experts
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ScheduleError(f"need at least one expert, as an integer, got {n!r}")
-        object.__setattr__(self, "num_experts", int(n))
+        object.__setattr__(self, "num_experts",
+                           require_count(self.num_experts, "num_experts", error=ScheduleError))
         if not (math.isfinite(self.v0) and self.v0 >= 0):
             raise ScheduleError(f"v0 must be finite and nonnegative, got {self.v0}")
         if self.loss_mode not in LOSS_MODES:
@@ -239,21 +240,19 @@ class ScheduleParams:
         return {"a": self.a, "N": self.num_experts, "gamma": self.gamma.to_config(),
                 "v0": self.v0, "loss_mode": self.loss_mode}
 
-    CONFIG_KEYS = ("a", "target_eps", "N", "gamma", "v0", "loss_mode")
-
     @classmethod
     def from_config(cls, cfg: dict) -> "ScheduleParams":
-        """Build params from a JSON-style dict with keys in ``CONFIG_KEYS``;
+        """Build params from a JSON-style dict with keys ``N`` and ``gamma``
+        and optionally ``a``, ``target_eps``, ``v0`` and ``loss_mode``;
         ``a`` may be given directly or derived from ``target_eps``."""
-        reject_unknown_keys(cfg, cls.CONFIG_KEYS, "schedule config")
-        require_keys(cfg, ("N", "gamma"), "schedule config")
+        check_keys(cfg, ("N", "gamma"), ("a", "target_eps", "v0", "loss_mode"), "schedule config")
         if "a" in cfg:
             a = float(cfg["a"])
         elif "target_eps" in cfg:
             a = choose_a(float(cfg["target_eps"]), cfg.get("loss_mode", "general"))
         else:
             raise ScheduleError("schedule config needs 'a' or 'target_eps'")
-        return cls(a=a, num_experts=int(cfg["N"]), gamma=GammaSchedule.from_config(cfg["gamma"]),
+        return cls(a=a, num_experts=cfg["N"], gamma=GammaSchedule.from_config(cfg["gamma"]),
                    v0=float(cfg.get("v0", 0.0)), loss_mode=cfg.get("loss_mode", "general"))
 
 

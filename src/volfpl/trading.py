@@ -10,13 +10,12 @@ deterministically.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import _require_rates, _two_expert_probabilities
-from .game import GameError, read_csv, volume_from_peaks, write_csv
+from .game import GameError, read_csv, require_count, volume_from_peaks, write_csv
 from .perturbation import as_generator
 from .schedule import ScheduleParams, _main_coef, epsilon_values, mu_values
 
@@ -100,8 +99,7 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
         raise GameError(f"Hurst exponent must be in (0,1), got {hurst}")
     if not all(map(math.isfinite, (scale, drift, s0))):
         raise GameError(f"scale, drift and s0 must be finite, got {scale}, {drift}, {s0}")
-    if not (isinstance(steps, numbers.Integral) and steps >= 1):
-        raise GameError(f"steps must be an integer >= 1, got {steps!r}")
+    require_count(steps, "steps")
     gen = as_generator(seed)
     z = gen.standard_normal(steps)
     increments = _fgn(hurst, z) * float(steps) ** -hurst

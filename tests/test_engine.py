@@ -950,9 +950,9 @@ class TestBatchMonteCarlo:
         # 0 runs gave a mean of nan with "Mean of empty slice", -2 numpy's
         # bare "negative dimensions are not allowed"
         losses, p = np.ones((3, 2)), power_params(v0=1.0)
-        with pytest.raises(GameError, match="num_runs >= 1"):
+        with pytest.raises(GameError, match="num_runs must be an integer >= 1"):
             batch_cumulative_losses(losses, p, num_runs, RngSpec(0))
-        with pytest.raises(GameError, match="num_runs >= 1"):
+        with pytest.raises(GameError, match="num_runs must be an integer >= 1"):
             monte_carlo_regret(losses, p, num_runs, RngSpec(0))
 
     def test_volume_overflow_raises(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,10 @@ from volfpl import (
     monte_carlo_regret,
     poly_bound,
     probability_ratio_check,
+    poly_envelope_game,
+    prop1_run,
     prop1_step,
+    prot_probability_callback,
     prot_run,
     random_fluc_bounded_game,
     regret_bound,
@@ -33,6 +37,7 @@ from volfpl import (
     volume_trace,
 )
 from volfpl.game import row_peaks
+from volfpl.harness import parse_seeds
 
 # losses of the introductory two-expert game where follow-the-leader
 # always picks the wrong expert
@@ -230,9 +235,12 @@ NAN, INF = math.nan, math.inf
     (lambda: RngSpec("3"), "seed must be a non-negative integer, got '3'"),
     (lambda: RngSpec(None), "seed must be a non-negative integer, got None"),
     (lambda: RngSpec(True), "seed must be a non-negative integer, got True"),
+    (lambda: as_generator(3.9), "rng must be .*, got 3.9"),
+    (lambda: as_generator(True), "rng must be .*, got True"),
+    (lambda: as_generator("3"), "rng must be .*, got '3'"),
     # the rows below raised GameError already; each keeps one raise covered
     (lambda: choose_a(1e-7), r"no a <= 1000000.0 satisfies the target"),
-    (lambda: AdversaryConfig(eps=0.5, horizon=0), "horizon must be >= 1, got 0"),
+    (lambda: AdversaryConfig(eps=0.5, horizon=0), "horizon must be an integer >= 1, got 0"),
     (lambda: LossMatrix(np.ones(3)), r"must be 2-d, got shape \(3,\)"),
     (lambda: LossMatrix(np.ones((3, 0))), "need at least one expert"),
     (lambda: scaled_fluctuation(1.0, 0.0), "delta_v > 0 with zero volume"),
@@ -258,7 +266,8 @@ NAN, INF = math.nan, math.inf
         "fbm-inf-scale", "fbm-nan-drift", "ratio-negative-v-prev", "rng-negative-seed",
         "prot-negative-seed", "fbm-nan-steps", "fbm-fractional-steps", "rngspec-negative-seed",
         "rngspec-negative-stream", "rngspec-string-seed", "rngspec-none-seed",
-        "rngspec-bool-seed", "choose-a-unreachable", "adversary-no-horizon",
+        "rngspec-bool-seed", "rng-float-seed", "rng-bool-seed", "rng-string-seed",
+        "choose-a-unreachable", "adversary-no-horizon",
         "loss-matrix-1d", "loss-matrix-no-experts", "fluc-zero-volume",
         "random-game-zero-v0", "prot-no-rng", "prot-unknown-regime", "prot-callback-no-steps",
         "batch-unknown-regime", "batch-expert-mismatch", "ratio-volume-decreased"])
@@ -269,3 +278,47 @@ def test_non_finite_inputs_raise_naming_the_value(call, named):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(GameError, match=named):
             call()
+
+
+# every count and seed the library reads, each as a call on that one value;
+# a call returns what a numpy integer must reproduce bit for bit
+_COUNTS = {
+    "rngspec-seed": lambda k: RngSpec(k).generator().random(3),
+    "rngspec-stream": lambda k: RngSpec(0, k).generator().random(3),
+    "params-experts": lambda k: ScheduleParams(a=10.0, num_experts=k,
+                                               gamma=GammaSchedule.power(1.0)).coef_A,
+    "expected-max-experts": lambda k: expected_max_bound(k),
+    "fbm-steps": lambda k: fbm_generate(0.5, k).prices,
+    "seeds-list": lambda k: parse_seeds([k]),
+    "seeds-count": lambda k: parse_seeds({"count": k}),
+    "seeds-base": lambda k: parse_seeds({"count": 1, "base": k}),
+    "random-game-experts": lambda k: random_fluc_bounded_game(k, 3, RngSpec(0)).values,
+    "random-game-steps": lambda k: random_fluc_bounded_game(2, k, RngSpec(0)).values,
+    "bounded-game-experts": lambda k: bounded_unit_game(k, 3, RngSpec(0)).values,
+    "bounded-game-steps": lambda k: bounded_unit_game(2, k, RngSpec(0)).values,
+    "poly-game-experts": lambda k: poly_envelope_game(k, 3, RngSpec(0)).values,
+    "poly-game-steps": lambda k: poly_envelope_game(2, k, RngSpec(0)).values,
+    "batch-runs": lambda k: batch_cumulative_losses(INTRO_GAME, _PARAMS, k, RngSpec(0)),
+    "mc-runs": lambda k: monte_carlo_regret(INTRO_GAME, _PARAMS, k, RngSpec(0)),
+    "mc-select-samples": lambda k: selection_probabilities_mc([0.0, 1.0], 1.0, k, RngSpec(0)),
+    "exponential-draws": lambda k: sample_exponential(k, np.random.default_rng(0)),
+    "adversary-horizon": lambda k: prop1_run(prot_probability_callback(_PARAMS),
+                                             AdversaryConfig(eps=0.5, horizon=k)).p1,
+    "callback-steps": lambda k: prot_run(lambda t, chosen, cum: [1.0, 0.0], _PARAMS, rng=0,
+                                         num_steps=k).cum_loss,
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+@pytest.mark.parametrize("value", [2.5, True, "2", -1])
+def test_counts_and_seeds_are_integers(name, value):
+    # a float, bool or string was cast or passed, or failed in numpy with a
+    # bare TypeError; a negative count failed there too, or ran no steps
+    with pytest.raises(GameError, match=f"got .*{re.escape(repr(value))}"):
+        _COUNTS[name](value)
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_numpy_integer_counts_give_the_bits_of_python_ints(name):
+    got, want = (np.asarray(_COUNTS[name](k)) for k in (np.int64(2), 2))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

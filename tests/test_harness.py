@@ -317,6 +317,25 @@ class TestRunExperiment:
         with pytest.raises(GameError, match="seeds"):
             base_config(seeds=seeds)
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("schedule", "N", 2.5, "num_experts must be an integer >= 1, got 2.5"),
+        ("game", "n_experts", 2.7, "num_experts must be an integer >= 1, got 2.7"),
+        ("game", "num_steps", "5", "num_steps must be a non-negative integer, got '5'"),
+        ("game", "seed", 1.9, "RngSpec seed must be a non-negative integer, got 1.9"),
+        (None, "run_ifpl", "false", "run_ifpl must be true or false, got 'false'"),
+    ], ids=["fractional-N", "fractional-n-experts", "string-num-steps", "fractional-game-seed",
+            "string-run-ifpl"])
+    def test_config_values_are_not_cast(self, section, key, value, named):
+        # each was cast and ran: N 2.5 as two experts, n_experts 2.7 as a pool
+        # of two, num_steps "5" as five steps, seed 1.9 as seed 1, and the
+        # string "false" as an IFPL run
+        cfg = {"game": {"kind": "random", "n_experts": 2, "num_steps": 5, "seed": 1},
+               "schedule": {"target_eps": 1.0, "N": 2,
+                            "gamma": {"kind": "power", "delta": 1.0}, "v0": 1.0}}
+        (cfg if section is None else cfg[section])[key] = value
+        with pytest.raises(GameError, match=re.escape(named)):
+            run_experiment(ExperimentConfig.from_dict(cfg))
+
     def test_ifpl_option(self):
         rep = run_experiment(base_config(run_ifpl=True))
         assert "ifpl_total" in rep.bounds
@@ -710,7 +729,13 @@ class TestCli:
     @pytest.mark.parametrize("command, message", [
         (["probe", "--cum", "2,1,1", "--eps", "inf"], "eps must be finite and positive, got inf"),
         (["run", "--config", None], "seed 0: params expect 3 experts, game has 2"),
-    ], ids=["infinite-rate", "expert-count"])
+        # a missing number ended in a ValueError traceback, and no draws
+        # printed "pass": true after checking nothing
+        (["probe", "--cum", "1,,2", "--eps", "0.5"],
+         "--cum must be comma-separated numbers, got '1,,2'"),
+        (["verify-bounds", "--draws", "0"], "--draws must be an integer >= 1, got 0"),
+        (["verify-bounds", "--draws", "-5"], "--draws must be an integer >= 1, got -5"),
+    ], ids=["infinite-rate", "expert-count", "empty-cum-entry", "no-draws", "negative-draws"])
     def test_game_errors_end_in_one_line(self, tmp_path, command, message):
         # a bad flag or config used to end in a Python traceback
         cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5, "seed": 1},

@@ -142,10 +142,21 @@ class TestGammaSchedule:
                                 loss_mode="x"), "unknown loss mode 'x'"),
         (lambda: ScheduleParams.from_config({"N": 2, "gamma": {"kind": "power", "delta": 1.0}}),
          "schedule config needs 'a' or 'target_eps'"),
+        # a number raised a bare TypeError, and a string was read one
+        # character at a time
+        (lambda: GammaSchedule.from_config({"kind": "table", "values": 0.5}),
+         "gamma table must be a 1-d sequence of numbers, got 0.5"),
+        (lambda: GammaSchedule.from_config({"kind": "table", "values": "0.5"}),
+         "gamma table must be a 1-d sequence of numbers, got '0.5'"),
+        (lambda: GammaSchedule.from_table([[0.5], [0.25]]),
+         r"gamma table must be a 1-d sequence of numbers, got \[\[0.5\], \[0.25\]\]"),
+        (lambda: GammaSchedule.from_table([0.5, "x"]),
+         r"gamma table must be a 1-d sequence of numbers, got \[0.5, 'x'\]"),
     ], ids=["power-negative-delta", "constant-above-one", "unknown-kind", "table-increasing",
             "fractional-experts", "power-reads-no-c", "table-reads-no-delta", "table-empty",
             "table-above-one", "params-negative-v0", "params-unknown-loss-mode",
-            "params-config-without-a"])
+            "params-config-without-a", "table-number", "table-string", "table-2d",
+            "table-non-number"])
     def test_constructor_checks_as_the_classmethods(self, build, named):
         # the dataclass constructors used to take these: power gave gamma(2)
         # = 2, constant gave 5, and an unknown kind failed only at first use
