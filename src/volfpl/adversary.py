@@ -86,9 +86,12 @@ def prop1_run(algorithm, config: AdversaryConfig) -> Prop1Trace:
     far.  Expectations use the reported probabilities directly; no choices
     are ever sampled.  A volume that overflows raises GameError naming the
     step.  The callback of :func:`prot_probability_callback` is played in
-    batched exact calls, with the results of the per-step loop.
+    batched exact calls, with the results of the per-step loop; its params'
+    ``v0`` must be the game's, ``config.v0``, or AdversaryError is raised.
     """
     if isinstance(algorithm, _ProtProbabilities):
+        if algorithm.params.v0 != config.v0:
+            raise AdversaryError(f"PROT's v0 = {algorithm.params.v0} is not the game's {config.v0}")
         first, p1, m, v = _play_prot(algorithm.params, config)
     else:
         first, p1, m, v = _play(algorithm, config)

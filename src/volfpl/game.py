@@ -19,9 +19,19 @@ class GameError(ValueError):
     """Invalid loss data or game input."""
 
 
+def require_object(cfg, what: str) -> None:
+    """Raise GameError naming ``what`` and the value unless ``cfg`` is a
+    dict: every config section is a JSON object."""
+    if not isinstance(cfg, dict):
+        raise GameError(f"{what} must be a JSON object, got {cfg!r}")
+
+
 def check_keys(cfg: dict, required, optional, what: str) -> None:
-    """Raise GameError naming every key of ``cfg`` that is neither required
-    nor optional, then every required key that ``cfg`` lacks."""
+    """Raise GameError unless ``cfg`` is a JSON object (see
+    :func:`require_object`), then naming every key of ``cfg`` that is
+    neither required nor optional, then every required key that ``cfg``
+    lacks."""
+    require_object(cfg, what)
     known = (*required, *optional)
     unknown = [key for key in cfg if key not in known]
     if unknown:

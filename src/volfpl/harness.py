@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .engine import RunRecord, _mean_se, ifpl_run, monte_carlo_regret, prot_run
+from .engine import REGIMES, RunRecord, _mean_se, ifpl_run, monte_carlo_regret, prot_run
 from .game import (GameError, LossMatrix, check_fluctuation_bound, check_keys, require_count,
-                   row_peaks, volume_trace, write_csv)
+                   require_object, row_peaks, volume_trace, write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -92,7 +92,14 @@ def poly_envelope_game(num_experts: int, num_steps: int, rng,
 
 @dataclass
 class ExperimentConfig:
-    """Game source, schedule, seeds, regime, and output paths."""
+    """Game source, schedule, seeds, regime, and output paths.
+
+    The seeds, regime and IFPL flag are checked when the config is built,
+    parsed from a dict or not: the seeds go through :func:`parse_seeds`
+    (and are stored as a list), the regime must be one the engine plays,
+    and ``run_ifpl`` a bool.  The game and schedule sections are read, and
+    checked, by :func:`resolve_game` and ``ScheduleParams.from_config``.
+    """
 
     game: dict
     schedule: dict
@@ -100,6 +107,13 @@ class ExperimentConfig:
     regime: str = "per-step"
     run_ifpl: bool = False
     out: str | None = None
+
+    def __post_init__(self):
+        self.seeds = parse_seeds(self.seeds)
+        if self.regime not in REGIMES:
+            raise GameError(f"unknown perturbation regime {self.regime!r}")
+        if not isinstance(self.run_ifpl, bool):
+            raise GameError(f"run_ifpl must be true or false, got {self.run_ifpl!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -109,23 +123,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        require_object(cfg, "experiment config")
         if "target_eps" in cfg:
             raise GameError("the bound's eps comes from the schedule: set schedule.target_eps")
         # the known keys are the dataclass's fields, game and schedule first,
         # so to_dict() parses back
         check_keys(cfg, ("game", "schedule"), [f.name for f in fields(cls)][2:],
                    "experiment config")
-        run_ifpl = cfg.get("run_ifpl", False)
-        if not isinstance(run_ifpl, bool):
-            raise GameError(f"run_ifpl must be true or false, got {run_ifpl!r}")
-        return cls(
-            game=cfg["game"],
-            schedule=cfg["schedule"],
-            seeds=parse_seeds(cfg.get("seeds", [0])),
-            regime=cfg.get("regime", "per-step"),
-            run_ifpl=run_ifpl,
-            out=cfg.get("out"),
-        )
+        return cls(**cfg)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -160,36 +165,32 @@ def parse_seeds(seeds) -> list:
     return parsed
 
 
-# The keys each game kind reads, (required, optional); any other key is a
-# typo or an option the kind does not have, and is rejected rather than dropped.
-_GENERATOR_KEYS = ("kind", "n_experts", "num_steps")
-_GAME_KEYS = {
-    "random": (_GENERATOR_KEYS, ("seed", "v0", "loss_mode", "delta")),
-    "bounded": (_GENERATOR_KEYS, ("seed", "loss_mode")),
-    "poly": (_GENERATOR_KEYS, ("seed", "exponent")),
-    "csv": (("kind", "path"), ()),
+# Each generated game kind's generator and the options it reads besides
+# ``seed``.  An option is passed on only when the config gives it, so its
+# default is the generator's; any other key is a typo or an option the kind
+# does not have, and is rejected rather than dropped.
+_GENERATORS = {
+    "random": (random_fluc_bounded_game, ("v0", "loss_mode", "delta")),
+    "bounded": (bounded_unit_game, ("loss_mode",)),
+    "poly": (poly_envelope_game, ("exponent",)),
 }
 
 
 def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
+    require_object(game_cfg, "game config")
     kind = game_cfg.get("kind")
-    if not isinstance(kind, str) or kind not in _GAME_KEYS:
-        raise GameError(f"unknown game kind {kind!r}")
-    check_keys(game_cfg, *_GAME_KEYS[kind], f"{kind} game config")
     if kind == "csv":
+        check_keys(game_cfg, ("kind", "path"), (), "csv game config")
         return LossMatrix.from_csv(game_cfg["path"])
+    if not (isinstance(kind, str) and kind in _GENERATORS):
+        raise GameError(f"unknown game kind {kind!r}")
+    generate, keys = _GENERATORS[kind]
+    check_keys(game_cfg, ("kind", "n_experts", "num_steps"), ("seed", *keys), f"{kind} game config")
     rng = RngSpec(game_cfg.get("seed", seed), stream_id=10_000)
-    n, T = game_cfg["n_experts"], game_cfg["num_steps"]
-    if kind == "random":
-        return random_fluc_bounded_game(
-            n, T, rng,
-            v0=float(game_cfg.get("v0", 1.0)),
-            loss_mode=game_cfg.get("loss_mode", "general"),
-            delta=float(game_cfg.get("delta", 1.0)),
-        )
-    if kind == "bounded":
-        return bounded_unit_game(n, T, rng, loss_mode=game_cfg.get("loss_mode", "general"))
-    return poly_envelope_game(n, T, rng, exponent=float(game_cfg.get("exponent", 0.1)))
+    # numbers are read through float; the loss mode is a string
+    options = {key: game_cfg[key] if key == "loss_mode" else float(game_cfg[key])
+               for key in keys if key in game_cfg}
+    return generate(game_cfg["n_experts"], game_cfg["num_steps"], rng, **options)
 
 
 @dataclass

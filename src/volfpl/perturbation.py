@@ -81,10 +81,11 @@ def sample_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
 
 def max_tail_bound(num_experts: int, a: float) -> float:
     """Union bound P{max_i xi^i >= a} <= N e^{-a}; a threshold that is NaN
-    or negative raises GameError."""
+    or negative raises GameError, and so does an N that is not an integer
+    >= 1."""
     if not a >= 0:
         raise GameError(f"threshold must be nonnegative, got {a}")
-    return num_experts * math.exp(-a)
+    return require_count(num_experts, "num_experts") * math.exp(-a)
 
 
 def expected_max_bound(num_experts: int) -> float:

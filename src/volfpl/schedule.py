@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import GameError, check_keys, require_count
+from .game import GameError, check_keys, require_count, require_object
 from .perturbation import expected_max_bound
 
 
@@ -156,6 +156,7 @@ class GammaSchedule:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "GammaSchedule":
+        require_object(cfg, "gamma config")
         kind = cfg.get("kind")
         # a kind that is not a string (a list, say) cannot be looked up
         if not (isinstance(kind, str) and kind in _GAMMA_KINDS):
@@ -252,8 +253,11 @@ class ScheduleParams:
             a = choose_a(float(cfg["target_eps"]), cfg.get("loss_mode", "general"))
         else:
             raise ScheduleError("schedule config needs 'a' or 'target_eps'")
+        # v0 and the loss mode are passed on only when given, so their
+        # defaults are the constructor's; v0 is read through float
         return cls(a=a, num_experts=cfg["N"], gamma=GammaSchedule.from_config(cfg["gamma"]),
-                   v0=float(cfg.get("v0", 0.0)), loss_mode=cfg.get("loss_mode", "general"))
+                   **{key: float(cfg[key]) if key == "v0" else cfg[key]
+                      for key in ("v0", "loss_mode") if key in cfg})
 
 
 def _alpha_split(params: ScheduleParams, g, step: int = 1):

@@ -110,14 +110,20 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
 
 def _moves(s):
     """(S_t - S_0, dS_t) for t = 0..M-1: what the gains and the volatility
-    identity are both built from."""
-    return s[:-1] - s[0], np.diff(s)
+    identity are both built from.  A move that overflows is infinite,
+    without a warning: the gains or the residual formed from it raise."""
+    with np.errstate(over="ignore"):
+        return s[:-1] - s[0], np.diff(s)
 
 
 def _gains_from_moves(offset, ds, c: float):
+    """(s1, s2) from the moves; a gain that is not finite raises GameError."""
     if not c > 0:
         raise GameError(f"C must be positive, got {c}")
-    s1 = 2.0 * c * offset * ds
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = 2.0 * c * offset * ds
+    if not np.isfinite(s1).all():
+        raise GameError("trading gains contain non-finite entries: the price moves overflow")
     return s1, -s1
 
 
@@ -135,7 +141,8 @@ def _residual_from_moves(s, offset, ds) -> float:
 
 def expert_gains(prices: PriceSeries, c: float):
     """Gain sequences of both experts: s1_t = 2C(S_t - S_0)(S_{t+1} - S_t),
-    s2_t = -s1_t, for t = 0..M-1 (the t = 0 entry is identically 0)."""
+    s2_t = -s1_t, for t = 0..M-1 (the t = 0 entry is identically 0); gains
+    that overflow raise GameError."""
     return _gains_from_moves(*_moves(prices.prices), c)
 
 
@@ -143,9 +150,7 @@ def volatility_identity_check(prices: PriceSeries) -> float:
     """Residual |(S_M - S_0)^2 - (sum 2(S_t - S_0) dS_t + sum dS_t^2)|;
     moves whose squares or sums overflow raise GameError."""
     s = prices.prices
-    with np.errstate(over="ignore"):
-        moves = _moves(s)
-    return _residual_from_moves(s, *moves)
+    return _residual_from_moves(s, *_moves(s))
 
 
 @dataclass(frozen=True)
@@ -245,11 +250,11 @@ def run_trading_experiment(config: TradingConfig, prices: PriceSeries) -> Tradin
     flagged rather than rejected; the hypothesis is asymptotic.
     """
     s = prices.prices
-    # moves, gains or a bound that overflow raise GameError in the pass (its
-    # volume then overflows too) or in the identity, without a warning
+    moves = _moves(s)
+    s1, s2 = _gains_from_moves(*moves, config.c)
+    # sums of finite gains that overflow raise GameError in the pass (its
+    # volume then overflows too), without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        moves = _moves(s)
-        s1, s2 = _gains_from_moves(*moves, config.c)
         bound = _defensive_bound(s1, config.schedule)
     gains, (v, fluc, cum) = _prot_gains(s1, config.schedule)
     return TradingReport(

@@ -95,6 +95,14 @@ class TestProp1Run:
         with pytest.raises(AdversaryError, match="two experts"):
             prot_probability_callback(params)
 
+    def test_prot_params_share_the_games_v0(self):
+        # PROT's v0 was ignored: its params with v0 = 7 played the game of v0 = 1
+        params = ScheduleParams(a=choose_a(1.0), num_experts=2,
+                                gamma=GammaSchedule.constant(0.999), v0=7.0)
+        with pytest.raises(AdversaryError, match=r"v0 = 7\.0 is not the game's 1\.0"):
+            prop1_run(prot_probability_callback(params),
+                      AdversaryConfig(eps=0.5, v0=1.0, horizon=3))
+
     @pytest.mark.parametrize("callback", ["half", "prot"])
     def test_fields_come_from_volume_trace(self, callback):
         cfg = AdversaryConfig(eps=0.3, v0=2.0, horizon=40)

@@ -288,6 +288,7 @@ _COUNTS = {
     "params-experts": lambda k: ScheduleParams(a=10.0, num_experts=k,
                                                gamma=GammaSchedule.power(1.0)).coef_A,
     "expected-max-experts": lambda k: expected_max_bound(k),
+    "tail-experts": lambda k: max_tail_bound(k, 1.0),
     "fbm-steps": lambda k: fbm_generate(0.5, k).prices,
     "seeds-list": lambda k: parse_seeds([k]),
     "seeds-count": lambda k: parse_seeds({"count": k}),

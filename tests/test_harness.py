@@ -336,6 +336,35 @@ class TestRunExperiment:
         with pytest.raises(GameError, match=re.escape(named)):
             run_experiment(ExperimentConfig.from_dict(cfg))
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("regime", "onse", "unknown perturbation regime 'onse'"),
+        ("run_ifpl", "false", "run_ifpl must be true or false, got 'false'"),
+        ("seeds", [0.5], "seeds must be a list of non-negative integers"),
+    ])
+    def test_fields_checked_when_the_config_is_built(self, field, value, named):
+        # a config built directly took each of these, and a parsed regime
+        # 'onse' built the game and failed only in the run, as
+        # "seed 0: unknown perturbation regime 'onse'"
+        cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5},
+               "schedule": {"a": 5.0, "N": 2, "gamma": {"kind": "power", "delta": 1.0}},
+               field: value}
+        for build in (ExperimentConfig.from_dict, lambda c: ExperimentConfig(**c)):
+            with pytest.raises(GameError, match=re.escape(named)) as err:
+                build(cfg)
+            assert not re.match(r"seed \d", str(err.value))
+        cfg[field] = {"seeds": {"count": 2, "base": 3}, "regime": "once", "run_ifpl": True}[field]
+        assert ExperimentConfig(**cfg) == ExperimentConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("kind, generate", [
+        ("random", random_fluc_bounded_game), ("bounded", bounded_unit_game),
+        ("poly", poly_envelope_game),
+    ])
+    def test_omitted_game_options_are_the_generators_defaults(self, kind, generate):
+        # an option is passed on only when the config gives it
+        got = resolve_game({"kind": kind, "n_experts": 3, "num_steps": 40, "seed": 2})
+        want = generate(3, 40, RngSpec(2, stream_id=10_000))
+        assert got.values.tobytes() == want.values.tobytes()
+
     def test_ifpl_option(self):
         rep = run_experiment(base_config(run_ifpl=True))
         assert "ifpl_total" in rep.bounds
@@ -750,6 +779,27 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"volfpl: error: {message}"]
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, change, message", [
+        ("run", {"schedule": 5}, "schedule config must be a JSON object, got 5"),
+        ("run", {"game": [1]}, "game config must be a JSON object, got [1]"),
+        ("run", {"gamma": 5}, "gamma config must be a JSON object, got 5"),
+        ("run", None, "experiment config must be a JSON object, got 5"),
+        ("hannan", {"schedule": 5}, "schedule config must be a JSON object, got 5"),
+    ], ids=["run-schedule", "run-game", "run-gamma", "run-top-level", "hannan-schedule"])
+    def test_config_sections_must_be_objects(self, tmp_path, capsys, command, change, message):
+        # each ended in a TypeError or AttributeError traceback
+        cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5},
+               "schedule": {"a": 10.0, "N": 2, "gamma": {"kind": "power", "delta": 1.0}}}
+        if change is None:
+            cfg = 5
+        elif "gamma" in change:
+            cfg["schedule"].update(change)
+        else:
+            cfg.update(change)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.console_main([command, "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"volfpl: error: {message}"]
 
     def test_console_keeps_tracebacks_of_other_errors(self, monkeypatch):
         # only a GameError is the user's: any other exception is a bug

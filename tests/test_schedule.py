@@ -500,6 +500,15 @@ class TestScheduleParams:
             ScheduleParams.from_config({"target_eps": 1.0, "N": 2, "loss-mode": "nonnegative",
                                         "gamma": {"kind": "power", "delta": 1.0}})
 
+    @pytest.mark.parametrize("rate", [{"a": 5.0}, {"target_eps": 1.0}])
+    def test_omitted_options_are_the_constructors_defaults(self, rate):
+        # v0 and the loss mode are passed on only when given
+        gamma = {"kind": "power", "delta": 1.0}
+        got = ScheduleParams.from_config({**rate, "N": 3, "gamma": gamma})
+        want = ScheduleParams(a=rate.get("a") or choose_a(1.0), num_experts=3,
+                              gamma=GammaSchedule.power(1.0))
+        assert got == want and got.to_config() == want.to_config()
+
     def test_from_config_with_target_eps(self):
         p = ScheduleParams.from_config(
             {"target_eps": 1.0, "N": 2, "gamma": {"kind": "power", "delta": 1.0}}

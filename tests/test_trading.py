@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,18 @@ class TestTradingExperiment:
                 run_trading_experiment(make_config(), PriceSeries(np.array(prices)))
         with pytest.raises(GameError, match="residual is nan"):
             volatility_identity_check(PriceSeries(np.array([-1.7e308, 1.7e308, 0.0])))
+
+    @pytest.mark.parametrize("prices", [[-1.7e308, 1.7e308, 0.0], [0.0, 1e200, -1e200]],
+                             ids=["moves", "gains"])
+    def test_overflowing_gains_raise_where_they_are_formed(self, prices):
+        # expert_gains returned nan or -inf after RuntimeWarnings, and
+        # learner_gain warned before the loss matrix raised
+        ps = PriceSeries(np.array(prices))
+        for call in (lambda: expert_gains(ps, 1.0), lambda: learner_gain(ps, make_config())):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(GameError, match="gains contain non-finite entries"):
+                    call()
 
     def test_non_constant_gamma_raises_before_the_pass(self, monkeypatch):
         from volfpl import trading

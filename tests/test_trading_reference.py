@@ -176,13 +176,16 @@ class TestTradingRunMatchesReference:
             messages.add(str(err.value))
         assert len(messages) == 1
 
-    @pytest.mark.parametrize("prices", [[0.0, 1e200, -1e200], [0.0, 1e153] * 100],
-                             ids=["gains", "volume"])
-    def test_overflowing_gains_raise_in_the_public_checks(self, prices):
+    @pytest.mark.parametrize("prices, bound_error", [
+        # the gains themselves are not finite: they raise where they are formed
+        ([0.0, 1e200, -1e200], "trading gains contain non-finite entries"),
+        ([0.0, 1e153] * 100, "defensive bound is nan"),
+    ], ids=["gains", "volume"])
+    def test_overflowing_gains_raise_in_the_public_checks(self, prices, bound_error):
         # a RuntimeWarning is an error in this suite, so none is emitted
         # before the GameError
         ps = PriceSeries(np.array(prices))
-        with pytest.raises(GameError, match="defensive bound is nan"):
+        with pytest.raises(GameError, match=bound_error):
             defensive_lower_bound(ps, _config(1.0, 0.01, 1.0))
         with pytest.raises(GameError, match="residual is nan"):
             volatility_identity_check(ps)
