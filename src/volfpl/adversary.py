@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _require_rates, _two_expert_probabilities, selection_probabilities_exact
+from .engine import _two_expert_probabilities, selection_probabilities_exact
 from .game import GameError, RunningVolume, require_count, write_csv
 from .schedule import ScheduleParams, epsilon_t, epsilon_values, mu_t
 
@@ -157,8 +157,6 @@ def _play_prot(params: ScheduleParams, config: AdversaryConfig):
     for t in range(1, T + 1):
         v_prev = volume.v
         rate = epsilon_t(params, t, v_prev) if mu is None else epsilon_values(mu, v_prev, t)
-        if rate == math.inf:  # mu_t v_{t-1} underflowed: the kernel's error, at this step
-            _require_rates(rate)
         mt = 4.0 * v_prev / eps  # prop1_step's M_t
         v.append(volume.add(mt, t))
         m.append(mt)

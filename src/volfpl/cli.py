@@ -1,4 +1,4 @@
-"""Command-line surface: run, adversary, trading, verify-bounds, hannan, probe.
+"""Command-line surface: run, adversary, trading, hannan, probe.
 
 Config comes from a JSON file (--config) with flag overrides; flags win.
 Every command builds its schedule through ``ScheduleParams.from_config``,
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,18 +17,10 @@ import numpy as np
 
 from .adversary import AdversaryConfig, prop1_run, prot_probability_callback
 from .engine import selection_probabilities_exact, selection_probabilities_mc
-from .game import GameError, require_count
+from .game import GameError
 from .harness import ExperimentConfig, hannan_check, parse_seeds, resolve_game, run_experiment
 from .perturbation import RngSpec
-from .schedule import (
-    LOSS_MODES,
-    GammaSchedule,
-    ScheduleParams,
-    alpha_t,
-    general_bound,
-    mu_t,
-    optimized_bound,
-)
+from .schedule import LOSS_MODES, ScheduleParams
 from .trading import PriceSeries, TradingConfig, fbm_generate, run_trading_experiment
 
 
@@ -93,10 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trd.add_argument("--v0", type=float, default=1.0)
     trd.add_argument("--target-eps", type=float, default=1.0, dest="target_eps")
     trd.add_argument("--out")
-
-    vfy = sub.add_parser("verify-bounds", help="dual-form and bound-identity checks")
-    vfy.add_argument("--draws", type=int, default=1000)
-    vfy.add_argument("--seed", type=int, default=0)
 
     han = sub.add_parser("hannan", help="single-trajectory consistency trend")
     han.add_argument("--config", required=True)
@@ -169,35 +156,6 @@ def _cmd_trading(args) -> int:
     return 0
 
 
-def _cmd_verify_bounds(args) -> int:
-    gen = RngSpec(args.seed, stream_id=77).generator()
-    worst_mu, worst_bound = 0.0, 0.0
-    for _ in range(require_count(args.draws, "--draws")):
-        a = math.exp(gen.uniform(math.log(3.0), math.log(100.0)))
-        n = int(gen.integers(1, 50))
-        params0 = ScheduleParams(a=a, num_experts=n,
-                                 gamma=GammaSchedule.constant(0.5))
-        cap = min(params0.coef_A, 1.0 / params0.coef_A)
-        g = gen.uniform(1e-6, 0.999 * cap)
-        params = ScheduleParams(a=a, num_experts=n, gamma=GammaSchedule.constant(g))
-        mu = mu_t(params, 1)
-        al = alpha_t(params, 1)
-        worst_mu = max(worst_mu, abs(a * g**al - mu) / mu)
-        dv = gen.uniform(0.0, 10.0, 5)
-        gb = general_bound(params, 5, dv)
-        ob = optimized_bound(params, 5, dv)
-        if ob > 0:
-            worst_bound = max(worst_bound, abs(gb - ob) / ob)
-    ok = bool(worst_mu <= 1e-10 and worst_bound <= 1e-9)
-    print(json.dumps({
-        "draws": args.draws,
-        "max_mu_relative_gap": float(worst_mu),
-        "max_bound_relative_gap": float(worst_bound),
-        "pass": ok,
-    }, indent=2))
-    return 0 if ok else 1
-
-
 def _cmd_hannan(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     losses = resolve_game(config.game)
@@ -234,7 +192,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "adversary": _cmd_adversary,
     "trading": _cmd_trading,
-    "verify-bounds": _cmd_verify_bounds,
     "hannan": _cmd_hannan,
     "probe": _cmd_probe,
 }

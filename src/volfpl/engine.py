@@ -236,8 +236,8 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, neg_xi, infea
     Each step selects through :func:`_perturbed_choice` on the negated
     draws ``neg_xi``, without :func:`prot_select`'s checks: ``_run`` checked
     the perturbations once, the scores sum losses checked finite (so none
-    is NaN), and :func:`epsilon_values` raises on a rate that is not
-    positive.
+    is NaN), and :func:`epsilon_values` raises on a rate of 0, or an
+    infinite one at a positive volume.
     """
     mu = mu_values(params, T)
     values = np.empty((T, N))

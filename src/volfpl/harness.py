@@ -94,10 +94,11 @@ def poly_envelope_game(num_experts: int, num_steps: int, rng,
 class ExperimentConfig:
     """Game source, schedule, seeds, regime, and output paths.
 
-    The seeds, regime and IFPL flag are checked when the config is built,
-    parsed from a dict or not: the seeds go through :func:`parse_seeds`
-    (and are stored as a list), the regime must be one the engine plays,
-    and ``run_ifpl`` a bool.  The game and schedule sections are read, and
+    The seeds, regime, IFPL flag and output directory are checked when the
+    config is built, parsed from a dict or not: the seeds go through
+    :func:`parse_seeds` (and are stored as a list), the regime must be one
+    the engine plays, ``run_ifpl`` a bool and ``out`` None or a string.
+    The game and schedule sections are read, and
     checked, by :func:`resolve_game` and ``ScheduleParams.from_config``.
     """
 
@@ -114,11 +115,18 @@ class ExperimentConfig:
             raise GameError(f"unknown perturbation regime {self.regime!r}")
         if not isinstance(self.run_ifpl, bool):
             raise GameError(f"run_ifpl must be true or false, got {self.run_ifpl!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise GameError(f"out must be a directory path string, got {self.out!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            cfg = json.load(fh)
+        """The config in the JSON file ``path``; a file that cannot be read,
+        or is not JSON, raises GameError naming the path."""
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise GameError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(cfg)
 
     @classmethod
@@ -181,6 +189,9 @@ def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
     kind = game_cfg.get("kind")
     if kind == "csv":
         check_keys(game_cfg, ("kind", "path"), (), "csv game config")
+        # open() reads an integer path as a file descriptor
+        if not isinstance(game_cfg["path"], str):
+            raise GameError(f"csv game path must be a string, got {game_cfg['path']!r}")
         return LossMatrix.from_csv(game_cfg["path"])
     if not (isinstance(kind, str) and kind in _GENERATORS):
         raise GameError(f"unknown game kind {kind!r}")

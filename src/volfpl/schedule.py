@@ -321,8 +321,10 @@ def epsilon_values(mu, vol, step: int = 1):
 
     ``mu`` comes from :func:`mu_values` (or :func:`mu_t`) and ``vol`` is the
     finite, nonnegative volume each rate is scaled by: v_{t-1} for PROT,
-    v_t for IFPL.  A zero volume gives an infinite rate (follow the leader);
-    a product mu_t v that overflows leaves a rate of 0 and raises.
+    v_t for IFPL.  A zero volume gives an infinite rate (follow the leader).
+    A product mu_t v that overflows leaves a rate of 0, and one so small at
+    a positive volume that 1/(mu_t v) overflows an infinite rate: both
+    raise, naming the step.
     """
     if isinstance(mu, float) and isinstance(vol, float):
         # one step in Python floats, the same doubles without numpy's
@@ -330,14 +332,23 @@ def epsilon_values(mu, vol, step: int = 1):
         # floating-point warning to silence
         prod = float(mu) * float(vol)
         eps = 1.0 / prod if prod else math.inf
+        if 0 < eps < math.inf or not vol:
+            return eps
     else:
         with np.errstate(over="ignore", divide="ignore"):
             eps = 1.0 / (mu * vol)
-    # mu > 0 and a finite vol >= 0, so eps is 0 only where mu vol overflowed
-    ok = eps > 0
-    if not _all(ok):
-        bad = step + np.argmin(np.atleast_1d(ok))
-        raise GameError(f"rate 1/(mu_t v) is 0 at step {bad}: mu_t * v overflows")
+        # every rate finite and positive (or no rate): two reductions, no mask
+        if (0 < np.minimum.reduce(eps, axis=None, initial=math.inf)
+                and np.maximum.reduce(eps, axis=None, initial=0.0) < math.inf):
+            return eps
+    # mu > 0 and a finite vol >= 0, so eps is 0 only where mu v overflowed,
+    # and inf where v is 0 or where 1/(mu v) overflowed
+    bad = np.atleast_1d(~(eps > 0) | ((eps == math.inf) & (np.asarray(vol) > 0)))
+    if bad.any():
+        t = int(np.argmax(bad))
+        if not np.atleast_1d(eps)[t] > 0:
+            raise GameError(f"rate 1/(mu_t v) is 0 at step {step + t}: mu_t * v overflows")
+        raise GameError(f"rate 1/(mu_t v) is inf at step {step + t}: v > 0 but mu_t * v underflows")
     return eps
 
 

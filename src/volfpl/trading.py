@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _require_rates, _two_expert_probabilities
+from .engine import _two_expert_probabilities
 from .game import GameError, read_csv, require_count, volume_from_peaks, write_csv
 from .perturbation import as_generator
 from .schedule import ScheduleParams, _main_coef, epsilon_values, mu_values
@@ -185,8 +185,6 @@ def _prot_gains(s1, schedule: ScheduleParams):
     cum = np.zeros(len(s1) + 1)
     np.cumsum(s1, out=cum[1:])
     eps = epsilon_values(mu_values(schedule, len(s1)), v[:-1])
-    # v > 0 here, so a rate is infinite only where mu_t v underflows
-    _require_rates(eps)
     # |C| <= v is finite, but above half the largest double 2C is infinite
     with np.errstate(over="ignore"):
         d = np.multiply(cum[:-1], -2.0)

@@ -138,6 +138,21 @@ class TestProp1Run:
         with pytest.raises(GameError, match="step 324:"):
             prop1_run(lambda t, cum, v: 0.5, cfg)
 
+    @pytest.mark.parametrize("gamma", [GammaSchedule.constant(0.999), GammaSchedule.power(1.0)],
+                             ids=["constant", "power"])
+    def test_rate_underflow_raises_alike(self, gamma):
+        # v0 > 0, but 1/(mu_1 v0) overflows: the batched run and the per-step
+        # callback stop at step 1 with one message
+        params = ScheduleParams(a=choose_a(1.0), num_experts=2, gamma=gamma, v0=5e-324)
+        cfg = AdversaryConfig(eps=0.5, v0=5e-324, horizon=3)
+        prot = prot_probability_callback(params)
+        messages = set()
+        for algorithm in (prot, lambda t, cum, v: prot(t, cum, v)):
+            with pytest.raises(GameError, match=r"^rate 1/\(mu_t v\) is inf at step 1: ") as err:
+                prop1_run(algorithm, cfg)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
     def test_rejects_invalid_probability(self):
         cfg = AdversaryConfig(eps=0.5, horizon=3)
         with pytest.raises(AdversaryError):

@@ -986,6 +986,22 @@ class TestBatchMonteCarlo:
 
 
 class TestWholeRunScale:
+    @pytest.mark.parametrize("run", [
+        prot_run, ifpl_run,
+        lambda game, params, rng: batch_cumulative_losses(game, params, 4, rng),
+        lambda game, params, rng: prot_run(lambda t, history, cum: game[t - 1], params,
+                                           rng=rng, num_steps=len(game)),
+    ], ids=["prot", "ifpl", "batch", "prot-callback"])
+    def test_rate_that_overflows_at_a_positive_volume_raises(self, run):
+        # at 2^-1026 some mu_t v_{t-1} are below 1/max float although every
+        # volume is positive: 31 of PROT's 200 rates were inf, and those
+        # steps silently followed the leader
+        k = -1026
+        game = random_fluc_bounded_game(3, 200, RngSpec(1, stream_id=10_000))
+        params = power_params(n=3, a=10.0, v0=math.ldexp(1.0, k))
+        with pytest.raises(GameError, match=r"rate 1/\(mu_t v\) is inf at step \d+: v > 0 but"):
+            run(np.ldexp(game.values, k), params, RngSpec(5))
+
     @settings(deadline=None, max_examples=30)
     @given(k=st.sampled_from([1, -1, 60, -60, 900, -900]), v0=st.sampled_from([0.0, 1.0]),
            regime=st.sampled_from(engine.REGIMES), seed=st.integers(0, 2**32 - 1))

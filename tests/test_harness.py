@@ -340,11 +340,13 @@ class TestRunExperiment:
         ("regime", "onse", "unknown perturbation regime 'onse'"),
         ("run_ifpl", "false", "run_ifpl must be true or false, got 'false'"),
         ("seeds", [0.5], "seeds must be a list of non-negative integers"),
+        ("out", 5, "out must be a directory path string, got 5"),
     ])
     def test_fields_checked_when_the_config_is_built(self, field, value, named):
         # a config built directly took each of these, and a parsed regime
         # 'onse' built the game and failed only in the run, as
-        # "seed 0: unknown perturbation regime 'onse'"
+        # "seed 0: unknown perturbation regime 'onse'"; an out of 5 ran every
+        # seed and then failed in os.makedirs
         cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5},
                "schedule": {"a": 5.0, "N": 2, "gamma": {"kind": "power", "delta": 1.0}},
                field: value}
@@ -352,7 +354,8 @@ class TestRunExperiment:
             with pytest.raises(GameError, match=re.escape(named)) as err:
                 build(cfg)
             assert not re.match(r"seed \d", str(err.value))
-        cfg[field] = {"seeds": {"count": 2, "base": 3}, "regime": "once", "run_ifpl": True}[field]
+        cfg[field] = {"seeds": {"count": 2, "base": 3}, "regime": "once", "run_ifpl": True,
+                      "out": "results"}[field]
         assert ExperimentConfig(**cfg) == ExperimentConfig.from_dict(cfg)
 
     @pytest.mark.parametrize("kind, generate", [
@@ -448,6 +451,14 @@ class TestRunExperiment:
     def test_unknown_game_kind_rejected(self, kind):
         with pytest.raises(GameError, match=re.escape(f"unknown game kind {kind!r}")):
             resolve_game({"kind": kind, "n_experts": 2, "num_steps": 5})
+
+    # open() takes an integer as a file descriptor: "path": 5 read (and
+    # closed) descriptor 5; this one is past any open descriptor
+    @pytest.mark.parametrize("path", [2**20, None])
+    def test_csv_game_path_must_be_a_string(self, path):
+        named = f"csv game path must be a string, got {path!r}"
+        with pytest.raises(GameError, match=re.escape(named)):
+            resolve_game({"kind": "csv", "path": path})
 
     def test_csv_game_round_trip(self, tmp_path):
         lm = bounded_unit_game(2, 20, RngSpec(0))
@@ -748,23 +759,13 @@ class TestCli:
             assert math.isfinite(payload[key]), key
         assert type(payload["fluc_violations"]) is int
 
-    def test_verify_bounds_subcommand(self, capsys):
-        rc = cli_main(["verify-bounds", "--draws", "200", "--seed", "1"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["pass"]
-        assert payload["max_mu_relative_gap"] <= 1e-10
-
     @pytest.mark.parametrize("command, message", [
         (["probe", "--cum", "2,1,1", "--eps", "inf"], "eps must be finite and positive, got inf"),
         (["run", "--config", None], "seed 0: params expect 3 experts, game has 2"),
-        # a missing number ended in a ValueError traceback, and no draws
-        # printed "pass": true after checking nothing
+        # a missing number ended in a ValueError traceback
         (["probe", "--cum", "1,,2", "--eps", "0.5"],
          "--cum must be comma-separated numbers, got '1,,2'"),
-        (["verify-bounds", "--draws", "0"], "--draws must be an integer >= 1, got 0"),
-        (["verify-bounds", "--draws", "-5"], "--draws must be an integer >= 1, got -5"),
-    ], ids=["infinite-rate", "expert-count", "empty-cum-entry", "no-draws", "negative-draws"])
+    ], ids=["infinite-rate", "expert-count", "empty-cum-entry"])
     def test_game_errors_end_in_one_line(self, tmp_path, command, message):
         # a bad flag or config used to end in a Python traceback
         cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5, "seed": 1},
@@ -801,6 +802,20 @@ class TestCli:
         assert cli.console_main([command, "--config", str(tmp_path / "cfg.json")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"volfpl: error: {message}"]
 
+    @pytest.mark.parametrize("command", ["run", "hannan"])
+    @pytest.mark.parametrize("content", [None, "{", b"\xff"],
+                             ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_config_file_ends_in_one_line(self, tmp_path, capsys, command, content):
+        # each ended in a FileNotFoundError or JSONDecodeError traceback
+        path = tmp_path / "cfg.json"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_bytes(content)
+        assert cli.console_main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"volfpl: error: cannot read config {path}: ")
+
     def test_console_keeps_tracebacks_of_other_errors(self, monkeypatch):
         # only a GameError is the user's: any other exception is a bug
         def broken(args):
@@ -813,7 +828,8 @@ class TestCli:
     def test_module_entry_point(self):
         src = os.path.dirname(os.path.dirname(volfpl.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "volfpl.cli", "verify-bounds", "--draws", "5"],
+        proc = subprocess.run([sys.executable, "-m", "volfpl.cli", "probe", "--cum", "1,2",
+                               "--eps", "1", "--samples", "10"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 

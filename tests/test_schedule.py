@@ -299,6 +299,20 @@ class TestEpsilon:
         with pytest.raises(GameError, match="step 7:"):
             epsilon_values(np.full(3, mu_t(p, 1)), [1.0, 1.0, 1.5e308], step=5)
 
+    def test_rate_underflow_at_a_positive_volume_raises(self):
+        # v = 5e-324 is positive, but 1/(mu_1 v) overflows: the rate was inf,
+        # which reads as the zero-volume case and follows the leader
+        p = params_power(a=choose_a(1.0))
+        named = r"^rate 1/\(mu_t v\) is inf at step {}: v > 0 but"
+        with pytest.raises(GameError, match=named.format(1)):
+            epsilon_t(p, 1, 5e-324)
+        with pytest.raises(GameError, match=named.format(1)):
+            prot_probability_callback(p)(1, np.zeros(2), 5e-324)
+        with pytest.raises(GameError, match=named.format(7)):
+            epsilon_values(np.full(3, mu_t(p, 1)), [0.0, 1.0, 5e-324], step=5)
+        # a zero volume is still follow the leader, alone or in an array
+        assert epsilon_values(np.full(2, mu_t(p, 1)), [0.0, 1.0])[0] == math.inf
+
     def test_gamma_underflow_raises(self):
         # gamma(t) = t^-400 underflows to 0 from t = 7 on, leaving mu_t = 0
         p = params_power(a=choose_a(1.0), delta=400.0)
@@ -373,16 +387,17 @@ class TestBounds:
 
     def test_general_equals_optimized(self):
         # alpha_t is exactly the optimizer of the two-term bound, so both
-        # evaluations agree whenever alpha_t is defined
+        # evaluations agree whenever alpha_t is defined: N from 1 (ln N = 0)
+        # and gamma over the whole alpha domain, up to 0.999 min(A, 1/A)
         gen = np.random.default_rng(21)
         for _ in range(1000):
             a = math.exp(gen.uniform(math.log(3), math.log(100)))
-            n = int(gen.integers(2, 50))
+            n = int(gen.integers(1, 50))
             probe = ScheduleParams(a=a, num_experts=n, gamma=GammaSchedule.constant(0.5))
-            amax = min(probe.coef_A, 1.0 / probe.coef_A, 1.0)
-            g = GammaSchedule.constant(min(0.999 * amax, 0.9) * gen.uniform(0.1, 1.0))
+            cap = min(probe.coef_A, 1.0 / probe.coef_A)
+            g = GammaSchedule.constant(gen.uniform(1e-6, 0.999 * cap))
             p = ScheduleParams(a=a, num_experts=n, gamma=g)
-            dv = gen.uniform(0.0, 2.0, 20)
+            dv = gen.uniform(0.0, 10.0, 20)
             gb = general_bound(p, 20, dv)
             ob = optimized_bound(p, 20, dv)
             assert gb == pytest.approx(ob, rel=1e-9)
