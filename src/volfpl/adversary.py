@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _two_expert_probabilities, selection_probabilities_exact
-from .game import GameError, RunningVolume, require_count, write_csv
+from .game import GameError, RunningVolume, require_count, require_real, write_csv
 from .schedule import ScheduleParams, epsilon_t, epsilon_values, mu_t
 
 
@@ -30,10 +30,8 @@ class AdversaryConfig:
     horizon: int = 30
 
     def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise AdversaryError(f"eps must be in (0,1), got {self.eps}")
-        if not self.v0 > 0:
-            raise AdversaryError(f"v0 must be positive, got {self.v0}")
+        object.__setattr__(self, "eps", require_real(self.eps, "eps", 0, 1, error=AdversaryError))
+        object.__setattr__(self, "v0", require_real(self.v0, "v0", 0, error=AdversaryError))
         object.__setattr__(self, "horizon",
                            require_count(self.horizon, "horizon", error=AdversaryError))
 

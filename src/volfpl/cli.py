@@ -204,11 +204,12 @@ def main(argv=None) -> int:
 
 def console_main(argv=None) -> int:
     """:func:`main` for the shell: a GameError (a bad config, flag or game)
-    ends in one line on stderr and exit code 2, as argparse ends a bad
-    flag; any other exception is a bug and keeps its traceback."""
+    or an OSError (a file that cannot be read or written) ends in one line
+    on stderr and exit code 2, as argparse ends a bad flag; any other
+    exception is a bug and keeps its traceback."""
     try:
         return main(argv)
-    except GameError as exc:
+    except (GameError, OSError) as exc:
         message = " ".join(str(exc).split())
         print(f"volfpl: error: {message}", file=sys.stderr)
         return 2

@@ -52,6 +52,25 @@ def require_count(value, what: str, low: int = 1, error=GameError) -> int:
     return int(value)
 
 
+def require_real(value, what: str, low=-math.inf, high=math.inf, *, low_closed=False,
+                 high_closed=False, error=GameError) -> float:
+    """``value`` as a float if it is a finite real number between ``low`` and
+    ``high`` (each bound excluded unless its ``*_closed`` flag is set): numpy
+    numbers and 0-d arrays pass, while a bool, a string, None, a list, NaN
+    or an infinity raises ``error`` naming ``what``, the interval and the
+    value.  The one rule for every real parameter."""
+    # a float is read at once; a ragged list would make np.ndim raise, so
+    # only other numbers and arrays reach it (a bool's kind is "b")
+    x = float(value) if type(value) is float or (
+        isinstance(value, (int, np.number, np.ndarray)) and np.ndim(value) == 0
+        and np.asarray(value).dtype.kind in "iuf") else math.nan
+    # NaN fails every comparison, and an open infinite bound excludes infinity
+    if not ((low <= x if low_closed else low < x) and (x <= high if high_closed else x < high)):
+        raise error(f"{what} must be a real number in {'[' if low_closed else '('}{low}, "
+                    f"{high}{']' if high_closed else ')'}, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class LossMatrix:
     """Full table of expert one-step losses, rows = steps, columns = experts."""
@@ -211,8 +230,7 @@ def volume_trace(losses: LossMatrix, v0: float = 0.0):
     not finite and nonnegative raises GameError, and so does a volume that
     overflows, naming the first step where it is not finite.
     """
-    if not 0 <= v0 < math.inf:
-        raise GameError(f"v0 must be finite and nonnegative, got {v0}")
+    v0 = require_real(v0, "v0", 0, low_closed=True)
     delta_v = row_peaks(losses.values)
     v, fluc = volume_from_peaks(delta_v, v0)
     return v, delta_v, fluc

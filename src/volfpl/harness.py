@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import REGIMES, RunRecord, _mean_se, ifpl_run, monte_carlo_regret, prot_run
 from .game import (GameError, LossMatrix, check_fluctuation_bound, check_keys, require_count,
-                   require_object, row_peaks, volume_trace, write_csv)
+                   require_object, require_real, row_peaks, volume_trace, write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -41,12 +41,13 @@ def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
     So v_t = v_{t-1} (1 + U_t cap_t / v_{t-1}) has a closed form, and the
     whole game comes from one block of uniform draws: per step, U_t and then
     the N row entries, uniform on [-1, 1) (or [0, 1) for nonnegative
-    losses).
+    losses).  ``v0`` and ``delta`` must be finite and positive, and a volume
+    that overflows raises GameError naming the first such step.
     """
     _check_game_args(num_experts, num_steps, loss_mode)
+    v0 = require_real(v0, "random game v0", 0)
+    delta = require_real(delta, "random game delta", 0)
     gen = as_generator(rng)
-    if v0 <= 0:
-        raise GameError("generator needs v0 > 0 to seed the volume")
     draws = gen.random((num_steps, num_experts + 1))
     # the doubles Generator.uniform(low, high) would draw: low + (high - low) * r
     u = 0.1 + 0.9 * draws[:, 0]
@@ -55,8 +56,13 @@ def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
     # fluc = dv / (v_prev + dv) <= g  <=>  dv <= g v_prev / (1 - g)
     free = g >= 1.0
     denom = np.where(free, 1.0, 1.0 - g)
-    v_prev = np.cumprod(np.concatenate([[v0], 1.0 + u[:-1] * np.where(free, 1.0, g / denom)[:-1]]))
-    cap = np.where(free, v_prev, g * v_prev / denom)
+    growth = 1.0 + u[:-1] * np.where(free, 1.0, g / denom)[:-1]
+    # a volume that overflows is inf (or NaN, times a g of 0), without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_prev = np.cumprod(np.concatenate([[v0], growth]))
+        cap = np.where(free, v_prev, g * v_prev / denom)
+    if not np.isfinite(cap).all():
+        raise GameError(f"random game volume overflows at step {np.argmin(np.isfinite(cap)) + 1}")
     peak = row_peaks(rows)
     zero = peak == 0
     rows[zero, 0] = 1.0
@@ -81,10 +87,17 @@ def bounded_unit_game(num_experts: int, num_steps: int, rng,
 
 def poly_envelope_game(num_experts: int, num_steps: int, rng,
                        exponent: float = 0.1) -> LossMatrix:
-    """Losses with max_i |s^i_t| = t^exponent exactly (polynomial envelope)."""
+    """Losses with max_i |s^i_t| = t^exponent exactly (polynomial envelope);
+    an envelope that overflows raises GameError naming the first such step."""
+    exponent = require_real(exponent, "poly game exponent")
     # the game first: it checks the counts before arange reads them
-    return LossMatrix(bounded_unit_game(num_experts, num_steps, rng).values
-                      * (np.arange(1, num_steps + 1, dtype=float) ** exponent)[:, None])
+    values = bounded_unit_game(num_experts, num_steps, rng).values
+    with np.errstate(over="ignore"):
+        envelope = np.arange(1, num_steps + 1, dtype=float) ** exponent
+    if not np.isfinite(envelope).all():
+        raise GameError(f"poly game envelope t^{exponent} overflows at step "
+                        f"{np.argmin(np.isfinite(envelope)) + 1}")
+    return LossMatrix(values * envelope[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +211,7 @@ def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
     generate, keys = _GENERATORS[kind]
     check_keys(game_cfg, ("kind", "n_experts", "num_steps"), ("seed", *keys), f"{kind} game config")
     rng = RngSpec(game_cfg.get("seed", seed), stream_id=10_000)
-    # numbers are read through float; the loss mode is a string
-    options = {key: game_cfg[key] if key == "loss_mode" else float(game_cfg[key])
-               for key in keys if key in game_cfg}
+    options = {key: game_cfg[key] for key in keys if key in game_cfg}
     return generate(game_cfg["n_experts"], game_cfg["num_steps"], rng, **options)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameError, require_count
+from .game import GameError, require_count, require_real
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,10 @@ def sample_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
 
 
 def max_tail_bound(num_experts: int, a: float) -> float:
-    """Union bound P{max_i xi^i >= a} <= N e^{-a}; a threshold that is NaN
-    or negative raises GameError, and so does an N that is not an integer
-    >= 1."""
-    if not a >= 0:
-        raise GameError(f"threshold must be nonnegative, got {a}")
+    """Union bound P{max_i xi^i >= a} <= N e^{-a}; a threshold that is not
+    a finite number >= 0 raises GameError, and so does an N that is not an
+    integer >= 1."""
+    a = require_real(a, "threshold", 0, low_closed=True)
     return require_count(num_experts, "num_experts") * math.exp(-a)
 
 

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import GameError, check_keys, require_count, require_object
+from .game import GameError, check_keys, require_count, require_object, require_real
 from .perturbation import expected_max_bound
 
 
@@ -75,26 +75,21 @@ class GammaSchedule:
                 if np.size(value) if name == "table_values" else value != unset:
                     raise ScheduleError(f"{self.kind} gamma does not read {name}, got {value!r}")
                 object.__setattr__(self, name, unset)  # an empty list or array, say
-        if self.kind == "power":
-            if not 0 < self.delta < math.inf:
-                raise ScheduleError(f"power exponent must be finite and positive, "
-                                    f"got {self.delta}")
-            object.__setattr__(self, "delta", float(self.delta))
-        elif self.kind == "constant":
-            if not 0 < self.c < 1:
-                raise ScheduleError(f"constant gamma must be in (0,1), got {self.c}")
-            object.__setattr__(self, "c", float(self.c))
+        if self.kind != "table":  # a power's delta is positive, a constant's c in (0, 1)
+            value = require_real(getattr(self, read), f"{self.kind} gamma {read}", 0,
+                                 1 if self.kind == "constant" else math.inf, error=ScheduleError)
+            object.__setattr__(self, read, value)
         else:
-            # a 0-d or 2-d array fails the map: its list is a number, or holds lists
-            try:
-                values = tuple(map(float, np.array(self.table_values, dtype=float).tolist()))
-            except (TypeError, ValueError):
+            # a number, a string or a 0-d array is no table; a row of a 2-d
+            # table fails as an entry
+            if isinstance(self.table_values, str) or not np.iterable(self.table_values):
                 raise ScheduleError(f"gamma table must be a 1-d sequence of numbers, "
-                                    f"got {self.table_values!r}") from None
+                                    f"got {self.table_values!r}")
+            values = tuple(require_real(v, f"gamma table entry {t}", 0, 1, high_closed=True,
+                                        error=ScheduleError)
+                           for t, v in enumerate(self.table_values, 1))
             if not values:
                 raise ScheduleError("empty gamma table")
-            if any(not 0 < v <= 1 for v in values):
-                raise ScheduleError("table gamma values must be in (0,1]")
             if any(b > a for a, b in zip(values, values[1:])):
                 raise ScheduleError("table gamma must be non-increasing")
             object.__setattr__(self, "table_values", values)
@@ -177,12 +172,11 @@ class ScheduleParams:
     loss_mode: str = "general"
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise ScheduleError(f"a must be finite and positive, got {self.a}")
+        object.__setattr__(self, "a", require_real(self.a, "a", 0, error=ScheduleError))
         object.__setattr__(self, "num_experts",
                            require_count(self.num_experts, "num_experts", error=ScheduleError))
-        if not (math.isfinite(self.v0) and self.v0 >= 0):
-            raise ScheduleError(f"v0 must be finite and nonnegative, got {self.v0}")
+        object.__setattr__(self, "v0", require_real(self.v0, "v0", 0, low_closed=True,
+                                                    error=ScheduleError))
         if self.loss_mode not in LOSS_MODES:
             raise ScheduleError(f"unknown loss mode {self.loss_mode!r}")
 
@@ -247,17 +241,13 @@ class ScheduleParams:
         and optionally ``a``, ``target_eps``, ``v0`` and ``loss_mode``;
         ``a`` may be given directly or derived from ``target_eps``."""
         check_keys(cfg, ("N", "gamma"), ("a", "target_eps", "v0", "loss_mode"), "schedule config")
-        if "a" in cfg:
-            a = float(cfg["a"])
-        elif "target_eps" in cfg:
-            a = choose_a(float(cfg["target_eps"]), cfg.get("loss_mode", "general"))
-        else:
+        if not ("a" in cfg or "target_eps" in cfg):
             raise ScheduleError("schedule config needs 'a' or 'target_eps'")
+        a = cfg["a"] if "a" in cfg else choose_a(cfg["target_eps"], cfg.get("loss_mode", "general"))
         # v0 and the loss mode are passed on only when given, so their
-        # defaults are the constructor's; v0 is read through float
+        # defaults are the constructor's, as are the checks of every value
         return cls(a=a, num_experts=cfg["N"], gamma=GammaSchedule.from_config(cfg["gamma"]),
-                   **{key: float(cfg[key]) if key == "v0" else cfg[key]
-                      for key in ("v0", "loss_mode") if key in cfg})
+                   **{key: cfg[key] for key in ("v0", "loss_mode") if key in cfg})
 
 
 def _alpha_split(params: ScheduleParams, g, step: int = 1):
@@ -368,7 +358,8 @@ def _rate(a: float, loss_mode: str) -> float:
     holds with eps wherever this is at most 6 + eps (resp. 2 + eps)."""
     if loss_mode == "nonnegative":
         return a * math.expm1(2.0 / a)
-    return 2.0 * a * math.expm1(3.0 / a)
+    # the product first: doubling it is exact, and 2a overflows for a near the largest double
+    return 2.0 * (a * math.expm1(3.0 / a))
 
 
 # the coefficients 2 / (k + 2)! of S(x) = 2 (e^x - 1 - x) / x^2, from x^12 down
@@ -386,9 +377,8 @@ def choose_a(target_eps: float, loss_mode: str = "general") -> float:
     Both functions decrease toward their limit (6 resp. 2), so a solution
     exists for every positive eps.
     """
-    if not target_eps > 0:
-        raise ScheduleError(f"target_eps must be positive, got {target_eps}")
-    limit = _bound_constant(loss_mode) + target_eps
+    limit = _bound_constant(loss_mode) + require_real(target_eps, "target_eps", 0,
+                                                      error=ScheduleError)
     lo, hi = 3.0, 1e6
     if _rate(lo, loss_mode) <= limit:
         return lo
@@ -427,9 +417,8 @@ def _tuned_coef(params: ScheduleParams) -> float:
 def _main_coef(num_experts: int, loss_mode: str, target_eps: float) -> float:
     """2 sqrt((6+eps)(1+ln N)), or 2 sqrt((2+eps)(1+ln N)) for nonnegative losses;
     ``target_eps`` must be finite and positive, as every ``a`` gives."""
-    if not 0 < target_eps < math.inf:
-        raise ScheduleError(f"target_eps must be finite and positive, got {target_eps}")
-    c = _bound_constant(loss_mode) + target_eps
+    c = _bound_constant(loss_mode) + require_real(target_eps, "target_eps", 0,
+                                                  error=ScheduleError)
     return 2.0 * math.sqrt(c * expected_max_bound(num_experts))
 
 
@@ -482,7 +471,7 @@ def ifpl_regret_bound(params: ScheduleParams, delta_v) -> float:
 
 def poly_bound(N: int, T: int, alpha: float, delta: float, target_eps: float) -> float:
     """Polynomial-regime bound 2 sqrt((6+eps)(1+ln N)) T^{1 - delta/2 + alpha}."""
-    if not (1 <= T < math.inf and 0 <= alpha < math.inf and 0 < delta < math.inf):
-        raise ScheduleError(f"T must be finite and >= 1, alpha finite and >= 0 and delta "
-                            f"finite and > 0, got T={T}, alpha={alpha}, delta={delta}")
-    return _main_coef(N, "general", target_eps) * float(T) ** (1.0 - 0.5 * delta + alpha)
+    T = require_real(T, "T", 1, low_closed=True, error=ScheduleError)
+    alpha = require_real(alpha, "alpha", 0, low_closed=True, error=ScheduleError)
+    delta = require_real(delta, "delta", 0, error=ScheduleError)
+    return _main_coef(N, "general", target_eps) * T ** (1.0 - 0.5 * delta + alpha)

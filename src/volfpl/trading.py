@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _two_expert_probabilities
-from .game import GameError, read_csv, require_count, volume_from_peaks, write_csv
+from .game import GameError, read_csv, require_count, require_real, volume_from_peaks, write_csv
 from .perturbation import as_generator
 from .schedule import ScheduleParams, _main_coef, epsilon_values, mu_values
 
@@ -95,10 +95,10 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
     Cholesky factor of the fGn covariance times M standard normals, formed by
     the Durbin-Levinson recursion in O(M) memory.  Deterministic per seed.
     """
-    if not 0 < hurst < 1:
-        raise GameError(f"Hurst exponent must be in (0,1), got {hurst}")
-    if not all(map(math.isfinite, (scale, drift, s0))):
-        raise GameError(f"scale, drift and s0 must be finite, got {scale}, {drift}, {s0}")
+    hurst = require_real(hurst, "hurst", 0, 1)
+    scale = require_real(scale, "scale")
+    drift = require_real(drift, "drift")
+    s0 = require_real(s0, "s0")
     require_count(steps, "steps")
     gen = as_generator(seed)
     z = gen.standard_normal(steps)
@@ -161,8 +161,7 @@ class TradingConfig:
     schedule: ScheduleParams
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise GameError(f"C must be positive, got {self.c}")
+        object.__setattr__(self, "c", require_real(self.c, "C", 0))
         if self.schedule.num_experts != 2:
             raise GameError("trading game has exactly two experts")
         if not self.schedule.v0 > 0:

@@ -10,8 +10,10 @@ from volfpl import (
     GameError,
     LossMatrix,
     GammaSchedule,
+    PriceSeries,
     RngSpec,
     ScheduleParams,
+    TradingConfig,
     as_generator,
     batch_cumulative_losses,
     bounded_unit_game,
@@ -20,6 +22,7 @@ from volfpl import (
     epsilon_t,
     expected_max_bound,
     fbm_generate,
+    learner_gain,
     max_tail_bound,
     monte_carlo_regret,
     poly_bound,
@@ -201,7 +204,7 @@ NAN, INF = math.nan, math.inf
     (lambda: regret_bound(_PARAMS, 2, [1.0, 1.0], NAN), "got nan"),
     (lambda: regret_bound(_PARAMS, 2, [1.0, 1.0], -10.0), "got -10.0"),
     (lambda: poly_bound(2, 1024, 0.1, 1.0, NAN), "got nan"),
-    (lambda: poly_bound(2, 1024, NAN, 1.0, 1.0), "alpha=nan"),
+    (lambda: poly_bound(2, 1024, NAN, 1.0, 1.0), "alpha .* got nan"),
     (lambda: GammaSchedule.power(NAN), "got nan"),
     (lambda: ScheduleParams(a=INF, num_experts=2, gamma=GammaSchedule.power(1.0)), "got inf"),
     (lambda: max_tail_bound(2, NAN), "got nan"),
@@ -212,7 +215,7 @@ NAN, INF = math.nan, math.inf
     (lambda: selection_probabilities_mc([0.0, 1.0], 1.0, 10, None), "got None"),
     (lambda: fbm_generate(0.5, 10, seed=None), "got None"),
     (lambda: volume_trace(LossMatrix(INTRO_GAME), v0=-5.0), "got -5.0"),
-    (lambda: poly_bound(2, NAN, 0.1, 1.0, 1.0), "T=nan"),
+    (lambda: poly_bound(2, NAN, 0.1, 1.0, 1.0), "T .* got nan"),
     (lambda: expected_max_bound(0), "got 0"),
     (lambda: poly_bound(0, 1024, 0.1, 1.0, 1.0), "got 0"),
     (lambda: sample_exponential(0, np.random.default_rng(0)), "got 0"),
@@ -244,7 +247,7 @@ NAN, INF = math.nan, math.inf
     (lambda: LossMatrix(np.ones(3)), r"must be 2-d, got shape \(3,\)"),
     (lambda: LossMatrix(np.ones((3, 0))), "need at least one expert"),
     (lambda: scaled_fluctuation(1.0, 0.0), "delta_v > 0 with zero volume"),
-    (lambda: random_fluc_bounded_game(2, 5, 0, v0=0.0), "needs v0 > 0"),
+    (lambda: random_fluc_bounded_game(2, 5, 0, v0=0.0), r"v0 .* \(0, inf\), got 0.0"),
     (lambda: prot_run(INTRO_GAME, _PARAMS), "provide rng or explicit perturbations"),
     (lambda: prot_run(INTRO_GAME, _PARAMS, rng=0, regime="x"), "unknown perturbation regime 'x'"),
     (lambda: prot_run(lambda t, chosen, cum: [0.0, 0.0], _PARAMS, rng=0),
@@ -323,3 +326,61 @@ def test_counts_and_seeds_are_integers(name, value):
 def test_numpy_integer_counts_give_the_bits_of_python_ints(name):
     got, want = (np.asarray(_COUNTS[name](k)) for k in (np.int64(2), 2))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# every real parameter the library reads, each as a call on that one value,
+# with a valid value; a call returns what a numpy float must reproduce bit
+# for bit
+_PRICES = PriceSeries([1.0, 1.5, 0.5, 2.0])
+_REALS = {
+    "params-a": (lambda x: ScheduleParams(a=x, num_experts=2,
+                                          gamma=GammaSchedule.power(1.0)).target_eps, 10.0),
+    "params-v0": (lambda x: ScheduleParams(a=10.0, num_experts=2, gamma=GammaSchedule.power(1.0),
+                                           v0=x).v0, 1.0),
+    "power-delta": (lambda x: GammaSchedule.power(x).values(np.arange(1, 5)), 0.7),
+    "constant-c": (lambda x: GammaSchedule.constant(x).values(np.arange(1, 5)), 0.3),
+    "table-entry": (lambda x: GammaSchedule.from_table([1.0, x]).values(np.arange(1, 3)), 0.3),
+    "choose-a-eps": (choose_a, 1.0),
+    "regret-eps": (lambda x: regret_bound(_PARAMS, 2, [1.0, 1.0], x), 1.0),
+    "poly-bound-horizon": (lambda x: poly_bound(2, x, 0.1, 1.0, 1.0), 100.0),
+    "poly-bound-alpha": (lambda x: poly_bound(2, 100, x, 1.0, 1.0), 0.1),
+    "poly-bound-delta": (lambda x: poly_bound(2, 100, 0.1, x, 1.0), 0.7),
+    "adversary-eps": (lambda x: prop1_run(prot_probability_callback(_PARAMS),
+                                          AdversaryConfig(eps=x, horizon=3)).p1, 0.5),
+    "adversary-v0": (lambda x: prop1_run(lambda t, cum, v: 0.5,
+                                         AdversaryConfig(eps=0.5, v0=x, horizon=3)).v, 1.5),
+    "trading-c": (lambda x: learner_gain(_PRICES, TradingConfig(c=x, schedule=ScheduleParams(
+        a=10.0, num_experts=2, gamma=GammaSchedule.constant(0.5), v0=1.0)))[1], 0.7),
+    "fbm-hurst": (lambda x: fbm_generate(x, 8).prices, 0.7),
+    "fbm-scale": (lambda x: fbm_generate(0.5, 8, scale=x).prices, 0.7),
+    "fbm-drift": (lambda x: fbm_generate(0.5, 8, drift=x).prices, 0.7),
+    "fbm-s0": (lambda x: fbm_generate(0.5, 8, s0=x).prices, 0.7),
+    "random-game-v0": (lambda x: random_fluc_bounded_game(2, 5, RngSpec(0), v0=x).values, 1.5),
+    "random-game-delta": (lambda x: random_fluc_bounded_game(2, 5, RngSpec(0), delta=x).values,
+                          0.7),
+    "poly-game-exponent": (lambda x: poly_envelope_game(2, 5, RngSpec(0), exponent=x).values,
+                           0.7),
+    "volume-v0": (lambda x: volume_trace(LossMatrix(INTRO_GAME), v0=x)[0], 1.5),
+    "tail-threshold": (lambda x: max_tail_bound(2, x), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_REALS))
+@pytest.mark.parametrize("value", ["2", True, None, [1.0], NAN, INF, -INF],
+                         ids=["string", "bool", "none", "list", "nan", "inf", "minus-inf"])
+def test_reals_are_finite_numbers(name, value):
+    # a string or bool was cast or compared, NaN and inf passed some of
+    # these, and None or a list failed with a bare TypeError
+    named = f"must be a real number in .*, got {re.escape(repr(value))}$"
+    with pytest.raises(GameError, match=named):
+        _REALS[name][0](value)
+
+
+@pytest.mark.parametrize("name", list(_REALS))
+def test_numpy_reals_give_the_bits_of_python_floats(name):
+    call, valid = _REALS[name]
+    want = np.asarray(call(valid))
+    # a numpy float, a 0-d array, and an int where the value is integral
+    for x in [np.float64(valid), np.array(valid)] + [int(valid)] * (valid == int(valid)):
+        got = np.asarray(call(x))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -650,6 +651,55 @@ _RUN_CONFIGS = {
                    "seeds": [0, 1, 2]},
 }
 
+# three valid configs that together hold every config key: a random game
+# with every option, the once regime and IFPL; a poly game with a table
+# gamma, target_eps and counted seeds; a bounded game with a constant gamma
+_SWEEP_BASES = {
+    "random": {"game": {"kind": "random", "n_experts": 3, "num_steps": 6, "seed": 1, "v0": 1.0,
+                        "loss_mode": "general", "delta": 1.0},
+               "schedule": {"a": 10.0, "N": 3, "gamma": _POWER_GAMMA, "v0": 0.5,
+                            "loss_mode": "general"},
+               "seeds": [0, 1], "regime": "once", "run_ifpl": True, "out": "out"},
+    "poly": {"game": {"kind": "poly", "n_experts": 2, "num_steps": 5, "exponent": 0.5},
+             "schedule": {"target_eps": 1.0, "N": 2,
+                          "gamma": {"kind": "table", "values": [1.0, 0.5, 0.4, 0.3, 0.2]}},
+             "seeds": {"count": 2, "base": 3}},
+    "bounded": {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 4,
+                         "loss_mode": "nonnegative"},
+                "schedule": {"a": 3.0, "N": 2, "gamma": {"kind": "constant", "c": 0.5},
+                             "loss_mode": "nonnegative"},
+                "seeds": [2], "regime": "per-step"},
+}
+# what each key or list entry is set to once it has been dropped
+_SWEEP_VALUES = [5, -1, 0, 2.5, "x", "2", True, None, [], [1], {}, math.nan, math.inf, 1e308]
+
+
+def _config_paths(node, path=()):
+    """The path of every key and list entry of a config, parents first."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _config_paths(child, path + (key,))
+
+
+def _mutations(cfg, path):
+    """(value, config) pairs: ``cfg`` with the entry at ``path`` dropped
+    (value "drop"), then set to each sweep value."""
+    for drop in (True, False):
+        for value in ["drop"] if drop else _SWEEP_VALUES:
+            mutated = copy.deepcopy(cfg)
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            if drop:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield value, mutated
+
+
+_SWEEP = [(base, path) for base, cfg in _SWEEP_BASES.items() for path in _config_paths(cfg)]
+
 
 class TestCli:
     @pytest.mark.parametrize("name", list(_RUN_CONFIGS))
@@ -725,7 +775,7 @@ class TestCli:
 
     def test_adversary_zero_target_eps_rejected(self):
         # a target eps of 0 is not "no target": it does not fall back to --a
-        with pytest.raises(ScheduleError, match="target_eps must be positive"):
+        with pytest.raises(ScheduleError, match=r"target_eps must be a real number in \(0, inf\)"):
             cli_main(["adversary", "--eps", "0.5", "--horizon", "5", "--target-eps", "0"])
 
     # the constant gamma is PROT's run in batched exact calls
@@ -815,6 +865,44 @@ class TestCli:
         assert cli.console_main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"volfpl: error: cannot read config {path}: ")
+
+    @pytest.mark.parametrize("base, path", _SWEEP,
+                             ids=[f"{base}-{'.'.join(map(str, path))}" for base, path in _SWEEP])
+    def test_every_mutated_config_runs_or_fails_in_one_line(self, tmp_path, monkeypatch, capsys,
+                                                           base, path):
+        # the rule: exit code 0, or exit code 2 with exactly one stderr
+        # line; a traceback or a RuntimeWarning breaks it.  "x", null, a
+        # list or an object ended in a float() traceback, and "2" or true
+        # ran as a number
+        monkeypatch.chdir(tmp_path)  # a relative "out" is written here
+        broken = []
+        for value, cfg in _mutations(_SWEEP_BASES[base], path):
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = cli.console_main(["run", "--config", "cfg.json"])
+            except Exception as exc:
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err.splitlines()
+            if not (code == 0 or code == 2 and len(err) == 1):
+                broken.append(f"{value!r} -> {code} {err}")
+        assert not broken
+
+    @pytest.mark.parametrize("command, message", [
+        (["trading", "--prices", "missing.csv"], "No such file or directory: 'missing.csv'"),
+        (["run", "--config", "cfg.json", "--out", "afile"], "File exists: 'afile'"),
+        (["adversary", "--eps", "0.5", "--horizon", "3", "--out", "afile"],
+         "File exists: 'afile'"),
+    ], ids=["trading-missing-prices", "run-out-is-a-file", "adversary-out-is-a-file"])
+    def test_file_errors_end_in_one_line(self, tmp_path, monkeypatch, capsys, command, message):
+        # each ended in a FileNotFoundError or FileExistsError traceback
+        monkeypatch.chdir(tmp_path)
+        self.small_run_config(tmp_path)
+        (tmp_path / "afile").write_text("")
+        assert cli.console_main(command) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("volfpl: error: ") and err[0].endswith(message)
 
     def test_console_keeps_tracebacks_of_other_errors(self, monkeypatch):
         # only a GameError is the user's: any other exception is a bug

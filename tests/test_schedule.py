@@ -123,8 +123,10 @@ class TestGammaSchedule:
             GammaSchedule.from_config({"kind": kind, "delta": 1.0})
 
     @pytest.mark.parametrize("build, named", [
-        (lambda: GammaSchedule("power", delta=-1.0), "power exponent .* got -1.0"),
-        (lambda: GammaSchedule("constant", c=5.0), r"constant gamma must be in \(0,1\), got 5.0"),
+        (lambda: GammaSchedule("power", delta=-1.0),
+         r"power gamma delta must be a real number in \(0, inf\), got -1.0"),
+        (lambda: GammaSchedule("constant", c=5.0),
+         r"constant gamma c must be a real number in \(0, 1\), got 5.0"),
         (lambda: GammaSchedule("cubic"), "unknown gamma kind 'cubic'"),
         (lambda: GammaSchedule("table", table_values=(0.5, 0.9)), "non-increasing"),
         (lambda: ScheduleParams(a=3.0, num_experts=2.5, gamma=GammaSchedule.power(1.0)),
@@ -135,9 +137,10 @@ class TestGammaSchedule:
         (lambda: GammaSchedule("table", table_values=[0.5], delta=2.0),
          "table gamma does not read delta, got 2.0"),
         (lambda: GammaSchedule.from_table([]), "empty gamma table"),
-        (lambda: GammaSchedule.from_table([1.5]), r"table gamma values must be in \(0,1\]"),
+        (lambda: GammaSchedule.from_table([1.5]),
+         r"gamma table entry 1 must be a real number in \(0, 1\], got 1.5"),
         (lambda: ScheduleParams(a=3.0, num_experts=2, gamma=GammaSchedule.power(1.0), v0=-1.0),
-         "v0 must be finite and nonnegative, got -1.0"),
+         r"v0 must be a real number in \[0, inf\), got -1.0"),
         (lambda: ScheduleParams(a=3.0, num_experts=2, gamma=GammaSchedule.power(1.0),
                                 loss_mode="x"), "unknown loss mode 'x'"),
         (lambda: ScheduleParams.from_config({"N": 2, "gamma": {"kind": "power", "delta": 1.0}}),
@@ -148,10 +151,9 @@ class TestGammaSchedule:
          "gamma table must be a 1-d sequence of numbers, got 0.5"),
         (lambda: GammaSchedule.from_config({"kind": "table", "values": "0.5"}),
          "gamma table must be a 1-d sequence of numbers, got '0.5'"),
-        (lambda: GammaSchedule.from_table([[0.5], [0.25]]),
-         r"gamma table must be a 1-d sequence of numbers, got \[\[0.5\], \[0.25\]\]"),
-        (lambda: GammaSchedule.from_table([0.5, "x"]),
-         r"gamma table must be a 1-d sequence of numbers, got \[0.5, 'x'\]"),
+        # a row of a 2-d table, or an entry that is not a number, fails as an entry
+        (lambda: GammaSchedule.from_table([[0.5], [0.25]]), r"gamma table entry 1 .* got \[0.5\]"),
+        (lambda: GammaSchedule.from_table([0.5, "x"]), "gamma table entry 2 .* got 'x'"),
     ], ids=["power-negative-delta", "constant-above-one", "unknown-kind", "table-increasing",
             "fractional-experts", "power-reads-no-c", "table-reads-no-delta", "table-empty",
             "table-above-one", "params-negative-v0", "params-unknown-loss-mode",
@@ -268,9 +270,11 @@ class TestMu:
                              ids=["float", "float32", "float-again", "int", "float-5", "0-d"])
     def test_cached_coefficient_is_the_formula(self, a):
         # the coefficient is formed once per params object; a float32, int
-        # or 0-d array a (a float32 rounds differently from the equal
-        # float) still gets the bits of the formula formed afresh
+        # or 0-d array a is stored as the equal float and gets the bits of the
+        # formula formed afresh at that float
         p = ScheduleParams(a=a, num_experts=3, gamma=GammaSchedule.constant(0.25))
+        assert type(p.a) is float and p.a == a
+        a = float(a)
         coef = math.sqrt(2.0 * a * math.expm1(3.0 / a) / (1.0 + math.log(3)))
         assert mu_t(p, 1) == coef * math.sqrt(0.25)
 
