@@ -34,9 +34,13 @@ def _parse_gamma(spec: str) -> dict:
 
 
 def _schedule_flags(parser):
+    """Add the schedule flags; returns the group that --target-eps is in, so
+    that a flag setting ``a`` can exclude it."""
     parser.add_argument("--gamma", type=_parse_gamma, help="power:DELTA or const:C")
-    parser.add_argument("--target-eps", type=float, dest="target_eps")
+    sets_a = parser.add_mutually_exclusive_group()
+    sets_a.add_argument("--target-eps", type=float, dest="target_eps")
     parser.add_argument("--loss-mode", choices=LOSS_MODES, dest="loss_mode")
+    return sets_a
 
 
 def _apply_schedule_flags(schedule: dict, args) -> dict:
@@ -58,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="seeded experiment over a loss matrix")
     run.add_argument("--config", required=True, help="JSON experiment config")
-    run.add_argument("--seed", type=int, help="single seed override")
-    run.add_argument("--seeds", type=int, help="number of seeds (base 0)")
+    seeds = run.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="single seed override")
+    seeds.add_argument("--seeds", type=int, help="number of seeds (base 0)")
     run.add_argument("--regime", choices=["once", "per-step"])
     run.add_argument("--out")
     _schedule_flags(run)
@@ -68,9 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--eps", type=float, required=True)
     adv.add_argument("--horizon", type=int, default=30)
     adv.add_argument("--v0", type=float, default=1.0)
-    adv.add_argument("--a", type=float, default=10.0)
     adv.add_argument("--out")
-    _schedule_flags(adv)
+    _schedule_flags(adv).add_argument("--a", type=float, default=10.0)
 
     trd = sub.add_parser("trading", help="zero-sum volatility-trading experiment")
     trd.add_argument("--prices", help="price CSV (single `price` column)")

@@ -24,6 +24,7 @@ from .game import (
     LossMatrix,
     RunningVolume,
     require_count,
+    require_real,
     scaled_fluctuation,
     volume_trace,
     write_csv,
@@ -116,8 +117,9 @@ def prot_select(cumulative, eps, xi):
     the leader).  ``cumulative`` has shape (..., N), ``eps`` is a scalar or
     has shape (...), and ``xi`` broadcasts against (..., N); the argmin runs
     over the last axis.  Shapes that do not broadcast, NaN scores, rates
-    that are not positive and perturbations that are not finite raise
-    GameError, so no score is NaN.
+    that are not positive, scaled scores ``eps s`` that are not finite (an
+    infinite score, or a rate that overflows a finite one) and
+    perturbations that are not finite raise GameError, so no score is NaN.
     """
     s = np.asarray(cumulative, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -142,7 +144,10 @@ def prot_select(cumulative, eps, xi):
     # xi's rows stretch a size-1 axis; xi's extra leading axes broadcast in
     # the add, and its negated copy holds the scores when it has their shape
     own = rows[len(rows) - len(np.broadcast_shapes(s.shape[:-1], eps.shape)):]
-    scaled = _scaled_scores(np.broadcast_to(s, own + s.shape[-1:]), np.broadcast_to(eps, own))
+    with np.errstate(over="ignore"):
+        scaled = _scaled_scores(np.broadcast_to(s, own + s.shape[-1:]), np.broadcast_to(eps, own))
+    if not np.isfinite(scaled[0]).all():
+        raise GameError(f"scaled scores eps * s must be finite, got eps = {eps} and s = {s}")
     neg_xi = np.negative(xi)
     out = neg_xi if neg_xi.shape == rows + s.shape[-1:] else None
     # [()] turns one row's 0-d choice back into a scalar
@@ -474,8 +479,9 @@ def selection_probabilities_mc(cumulative, eps: float, num_samples: int, rng) ->
     choices for one row of scores over fresh exponential perturbations,
     drawn in chunks of at most ``_MAX_CHUNK_ELEMS`` doubles.
 
-    An infinite rate is follow the leader; NaN scores and rates that are
-    not positive raise GameError, as in :func:`prot_select`.
+    An infinite rate is follow the leader; NaN scores, rates that are not
+    positive and scaled scores that are not finite raise GameError, as in
+    :func:`prot_select`.
     """
     require_count(num_samples, "num_samples")
     s = np.asarray(cumulative, dtype=float)
@@ -497,8 +503,10 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     """Exact check of P{I_t=j} <= exp((3/a) gamma(t)^{1-alpha_t}) P{J_t=j}.
 
     PROT's probabilities are one exact call on (s_{1:t-1}, eps_t), IFPL's
-    one on (s_{1:t}, eps'_t).  Requires fluc(t) <= gamma(t).
+    one on (s_{1:t}, eps'_t).  Requires fluc(t) <= gamma(t); ``slack`` is
+    a real number in [0, inf).
     """
+    slack = require_real(slack, "slack", 0, low_closed=True)
     cumulative_prev = np.asarray(cumulative_prev, dtype=float)
     loss_t = np.asarray(loss_t, dtype=float)
     if not (math.isfinite(v_prev) and math.isfinite(v_t)):
@@ -533,9 +541,9 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     """Learner cumulative losses for many independent seeded runs at once.
 
     Returns an array of shape (num_runs, len(checkpoints)); ``checkpoints``
-    lie in 1..T and default to [T] (zeros for a game with no steps).  Only
-    valid for oblivious games (fixed loss matrix), where volumes and rates
-    do not depend on the perturbations.  A single run draws the doubles
+    is a sequence of integers in 1..T and defaults to [T] (zeros for a game
+    with no steps).  Only valid for oblivious games (fixed loss matrix),
+    where volumes and rates do not depend on the perturbations.  A single run draws the doubles
     ``prot_run`` draws from the same ``rng``, so it reproduces that run's
     total loss exactly.
 
@@ -552,9 +560,9 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     T, N = game.values.shape
     if N != params.num_experts:
         raise GameError(f"params expect {params.num_experts} experts, game has {N}")
-    cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
-    if checkpoints is not None and not np.all((cps >= 1) & (cps <= T)):
-        raise GameError(f"checkpoints must lie in 1..{T}, got {cps.tolist()}")
+    cps = [T] if checkpoints is None else [require_count(c, "checkpoints") for c in checkpoints]
+    if max(cps, default=0) > T:
+        raise GameError(f"checkpoints must lie in 1..{T}, got {cps}")
     gen = as_generator(rng)
     if T == 0:
         return np.zeros((num_runs, 1))
@@ -565,7 +573,7 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     chunk = max(1, min(num_runs, _MAX_CHUNK_ELEMS // (T * N)))
     flat = game.values.ravel()
     offsets = np.arange(0, T * N, N)
-    cp_idx = cps - 1
+    cp_idx = [c - 1 for c in cps]
     for done in range(0, num_runs, chunk):
         m = min(chunk, num_runs - done)
         choice = _chunk_choices(scaled, ftl, leaders, (m, 1 if regime == "once" else T, N), gen)
@@ -584,11 +592,13 @@ def monte_carlo_regret(losses, params: ScheduleParams, num_runs: int, rng,
     None selects only T).
     """
     values = losses.values if isinstance(losses, LossMatrix) else np.asarray(losses, float)
-    T = values.shape[0]
+    # read once, so that batch_cumulative_losses, which checks them, and the
+    # best expert's losses see the same checkpoints, a generator's among them
+    cps = None if checkpoints is None else list(checkpoints)
     totals = batch_cumulative_losses(losses, params, num_runs, rng, regime=regime,
-                                     infeasible=infeasible, checkpoints=checkpoints)
-    cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
-    mean, se = _mean_se(totals - _expert_cum(values)[cps].min(axis=1))
+                                     infeasible=infeasible, checkpoints=cps)
+    best = _expert_cum(values)[[len(values)] if cps is None else cps].min(axis=1)
+    mean, se = _mean_se(totals - best)
     if checkpoints is None:
         return float(mean[0]), float(se[0])
     return mean, se

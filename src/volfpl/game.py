@@ -97,7 +97,7 @@ class LossMatrix:
 
     def row(self, t: int) -> np.ndarray:
         """One-step losses at step t (1-based)."""
-        return self.values[t - 1]
+        return self.values[require_count(t, "t") - 1]
 
     @classmethod
     def from_csv(cls, path) -> "LossMatrix":

@@ -22,6 +22,12 @@ and the split terms gamma^{1-alpha_t}, gamma^{alpha_t}, from gamma(t)),
 :func:`alpha_t`, :func:`mu_t` and :func:`epsilon_t` are one-step reads of
 them (``mu_t`` takes ``math.sqrt``, which rounds as ``np.sqrt`` does) and
 agree with them bit for bit.
+
+Every step index t and horizon T goes through ``game.require_count``, the
+one integer rule: an int or a numpy integer, at least 1 for a step and 0
+for a horizon.  A float (2.0 among them), a bool or a string raises
+ScheduleError naming it, and ``GammaSchedule.values`` applies the same rule
+to each entry, so an array of floats raises as its first entry does.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ class GammaSchedule:
         for name, unset in (("delta", 0.0), ("c", 0.0), ("table_values", ())):
             value = getattr(self, name)
             if name != read:
-                if np.size(value) if name == "table_values" else value != unset:
+                # any value but the unset one, an array among them, is set
+                if not np.array_equal(value, unset):
                     raise ScheduleError(f"{self.kind} gamma does not read {name}, got {value!r}")
                 object.__setattr__(self, name, unset)  # an empty list or array, say
         if self.kind != "table":  # a power's delta is positive, a constant's c in (0, 1)
@@ -107,8 +114,7 @@ class GammaSchedule:
         return cls(kind="table", table_values=values)
 
     def __call__(self, t: int) -> float:
-        if t < 1:
-            raise ScheduleError(f"step index must be >= 1, got {t}")
+        t = require_count(t, "step index", error=ScheduleError)
         if self.kind == "power":
             # numpy's array power, which values() takes too: Python's float
             # power gives other last bits at some steps
@@ -122,14 +128,16 @@ class GammaSchedule:
     def values(self, ts) -> np.ndarray:
         """Vectorized evaluation at an array of steps.
 
-        A step the scalar call rejects (t < 1, or past the table) raises its
-        ScheduleError for the first such t.
+        The scalar call's rule, entry by entry: the first step it rejects
+        (one below 1 or past the table, or any entry of an array that is not
+        of integers) raises its ScheduleError.
         """
         ts = np.asarray(ts)
         last = len(self.table_values) if self.kind == "table" else math.inf
-        bad = (ts < 1) | (ts > last)
-        if bad.any():
-            self(int(ts[bad][0]))
+        # an integer array is checked in one pass; any other goes to the
+        # scalar call entry by entry, which rejects a float, bool or string
+        for t in (ts[(ts < 1) | (ts > last)] if ts.dtype.kind in "iu" else ts.ravel()).tolist():
+            self(t)
         if self.kind == "power":
             return ts.astype(float) ** -self.delta
         if self.kind == "constant":
@@ -187,6 +195,13 @@ class ScheduleParams:
         return 2.0 * math.expm1(3.0 / self.a) / (self.a * expected_max_bound(self.num_experts))
 
     @cached_property
+    def _alpha_ceiling(self) -> float:
+        """min(A, 1/A), which gamma(t) must stay below for 0 < alpha_t < 1;
+        0.0, no alpha domain, where A underflows to 0."""
+        A = self.coef_A
+        return min(A, 1.0 / A) if A else 0.0
+
+    @cached_property
     def _mu_coef(self) -> float:
         """sqrt(2a(e^{3/a}-1) / (1+ln N)) = mu_t / gamma(t)^{1/2}, formed once
         per params: every adversary step asks for mu_t, and the coefficient
@@ -215,8 +230,7 @@ class ScheduleParams:
 
     def alpha_domain_ok(self, t: int) -> bool:
         """True iff gamma(t) < min(A, 1/A), the domain where 0 < alpha_t < 1."""
-        A = self.coef_A
-        return self.gamma(t) < min(A, 1.0 / A)
+        return self.gamma(t) < self._alpha_ceiling
 
     def require_alpha_domain(self, t: int = 1) -> None:
         """Raise unless gamma(t) is inside the alpha_t domain.
@@ -225,10 +239,9 @@ class ScheduleParams:
         later steps.
         """
         if not self.alpha_domain_ok(t):
-            A = self.coef_A
             raise ScheduleError(
                 f"gamma({t}) = {self.gamma(t):.6g} is not below "
-                f"min(A, 1/A) = {min(A, 1.0 / A):.6g}; alpha_t leaves (0, 1)"
+                f"min(A, 1/A) = {self._alpha_ceiling:.6g}; alpha_t leaves (0, 1)"
             )
 
     def to_config(self) -> dict:
@@ -238,11 +251,13 @@ class ScheduleParams:
     @classmethod
     def from_config(cls, cfg: dict) -> "ScheduleParams":
         """Build params from a JSON-style dict with keys ``N`` and ``gamma``
-        and optionally ``a``, ``target_eps``, ``v0`` and ``loss_mode``;
-        ``a`` may be given directly or derived from ``target_eps``."""
+        and exactly one of ``a`` and ``target_eps``, and optionally ``v0``
+        and ``loss_mode``; ``a`` is given directly or derived from
+        ``target_eps``."""
         check_keys(cfg, ("N", "gamma"), ("a", "target_eps", "v0", "loss_mode"), "schedule config")
-        if not ("a" in cfg or "target_eps" in cfg):
-            raise ScheduleError("schedule config needs 'a' or 'target_eps'")
+        if ("a" in cfg) == ("target_eps" in cfg):
+            raise ScheduleError("schedule config needs 'a' or 'target_eps'"
+                                + (", not both" if "a" in cfg else ""))
         a = cfg["a"] if "a" in cfg else choose_a(cfg["target_eps"], cfg.get("loss_mode", "general"))
         # v0 and the loss mode are passed on only when given, so their
         # defaults are the constructor's, as are the checks of every value
@@ -300,6 +315,7 @@ def _checked_mu(mu, step):
 
 def mu_values(params: ScheduleParams, T: int) -> np.ndarray:
     """mu_t for t = 1..T, vectorized; raises where gamma(t) underflows to 0."""
+    T = require_count(T, "T", 0, error=ScheduleError)
     if params.gamma.kind == "constant":  # every mu_t is the one double mu_1
         return np.full(T, mu_t(params, 1))
     ts = np.arange(1, T + 1)
@@ -394,7 +410,9 @@ def choose_a(target_eps: float, loss_mode: str = "general") -> float:
 
 
 def _checked_delta_v(T: int, delta_v) -> np.ndarray:
-    """``delta_v`` as floats; raises unless it has shape (T,) and no negative or NaN entry."""
+    """``delta_v`` as floats; raises unless the horizon ``T`` is an integer
+    and ``delta_v`` has shape (T,) and no negative or NaN entry."""
+    require_count(T, "T", 0, error=ScheduleError)
     delta_v = np.asarray(delta_v, dtype=float)
     if delta_v.shape != (T,):
         raise ScheduleError(f"delta_v must have length {T}, got shape {delta_v.shape}")

@@ -118,8 +118,7 @@ def _moves(s):
 
 def _gains_from_moves(offset, ds, c: float):
     """(s1, s2) from the moves; a gain that is not finite raises GameError."""
-    if not c > 0:
-        raise GameError(f"C must be positive, got {c}")
+    c = require_real(c, "C", 0)
     with np.errstate(over="ignore", invalid="ignore"):
         s1 = 2.0 * c * offset * ds
     if not np.isfinite(s1).all():

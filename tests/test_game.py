@@ -14,6 +14,7 @@ from volfpl import (
     RngSpec,
     ScheduleParams,
     TradingConfig,
+    alpha_t,
     as_generator,
     batch_cumulative_losses,
     bounded_unit_game,
@@ -21,10 +22,15 @@ from volfpl import (
     choose_a,
     epsilon_t,
     expected_max_bound,
+    expert_gains,
     fbm_generate,
+    general_bound,
     learner_gain,
     max_tail_bound,
     monte_carlo_regret,
+    mu_t,
+    mu_values,
+    optimized_bound,
     poly_bound,
     probability_ratio_check,
     poly_envelope_game,
@@ -32,6 +38,7 @@ from volfpl import (
     prop1_step,
     prot_probability_callback,
     prot_run,
+    prot_select,
     random_fluc_bounded_game,
     regret_bound,
     sample_exponential,
@@ -188,6 +195,10 @@ class TestVolumeTrace:
 
 
 _PARAMS = ScheduleParams(a=10.0, num_experts=2, gamma=GammaSchedule.power(1.0), v0=1.0)
+# inside the alpha domain at every step: gamma = 0.01 < min(A, 1/A) = 0.041
+_ALPHA_PARAMS = ScheduleParams(a=10.0, num_experts=2, gamma=GammaSchedule.constant(0.01))
+# A = 2(e^{3/a} - 1) / (a (1 + ln N)) underflows to 0: no alpha domain
+_HUGE_A = ScheduleParams(a=1e308, num_experts=2, gamma=GammaSchedule.constant(0.01))
 NAN, INF = math.nan, math.inf
 
 
@@ -258,6 +269,17 @@ NAN, INF = math.nan, math.inf
      "params expect 2 experts, game has 3"),
     (lambda: probability_ratio_check([0.0, 0.0], [0.0, 0.0], _PARAMS, 5, 2.0, 1.0),
      "volume decreased"),
+    # min(A, 1/A) was formed from A = 0.0: a bare ZeroDivisionError
+    (lambda: _HUGE_A.require_alpha_domain(1), r"min\(A, 1/A\) = 0; alpha_t leaves"),
+    (lambda: alpha_t(_HUGE_A, 1), r"min\(A, 1/A\) = 0; alpha_t leaves"),
+    (lambda: general_bound(_HUGE_A, 2, [1.0, 1.0]), r"min\(A, 1/A\) = 0; alpha_t leaves"),
+    # eps s overflowed with a RuntimeWarning, and an infinite score was
+    # chosen around
+    (lambda: prot_select([2.0, 1.0, 1.0], 1e308, [1.0, 1.0, 1.0]),
+     r"eps \* s must be finite, got eps = 1e\+308"),
+    (lambda: prot_select([INF, 0.0], 1.0, [0.0, 0.0]), r"eps \* s must be finite"),
+    (lambda: selection_probabilities_mc([2.0, 1.0], 1e308, 10, RngSpec(0)),
+     r"eps \* s must be finite"),
 ], ids=["fluc-nan-delta", "fluc-nan-volume", "fluc-inf", "fluc-bound-nan", "eps-nan-volume",
         "eps-inf-volume", "ratio-nan-volume", "ratio-inf-volume", "regret-nan-eps",
         "regret-negative-eps", "poly-nan-eps", "poly-nan-alpha", "power-nan-delta",
@@ -273,7 +295,9 @@ NAN, INF = math.nan, math.inf
         "choose-a-unreachable", "adversary-no-horizon",
         "loss-matrix-1d", "loss-matrix-no-experts", "fluc-zero-volume",
         "random-game-zero-v0", "prot-no-rng", "prot-unknown-regime", "prot-callback-no-steps",
-        "batch-unknown-regime", "batch-expert-mismatch", "ratio-volume-decreased"])
+        "batch-unknown-regime", "batch-expert-mismatch", "ratio-volume-decreased",
+        "huge-a-alpha-domain", "huge-a-alpha-t", "huge-a-general-bound",
+        "select-overflowing-rate", "select-infinite-score", "mc-select-overflowing-rate"])
 def test_non_finite_inputs_raise_naming_the_value(call, named):
     # each of these returned nan, passed, warned, or raised a misleading or
     # bare numpy or Python error
@@ -362,6 +386,9 @@ _REALS = {
                            0.7),
     "volume-v0": (lambda x: volume_trace(LossMatrix(INTRO_GAME), v0=x)[0], 1.5),
     "tail-threshold": (lambda x: max_tail_bound(2, x), 1.5),
+    "gains-c": (lambda x: expert_gains(_PRICES, x)[0], 0.7),
+    "ratio-slack": (lambda x: probability_ratio_check([0.0, 0.0], [0.01, 0.0], _ALPHA_PARAMS, 3,
+                                                      1.0, 1.01, slack=x), 1e-9),
 }
 
 
@@ -384,3 +411,74 @@ def test_numpy_reals_give_the_bits_of_python_floats(name):
     for x in [np.float64(valid), np.array(valid)] + [int(valid)] * (valid == int(valid)):
         got = np.asarray(call(x))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# every step index and horizon the library reads, each as a call on that
+# one value, with the least valid value; a call returns what a numpy integer
+# must reproduce bit for bit.  The name is what the error message names.
+_TABLE = GammaSchedule.from_table([0.5, 0.25, 0.125])
+_STEPS = {
+    "power-gamma": (lambda t: GammaSchedule.power(1.0)(t), 1, "step index"),
+    "power-gamma-values": (lambda t: GammaSchedule.power(1.0).values([t]), 1, "step index"),
+    "table-gamma": (lambda t: _TABLE(t), 1, "step index"),
+    "table-gamma-values": (lambda t: _TABLE.values([t]), 1, "step index"),
+    "constant-gamma": (lambda t: GammaSchedule.constant(0.3)(t), 1, "step index"),
+    "mu-t": (lambda t: mu_t(_PARAMS, t), 1, "step index"),
+    "epsilon-t": (lambda t: epsilon_t(_PARAMS, t, 1.0), 1, "step index"),
+    "alpha-t": (lambda t: alpha_t(_ALPHA_PARAMS, t), 1, "step index"),
+    "alpha-domain-ok": (lambda t: _ALPHA_PARAMS.alpha_domain_ok(t), 1, "step index"),
+    "require-alpha-domain": (lambda t: _ALPHA_PARAMS.require_alpha_domain(t), 1, "step index"),
+    "ratio-check": (lambda t: probability_ratio_check([0.0, 0.0], [0.01, 0.0], _ALPHA_PARAMS, t,
+                                                      1.0, 1.01), 1, "step index"),
+    "prot-callback": (lambda t: prot_probability_callback(_PARAMS)(t, np.array([0.0, 1.0]), 1.0),
+                      1, "step index"),
+    "loss-row": (lambda t: LossMatrix(INTRO_GAME).row(t), 1, "t"),
+    "mu-values-horizon": (lambda T: mu_values(_PARAMS, T), 0, "T"),
+    "regret-bound-horizon": (lambda T: regret_bound(_PARAMS, T, [1.0, 0.5], 1.0), 0, "T"),
+    "optimized-bound-horizon": (lambda T: optimized_bound(_PARAMS, T, [1.0, 0.5]), 0, "T"),
+    "general-bound-horizon": (lambda T: general_bound(_ALPHA_PARAMS, T, [1.0, 0.5]), 0, "T"),
+    "batch-checkpoint": (lambda c: batch_cumulative_losses(INTRO_GAME, _PARAMS, 3, RngSpec(0),
+                                                           checkpoints=[c]), 1, "checkpoints"),
+    "mc-checkpoint": (lambda c: monte_carlo_regret(INTRO_GAME, _PARAMS, 3, RngSpec(0),
+                                                   checkpoints=[1, c]), 1, "checkpoints"),
+}
+_STEP_ROWS = [(name, value) for name, (_, low, _) in _STEPS.items()
+              for value in [2.5, True, "2", np.float64(2.0), -1] + [0] * low]
+# a checkpoint past the game's 7 steps, and a 2-d checkpoint list
+_STEP_ROWS += [("batch-checkpoint", 8), ("mc-checkpoint", 8),
+               ("batch-checkpoint", [2]), ("mc-checkpoint", [2])]
+
+
+@pytest.mark.parametrize("name, value", _STEP_ROWS,
+                         ids=[f"{name}-{value!r}" for name, value in _STEP_ROWS])
+def test_steps_and_horizons_are_integers(name, value):
+    # each returned a value built on the float, bool or string (gamma(2.5)
+    # = 0.4), raised a bare TypeError, read row 0 as the last row, ran no
+    # steps for T = -1, or read checkpoints [1.5] as step 1
+    call, _, named = _STEPS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the array form names the entry as a Python number: 2.0, not np.float64(2.0)
+        with pytest.raises(GameError, match=f"^{named} .*got .*{re.escape(str(value))}"):
+            call(value)
+
+
+@pytest.mark.parametrize("name", list(_STEPS))
+def test_numpy_integer_steps_give_the_bits_of_python_ints(name):
+    want = np.asarray(_STEPS[name][0](2))
+    for t in (np.int64(2), np.int32(2), np.uint8(2)):
+        got = np.asarray(_STEPS[name][0](t))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [1, 3, 4, 0, -1, 2.5, 3.0, True, False, "2", None,
+                                   np.float64(2.0), np.int64(3), np.uint8(2)])
+@pytest.mark.parametrize("gamma", [GammaSchedule.power(1.0), _TABLE], ids=["power", "table"])
+def test_gamma_values_rejects_what_the_call_rejects(gamma, value):
+    # the array form took a float step array as its integer parts
+    def outcome(call):
+        try:
+            return call().tolist()
+        except GameError as exc:
+            return type(exc)
+    assert outcome(lambda: gamma.values([value])) == outcome(lambda: np.array([gamma(value)]))

@@ -749,8 +749,7 @@ class TestCli:
     @pytest.mark.parametrize("flags, message", [
         (["--seeds", "0"], "need at least one seed"),
         (["--seed", "-3"], "non-negative integers"),
-        (["--seed", "1", "--seeds", "0"], "need at least one seed"),
-    ], ids=["no-seeds", "negative-seed", "seeds-after-seed"])
+    ], ids=["no-seeds", "negative-seed"])
     def test_seed_flags_checked_before_the_run(self, tmp_path, monkeypatch, flags, message):
         # the flags go through the config's seeds check, as a seeds key would
         def no_run(config):
@@ -772,6 +771,29 @@ class TestCli:
         assert cli_main(["run", "--config", cfg_path, "--seed", "7"]) == 0
         assert cli_main(["run", "--config", cfg_path, "--seeds", "3"]) == 0
         assert seeds == [[7], [0, 1, 2]]
+
+    @pytest.mark.parametrize("command, message", [
+        (["run", "--config", None, "--seed", "7", "--seeds", "3"],
+         "argument --seeds: not allowed with argument --seed"),
+        (["run", "--config", None, "--seed", "1", "--seeds", "0"],
+         "argument --seeds: not allowed with argument --seed"),
+        (["adversary", "--eps", "0.5", "--a", "5", "--target-eps", "1"],
+         "argument --target-eps: not allowed with argument --a"),
+    ], ids=["seed-and-seeds", "seeds-after-seed", "a-and-target-eps"])
+    def test_flags_for_one_value_exclude_each_other(self, tmp_path, monkeypatch, capsys,
+                                                    command, message):
+        # the later flag used to win silently: --seed 7 --seeds 3 ran seeds
+        # 0, 1 and 2, and --target-eps dropped --a
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        monkeypatch.setattr(cli, "prop1_run", no_run)
+        command = [self.small_run_config(tmp_path) if arg is None else arg for arg in command]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.console_main(command)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
 
     def test_adversary_zero_target_eps_rejected(self):
         # a target eps of 0 is not "no target": it does not fall back to --a
@@ -815,7 +837,11 @@ class TestCli:
         # a missing number ended in a ValueError traceback
         (["probe", "--cum", "1,,2", "--eps", "0.5"],
          "--cum must be comma-separated numbers, got '1,,2'"),
-    ], ids=["infinite-rate", "expert-count", "empty-cum-entry"])
+        # eps * s overflowed in the Monte-Carlo half: a RuntimeWarning, and
+        # a traceback under -W error::RuntimeWarning
+        (["probe", "--cum", "2,1,1", "--eps", "1e308"],
+         "scaled scores eps * s must be finite, got eps = 1e+308 and s = [2. 1. 1.]"),
+    ], ids=["infinite-rate", "expert-count", "empty-cum-entry", "overflowing-rate"])
     def test_game_errors_end_in_one_line(self, tmp_path, command, message):
         # a bad flag or config used to end in a Python traceback
         cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5, "seed": 1},

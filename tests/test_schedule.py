@@ -67,7 +67,8 @@ class TestGammaSchedule:
         with pytest.raises(ScheduleError):
             g(4)
         assert g.values(np.array([3, 1, 2, 2])).tolist() == [0.125, 0.5, 0.25, 0.25]
-        assert g.values(np.array([3.0, 1.0])).tolist() == [0.125, 0.5]
+        with pytest.raises(ScheduleError, match="got 3.0"):
+            g.values(np.array([3.0, 1.0]))
         assert g.values(np.arange(1, 1)).shape == (0,)
         # the vectorized form names the first bad step, as the scalar call does
         with pytest.raises(ScheduleError, match="t=4"):
@@ -154,11 +155,19 @@ class TestGammaSchedule:
         # a row of a 2-d table, or an entry that is not a number, fails as an entry
         (lambda: GammaSchedule.from_table([[0.5], [0.25]]), r"gamma table entry 1 .* got \[0.5\]"),
         (lambda: GammaSchedule.from_table([0.5, "x"]), "gamma table entry 2 .* got 'x'"),
+        # an array in a field the kind does not read failed in the compare
+        # with numpy's bare "truth value of an array is ambiguous"
+        (lambda: GammaSchedule("power", delta=1.0, c=np.array([1.0, 2.0])),
+         r"power gamma does not read c, got array\(\[1., 2.\]\)"),
+        # target_eps was dropped for a
+        (lambda: ScheduleParams.from_config({"a": 3.0, "target_eps": 0.01, "N": 2,
+                                             "gamma": {"kind": "power", "delta": 1.0}}),
+         "schedule config needs 'a' or 'target_eps', not both"),
     ], ids=["power-negative-delta", "constant-above-one", "unknown-kind", "table-increasing",
             "fractional-experts", "power-reads-no-c", "table-reads-no-delta", "table-empty",
             "table-above-one", "params-negative-v0", "params-unknown-loss-mode",
             "params-config-without-a", "table-number", "table-string", "table-2d",
-            "table-non-number"])
+            "table-non-number", "power-reads-no-c-array", "params-config-a-and-target-eps"])
     def test_constructor_checks_as_the_classmethods(self, build, named):
         # the dataclass constructors used to take these: power gave gamma(2)
         # = 2, constant gave 5, and an unknown kind failed only at first use
