@@ -9,7 +9,6 @@ necessary for consistency, not just convenient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +41,12 @@ def prop1_step(v_prev: float, p1: float, eps: float):
     Returns (s1_t, s2_t, M_t).  The boundary p1 = 1/2 is inclusive: the loss
     lands on expert 1.  Placing M_t on the expert the learner follows with
     probability >= 1/2 forces E(s_t) >= M_t / 2 for every callback.
+    ``v_prev`` is a real number in (0, inf), ``p1`` one in [0, 1] and
+    ``eps`` one in (0, 1).
     """
-    if not v_prev > 0:
-        raise AdversaryError(f"v_prev must be positive, got {v_prev}")
-    if not 0 < eps < 1:
-        raise AdversaryError(f"eps must be in (0,1), got {eps}")
-    if not 0 <= p1 <= 1:
-        raise AdversaryError(f"p1 must be a probability, got {p1}")
+    v_prev = require_real(v_prev, "v_prev", 0, error=AdversaryError)
+    eps = require_real(eps, "eps", 0, 1, error=AdversaryError)
+    p1 = require_real(p1, "p1", 0, 1, low_closed=True, high_closed=True, error=AdversaryError)
     m = 4.0 * v_prev / eps
     if p1 >= 0.5:
         return m, 0.0, m
@@ -121,7 +119,7 @@ def _play(algorithm, config: AdversaryConfig):
     for t in range(1, T + 1):
         v_prev = volume.v
         p = float(algorithm(t, np.array((c1, c2)), v_prev))
-        if not 0 <= p <= 1 or not math.isfinite(p):
+        if not 0 <= p <= 1:
             raise AdversaryError(f"callback returned invalid probability {p} at step {t}")
         a, b, mt = prop1_step(v_prev, p, config.eps)
         v.append(volume.add(mt, t))

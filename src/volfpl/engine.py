@@ -23,6 +23,7 @@ from .game import (
     GameError,
     LossMatrix,
     RunningVolume,
+    require_choice,
     require_count,
     require_real,
     scaled_fluctuation,
@@ -272,8 +273,7 @@ def _callback_run(step_fn, T: int, N: int, params: ScheduleParams, neg_xi, infea
 def _run(losses, params, rng, regime, perturbations, infeasible, num_steps):
     if rng is None and perturbations is None:
         raise GameError("provide rng or explicit perturbations")
-    if regime not in REGIMES:
-        raise GameError(f"unknown perturbation regime {regime!r}")
+    require_choice(regime, REGIMES, "perturbation regime")
     if callable(losses):
         if num_steps is None:
             raise GameError("callback games need num_steps")
@@ -349,13 +349,6 @@ def _gauss_legendre_unit(k: int):
     return (-0.5 * (x + 1.0)).reshape(k, 1), (0.5 * w).reshape(k, 1, 1)
 
 
-def _require_rates(eps) -> None:
-    """Raise GameError unless a rate, or every rate of an array, is finite
-    and positive."""
-    if not (np.isfinite(eps) & (eps > 0)).all():
-        raise GameError(f"eps must be finite and positive, got {eps}")
-
-
 # log1p(-b u) of the leader (b = 1) at the one node u = 1/2 of N = 2, from
 # the ufunc that forms the follower's term
 _LEADER_LOG = float(np.log1p(np.array([-0.5]))[0])
@@ -422,8 +415,11 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     its condition number is |x|.
 
     ``cumulative`` has shape (..., N) and ``eps`` is a scalar or has shape
-    (...): leading axes are independent problems.  Non-finite scores and
-    rates that are not finite and positive raise GameError.
+    (...): leading axes are independent problems.  A rate is in (0, inf],
+    as in :func:`prot_select`: an infinite one follows the leader, and its
+    problem's probabilities are the one-hot on the leader (the lowest index
+    on a tie).  Non-finite scores, and rates that are NaN or not positive,
+    raise GameError.
 
     The kernel is one for every N and is expert-major: the M problems
     become the last, contiguous axis of an (N, M) copy of the scores, and
@@ -442,12 +438,20 @@ def selection_probabilities_exact(cumulative, eps) -> np.ndarray:
     if not np.isfinite(s).all():
         raise GameError(f"cumulative scores must be finite, got {s}")
     eps = np.asarray(eps, dtype=float)
-    _require_rates(eps)
+    if not (eps > 0).all():
+        raise GameError(f"need scores without NaN and positive rates, got {s} and {eps}")
     n = s.shape[-1]
     shape = s.shape[:-1]
     if eps.ndim and eps.shape != shape:
         shape = np.broadcast_shapes(shape, eps.shape)
         s, eps = np.broadcast_to(s, shape + (n,)), np.broadcast_to(eps, shape)
+    if np.isinf(eps).any():
+        # the kernel runs the follow-the-leader problems at rate 1, and their
+        # rows become the one-hot on their leaders
+        _, ftl, leaders = _scaled_scores(s, eps)
+        p = selection_probabilities_exact(s, np.where(ftl, 1.0, eps))
+        p[ftl] = np.eye(n)[leaders]
+        return p
     k = (n + 1) // 2
     neg_u, w = _gauss_legendre_unit(k)
     # (N, M); a copy even where the transpose is contiguous, as it is
@@ -503,14 +507,17 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     """Exact check of P{I_t=j} <= exp((3/a) gamma(t)^{1-alpha_t}) P{J_t=j}.
 
     PROT's probabilities are one exact call on (s_{1:t-1}, eps_t), IFPL's
-    one on (s_{1:t}, eps'_t).  Requires fluc(t) <= gamma(t); ``slack`` is
-    a real number in [0, inf).
+    one on (s_{1:t}, eps'_t).  Requires fluc(t) <= gamma(t); the losses
+    have the scores' shape, and ``v_prev``, ``v_t`` and ``slack`` are real
+    numbers in [0, inf).
     """
     slack = require_real(slack, "slack", 0, low_closed=True)
     cumulative_prev = np.asarray(cumulative_prev, dtype=float)
     loss_t = np.asarray(loss_t, dtype=float)
-    if not (math.isfinite(v_prev) and math.isfinite(v_t)):
-        raise ScheduleError(f"volumes must be finite, got v_prev={v_prev}, v_t={v_t}")
+    if loss_t.shape != cumulative_prev.shape:
+        raise GameError(f"losses of shape {loss_t.shape} for scores of {cumulative_prev.shape}")
+    v_prev = require_real(v_prev, "v_prev", 0, low_closed=True, error=ScheduleError)
+    v_t = require_real(v_t, "v_t", 0, low_closed=True, error=ScheduleError)
     dv = v_t - v_prev
     if dv < -1e-15 * max(1.0, abs(v_t)):
         raise GameError("volume decreased")
@@ -519,13 +526,9 @@ def probability_ratio_check(cumulative_prev, loss_t, params: ScheduleParams,
     if fluc > g:
         raise GameError(f"fluc({t}) = {fluc:.6g} exceeds gamma({t}) = {g:.6g}")
     # the rates first, from one mu_t: a schedule that leaves no rate at step
-    # t raises there.  A tiny negative v_prev gets past the checks above
-    # (v_t - v_prev rounds to v_t, so fluc = 1 <= gamma(1)) and would give a
-    # negative rate.
-    if v_prev < 0:
-        raise ScheduleError(f"volume must be nonnegative, got {v_prev}")
+    # t raises there
     mu = mu_t(params, t)
-    eps_prot, eps_ifpl = epsilon_values(mu, float(v_prev), t), epsilon_values(mu, float(v_t), t)
+    eps_prot, eps_ifpl = epsilon_values(mu, v_prev, t), epsilon_values(mu, v_t, t)
     factor = math.exp((3.0 / params.a) * _alpha_split(params, g, t)[1])
     p_prot = selection_probabilities_exact(cumulative_prev, eps_prot)
     p_ifpl = selection_probabilities_exact(cumulative_prev + loss_t, eps_ifpl)
@@ -554,12 +557,15 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
     in the order ``prot_run`` sums them.
     """
     require_count(num_runs, "num_runs")
-    if regime not in REGIMES:
-        raise GameError(f"unknown perturbation regime {regime!r}")
+    require_choice(regime, REGIMES, "perturbation regime")
+    if not isinstance(infeasible, bool):
+        raise GameError(f"infeasible must be true or false, got {infeasible!r}")
     game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
     T, N = game.values.shape
     if N != params.num_experts:
         raise GameError(f"params expect {params.num_experts} experts, game has {N}")
+    if not (checkpoints is None or np.iterable(checkpoints)):
+        raise GameError(f"checkpoints must be a sequence of integers, got {checkpoints!r}")
     cps = [T] if checkpoints is None else [require_count(c, "checkpoints") for c in checkpoints]
     if max(cps, default=0) > T:
         raise GameError(f"checkpoints must lie in 1..{T}, got {cps}")
@@ -592,9 +598,10 @@ def monte_carlo_regret(losses, params: ScheduleParams, num_runs: int, rng,
     None selects only T).
     """
     values = losses.values if isinstance(losses, LossMatrix) else np.asarray(losses, float)
-    # read once, so that batch_cumulative_losses, which checks them, and the
-    # best expert's losses see the same checkpoints, a generator's among them
-    cps = None if checkpoints is None else list(checkpoints)
+    # read once, so that batch_cumulative_losses, which checks them (a
+    # scalar among them), and the best expert's losses see the same
+    # checkpoints, a generator's among them
+    cps = list(checkpoints) if np.iterable(checkpoints) else checkpoints
     totals = batch_cumulative_losses(losses, params, num_runs, rng, regime=regime,
                                      infeasible=infeasible, checkpoints=cps)
     best = _expert_cum(values)[[len(values)] if cps is None else cps].min(axis=1)

@@ -71,6 +71,14 @@ def require_real(value, what: str, low=-math.inf, high=math.inf, *, low_closed=F
     return x
 
 
+def require_choice(value, choices, what: str, error=GameError) -> None:
+    """Raise ``error`` naming ``what`` and the value unless ``value`` is a
+    string among ``choices``: the one rule for every named mode (a regime, a
+    loss mode, a gamma or game kind), so no array reaches a truth test."""
+    if not (isinstance(value, str) and value in choices):
+        raise error(f"unknown {what} {value!r}")
+
+
 @dataclass(frozen=True)
 class LossMatrix:
     """Full table of expert one-step losses, rows = steps, columns = experts."""
@@ -96,8 +104,10 @@ class LossMatrix:
         return self.values.shape[1]
 
     def row(self, t: int) -> np.ndarray:
-        """One-step losses at step t (1-based)."""
-        return self.values[require_count(t, "t") - 1]
+        """One-step losses at step t (1-based); a step past T raises GameError."""
+        if require_count(t, "t") > self.num_steps:
+            raise GameError(f"t must be at most T = {self.num_steps}, got {t!r}")
+        return self.values[t - 1]
 
     @classmethod
     def from_csv(cls, path) -> "LossMatrix":
@@ -181,16 +191,14 @@ def read_csv(path, expected_header) -> np.ndarray:
 
 
 def scaled_fluctuation(delta_v: float, v: float) -> float:
-    """Return ``delta_v / v`` with the 0/0 = 0 convention; always in [0, 1]."""
-    if not (0 <= delta_v < math.inf and 0 <= v < math.inf):
-        raise GameError(f"inputs must be finite and nonnegative: delta_v={delta_v}, v={v}")
-    if v == 0:
-        if delta_v != 0:
-            raise GameError("delta_v > 0 with zero volume")
-        return 0.0
+    """Return ``delta_v / v`` with the 0/0 = 0 convention; always in [0, 1].
+    Both are real numbers in [0, inf)."""
+    delta_v = require_real(delta_v, "delta_v", 0, low_closed=True)
+    v = require_real(v, "v", 0, low_closed=True)
     if delta_v > v:
-        raise GameError(f"delta_v={delta_v} exceeds volume v={v}")
-    return delta_v / v
+        raise GameError(f"delta_v={delta_v} exceeds volume v={v}" if v else
+                        "delta_v > 0 with zero volume")
+    return delta_v / v if v else 0.0
 
 
 def row_peaks(values) -> np.ndarray:
@@ -264,10 +272,13 @@ def check_fluctuation_bound(fluc_values, gamma):
     """Check ``fluc(t) <= gamma(t)`` for t = 1..T.
 
     Returns ``(True, None)`` if the bound holds everywhere, else
-    ``(False, t)`` with the least violating step.  A value that is not
-    finite raises GameError naming it and its step.
+    ``(False, t)`` with the least violating step.  Values that are not one
+    row raise GameError, and so does a value that is not finite, naming it
+    and its step.
     """
     fluc_values = np.asarray(fluc_values, dtype=float)
+    if fluc_values.ndim != 1:
+        raise GameError(f"fluc values must be one row, got shape {fluc_values.shape}")
     finite = np.isfinite(fluc_values)
     if not finite.all():
         t = int(np.argmin(finite))

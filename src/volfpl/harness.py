@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .engine import REGIMES, RunRecord, _mean_se, ifpl_run, monte_carlo_regret, prot_run
-from .game import (GameError, LossMatrix, check_fluctuation_bound, check_keys, require_count,
-                   require_object, require_real, row_peaks, volume_trace, write_csv)
+from .game import (GameError, LossMatrix, check_fluctuation_bound, check_keys, require_choice,
+                   require_count, require_object, require_real, row_peaks, volume_trace,
+                   write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -26,8 +27,7 @@ from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_boun
 def _check_game_args(num_experts: int, num_steps: int, loss_mode: str) -> None:
     require_count(num_experts, "num_experts")
     require_count(num_steps, "num_steps", 0)
-    if loss_mode not in LOSS_MODES:
-        raise GameError(f"unknown loss mode {loss_mode!r}")
+    require_choice(loss_mode, LOSS_MODES, "loss mode")
 
 
 def random_fluc_bounded_game(num_experts: int, num_steps: int, rng,
@@ -124,8 +124,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.seeds = parse_seeds(self.seeds)
-        if self.regime not in REGIMES:
-            raise GameError(f"unknown perturbation regime {self.regime!r}")
+        require_choice(self.regime, REGIMES, "perturbation regime")
         if not isinstance(self.run_ifpl, bool):
             raise GameError(f"run_ifpl must be true or false, got {self.run_ifpl!r}")
         if not (self.out is None or isinstance(self.out, str)):
@@ -200,14 +199,13 @@ _GENERATORS = {
 def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
     require_object(game_cfg, "game config")
     kind = game_cfg.get("kind")
+    require_choice(kind, ("csv", *_GENERATORS), "game kind")
     if kind == "csv":
         check_keys(game_cfg, ("kind", "path"), (), "csv game config")
         # open() reads an integer path as a file descriptor
         if not isinstance(game_cfg["path"], str):
             raise GameError(f"csv game path must be a string, got {game_cfg['path']!r}")
         return LossMatrix.from_csv(game_cfg["path"])
-    if not (isinstance(kind, str) and kind in _GENERATORS):
-        raise GameError(f"unknown game kind {kind!r}")
     generate, keys = _GENERATORS[kind]
     check_keys(game_cfg, ("kind", "n_experts", "num_steps"), ("seed", *keys), f"{kind} game config")
     rng = RngSpec(game_cfg.get("seed", seed), stream_id=10_000)

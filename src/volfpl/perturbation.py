@@ -49,8 +49,12 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def inverse_exponential_cdf(u):
-    """Map uniform [0, 1) values to Exp(1) samples: -ln(1 - u)."""
-    return -np.log1p(-np.asarray(u, dtype=float))
+    """Map uniform [0, 1) values to Exp(1) samples: -ln(1 - u); a value
+    outside [0, 1), NaN among them, raises GameError."""
+    u = np.asarray(u, dtype=float)
+    if not ((u >= 0) & (u < 1)).all():
+        raise GameError(f"uniform values must lie in [0, 1), got {u}")
+    return -np.log1p(-u)
 
 
 def sample_exponential(n: int, gen: np.random.Generator) -> np.ndarray:
@@ -73,8 +77,10 @@ def sample_exponential_array(shape, gen: np.random.Generator) -> np.ndarray:
     """Exp(1) draws of an arbitrary shape (same stream as sample_exponential).
 
     The doubles of ``inverse_exponential_cdf(gen.random(shape))``: the
-    negation of :func:`_neg_exponential_array`, in its buffer.
+    negation of :func:`_neg_exponential_array`, in its buffer.  ``shape``
+    is a non-negative integer or a sequence of them.
     """
+    shape = [require_count(n, "shape entry", 0) for n in (shape if np.iterable(shape) else [shape])]
     u = _neg_exponential_array(shape, gen)
     return np.negative(u, out=u)
 

@@ -38,7 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import GameError, check_keys, require_count, require_object, require_real
+from .game import (GameError, check_keys, require_choice, require_count, require_object,
+                   require_real)
 from .perturbation import expected_max_bound
 
 
@@ -72,8 +73,7 @@ class GammaSchedule:
     table_values: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in _GAMMA_KINDS):
-            raise ScheduleError(f"unknown gamma kind {self.kind!r}")
+        require_choice(self.kind, _GAMMA_KINDS, "gamma kind", ScheduleError)
         read = _GAMMA_KINDS[self.kind][1]
         for name, unset in (("delta", 0.0), ("c", 0.0), ("table_values", ())):
             value = getattr(self, name)
@@ -161,9 +161,7 @@ class GammaSchedule:
     def from_config(cls, cfg: dict) -> "GammaSchedule":
         require_object(cfg, "gamma config")
         kind = cfg.get("kind")
-        # a kind that is not a string (a list, say) cannot be looked up
-        if not (isinstance(kind, str) and kind in _GAMMA_KINDS):
-            raise ScheduleError(f"unknown gamma kind {kind!r}")
+        require_choice(kind, _GAMMA_KINDS, "gamma kind", ScheduleError)
         key, name = _GAMMA_KINDS[kind]
         check_keys(cfg, ("kind", key), (), f"{kind} gamma config")
         return cls(kind, **{name: cfg[key]})
@@ -181,12 +179,16 @@ class ScheduleParams:
 
     def __post_init__(self):
         object.__setattr__(self, "a", require_real(self.a, "a", 0, error=ScheduleError))
+        # every rate reads e^{3/a}; 3/a itself is inf for an a below about 1.7e-308
+        try:
+            math.expm1(min(3.0 / self.a, 1e3))
+        except OverflowError:
+            raise ScheduleError(f"a must leave e^(3/a) finite, got {self.a!r}") from None
         object.__setattr__(self, "num_experts",
                            require_count(self.num_experts, "num_experts", error=ScheduleError))
         object.__setattr__(self, "v0", require_real(self.v0, "v0", 0, low_closed=True,
                                                     error=ScheduleError))
-        if self.loss_mode not in LOSS_MODES:
-            raise ScheduleError(f"unknown loss mode {self.loss_mode!r}")
+        require_choice(self.loss_mode, LOSS_MODES, "loss mode", ScheduleError)
 
     @cached_property
     def coef_A(self) -> float:
@@ -297,16 +299,12 @@ def mu_t(params: ScheduleParams, t: int) -> float:
     return _checked_mu(params._mu_coef * math.sqrt(params.gamma(t)), t)
 
 
-def _all(ok) -> bool:
-    """Whether a bool, or every entry of a boolean array, is true."""
-    return ok if isinstance(ok, bool) else bool(ok.all())
-
-
 def _checked_mu(mu, step):
     """``mu`` (mu_t for steps ``step``, ``step + 1``, ...) if every entry is
     positive; a gamma(t) that underflows to 0 leaves no rate and raises."""
     ok = mu > 0
-    if not _all(ok):
+    # a float's test is a bool, and a bool has no .all()
+    if not (ok if isinstance(ok, bool) else ok.all()):
         bad = np.argmin(np.atleast_1d(ok))
         raise GameError(f"schedule invalid at step {step + bad}: "
                         f"mu_t = {np.atleast_1d(mu)[bad]}")
@@ -361,12 +359,12 @@ def epsilon_values(mu, vol, step: int = 1):
 def epsilon_t(params: ScheduleParams, t: int, v_prev: float) -> float:
     """Learning rate 1 / (mu_t * v_{t-1}); ``inf`` signals the zero-volume case.
 
-    The one-step case of :func:`epsilon_values`.  IFPL's eps'_t is the same
-    formula at the end-of-step volume v_t.
+    The one-step case of :func:`epsilon_values`, with ``v_prev`` a real
+    number in [0, inf).  IFPL's eps'_t is the same formula at the
+    end-of-step volume v_t.
     """
-    if not 0 <= v_prev < math.inf:
-        raise ScheduleError(f"volume must be finite and nonnegative, got {v_prev}")
-    return epsilon_values(mu_t(params, t), float(v_prev), t)
+    v_prev = require_real(v_prev, "v_prev", 0, low_closed=True, error=ScheduleError)
+    return epsilon_values(mu_t(params, t), v_prev, t)
 
 
 def _rate(a: float, loss_mode: str) -> float:
@@ -393,6 +391,7 @@ def choose_a(target_eps: float, loss_mode: str = "general") -> float:
     Both functions decrease toward their limit (6 resp. 2), so a solution
     exists for every positive eps.
     """
+    require_choice(loss_mode, LOSS_MODES, "loss mode", ScheduleError)
     limit = _bound_constant(loss_mode) + require_real(target_eps, "target_eps", 0,
                                                       error=ScheduleError)
     lo, hi = 3.0, 1e6
@@ -492,4 +491,8 @@ def poly_bound(N: int, T: int, alpha: float, delta: float, target_eps: float) ->
     T = require_real(T, "T", 1, low_closed=True, error=ScheduleError)
     alpha = require_real(alpha, "alpha", 0, low_closed=True, error=ScheduleError)
     delta = require_real(delta, "delta", 0, error=ScheduleError)
-    return _main_coef(N, "general", target_eps) * T ** (1.0 - 0.5 * delta + alpha)
+    try:
+        power = T ** (1.0 - 0.5 * delta + alpha)
+    except OverflowError:
+        raise ScheduleError(f"T^(1 - delta/2 + alpha) overflows at T={T}, alpha={alpha}") from None
+    return _main_coef(N, "general", target_eps) * power

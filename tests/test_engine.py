@@ -34,6 +34,7 @@ from volfpl import (
     selection_probabilities_mc,
 )
 from volfpl.game import row_peaks, volume_trace
+from test_exact_reference import reference_selection_probabilities_exact
 
 INTRO_GAME = np.array(
     [[0.5, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0]], dtype=float
@@ -464,8 +465,10 @@ class TestExactProbabilities:
         assert np.argmax(p) == np.argmin(s)
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(GameError):
-            selection_probabilities_exact([1.0, 2.0], math.inf)
+        # an infinite rate follows the leader (see TestFollowTheLeaderRate)
+        for bad in (0.0, -math.inf, math.nan):
+            with pytest.raises(GameError):
+                selection_probabilities_exact([1.0, 2.0], bad)
 
     def test_rejects_bad_eps_entry(self):
         for bad in (0.0, -1.0, math.nan):
@@ -619,6 +622,51 @@ class TestExactProbabilityProperties:
         assert p.shape == lead + (n,)
         for idx in np.ndindex(*lead):
             assert np.array_equal(p[idx], selection_probabilities_exact(s[idx], eps[idx]))
+
+
+# finite scores from a small pool, so that ties for the lead are common
+_TIED_SCORES = st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-1e6, 1e6)
+
+
+class TestFollowTheLeaderRate:
+    """An infinite rate follows the leader in every selection entry: the
+    exact probabilities are the one-hot on the leader (the lowest index on
+    a tie), as prot_select's choices and their Monte Carlo counts are."""
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3, 10, 30]))
+    def test_one_hot_on_the_leader(self, data, n):
+        s = np.array(data.draw(st.lists(_TIED_SCORES, min_size=n, max_size=n)))
+        want = np.eye(n)[engine._argmin_last(s)]
+        got = selection_probabilities_exact(s, math.inf)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(selection_probabilities_mc(s, math.inf, 50, RngSpec(0)), want)
+
+    @settings(deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3, 10, 30]), m=st.integers(1, 6))
+    def test_mixed_batch_rows_match_their_single_calls(self, data, n, m):
+        s = np.reshape(data.draw(st.lists(_TIED_SCORES, min_size=m * n, max_size=m * n)),
+                       (m, n))
+        eps = np.array(data.draw(st.lists(st.floats(1e-3, 1e3) | st.just(math.inf),
+                                          min_size=m, max_size=m)))
+        p = selection_probabilities_exact(s, eps)
+        for r in range(m):
+            assert p[r].tobytes() == selection_probabilities_exact(s[r], eps[r]).tobytes()
+            if eps[r] < math.inf:  # the finite-rate kernel's bits, as before
+                want = reference_selection_probabilities_exact(s[r], eps[r])
+                assert p[r].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, -math.inf, math.nan])
+    def test_same_rejection_in_every_entry(self, eps):
+        s = np.array([2.0, 1.0, 1.0])
+        errors = []
+        for call in (lambda: prot_select(s, eps, np.ones(3)),
+                     lambda: selection_probabilities_mc(s, eps, 10, RngSpec(0)),
+                     lambda: selection_probabilities_exact(s, eps)):
+            with pytest.raises(GameError) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] == errors[2]
 
 
 @st.composite
@@ -791,12 +839,13 @@ class TestProbabilityRatio:
                   re.escape("cumulative scores must be finite, got [ 0. nan  1.]")),
                  (([0.0, 1.0, 1.0], [math.inf, 0.0, 0.0], 5.0, 5.05),
                   re.escape("cumulative scores must be finite, got [inf  1.  1.]")),
-                 (([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], 0.0, 0.0),
-                  "^eps must be finite and positive, got inf$"),
                  ((0.0, 1.0, 5.0, 5.05), "^need at least one expert$")]
         for (cum, s_t, v_prev, v_t), message in cases:
             with pytest.raises(GameError, match=message):
                 probability_ratio_check(cum, s_t, p, 3, v_prev, v_t)
+        # at v_prev = v_t = 0 both rates are infinite and both choices are
+        # the one leader: the check holds, where the exact call raised
+        assert probability_ratio_check([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], p, 3, 0.0, 0.0)
 
 
 class TestChunkChoiceMarginals:

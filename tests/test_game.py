@@ -203,15 +203,17 @@ NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("call, named", [
-    (lambda: scaled_fluctuation(NAN, 1.0), "delta_v=nan"),
-    (lambda: scaled_fluctuation(1.0, NAN), "v=nan"),
-    (lambda: scaled_fluctuation(INF, INF), "delta_v=inf, v=inf"),
+    (lambda: scaled_fluctuation(NAN, 1.0),
+     r"^delta_v must be a real number in \[0, inf\), got nan"),
+    (lambda: scaled_fluctuation(1.0, NAN), r"^v must be a real number in \[0, inf\), got nan"),
+    (lambda: scaled_fluctuation(INF, INF), r"^delta_v must be .* got inf"),
     (lambda: check_fluctuation_bound([0.1, NAN], GammaSchedule.power(1.0)), r"fluc\(2\) = nan"),
     (lambda: epsilon_t(_PARAMS, 5, NAN), "got nan"),
     (lambda: epsilon_t(_PARAMS, 5, INF), "got inf"),
     (lambda: probability_ratio_check([0.0, 0.0], [0.0, 0.0], _PARAMS, 5, NAN, 1.0),
-     "v_prev=nan"),
-    (lambda: probability_ratio_check([0.0, 0.0], [0.0, 0.0], _PARAMS, 5, 1.0, INF), "v_t=inf"),
+     r"^v_prev must be a real number in \[0, inf\), got nan"),
+    (lambda: probability_ratio_check([0.0, 0.0], [0.0, 0.0], _PARAMS, 5, 1.0, INF),
+     r"^v_t must be a real number in \[0, inf\), got inf"),
     (lambda: regret_bound(_PARAMS, 2, [1.0, 1.0], NAN), "got nan"),
     (lambda: regret_bound(_PARAMS, 2, [1.0, 1.0], -10.0), "got -10.0"),
     (lambda: poly_bound(2, 1024, 0.1, 1.0, NAN), "got nan"),
@@ -239,7 +241,7 @@ NAN, INF = math.nan, math.inf
     # v_t - v_prev rounds to v_t, so fluc = 1 = gamma(1) passes the
     # fluctuation check and only the volume check stops a negative rate
     (lambda: probability_ratio_check([0.0, 0.0], [1.0, 0.0], _PARAMS, 1, -1e-20, 1.0),
-     "got -1e-20"),
+     r"^v_prev must be a real number in \[0, inf\), got -1e-20"),
     (lambda: as_generator(-1), "rng must be .*, got -1"),
     (lambda: prot_run(INTRO_GAME, _PARAMS, rng=-1), "rng must be .*, got -1"),
     (lambda: fbm_generate(0.5, NAN), "steps must be an integer >= 1, got nan"),
@@ -445,7 +447,7 @@ _STEPS = {
 _STEP_ROWS = [(name, value) for name, (_, low, _) in _STEPS.items()
               for value in [2.5, True, "2", np.float64(2.0), -1] + [0] * low]
 # a checkpoint past the game's 7 steps, and a 2-d checkpoint list
-_STEP_ROWS += [("batch-checkpoint", 8), ("mc-checkpoint", 8),
+_STEP_ROWS += [("batch-checkpoint", 8), ("mc-checkpoint", 8), ("loss-row", 8),
                ("batch-checkpoint", [2]), ("mc-checkpoint", [2])]
 
 

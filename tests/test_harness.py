@@ -448,7 +448,8 @@ class TestRunExperiment:
         with pytest.raises(GameError, match=f"{game['kind']} game config has unknown {key!r}"):
             resolve_game(game)
 
-    @pytest.mark.parametrize("kind", ["randon", ["random"], None])
+    # an array reached the csv test: numpy's ambiguous-truth ValueError
+    @pytest.mark.parametrize("kind", ["randon", ["random"], None, np.array(["csv", "random"])])
     def test_unknown_game_kind_rejected(self, kind):
         with pytest.raises(GameError, match=re.escape(f"unknown game kind {kind!r}")):
             resolve_game({"kind": kind, "n_experts": 2, "num_steps": 5})
@@ -832,7 +833,8 @@ class TestCli:
         assert type(payload["fluc_violations"]) is int
 
     @pytest.mark.parametrize("command, message", [
-        (["probe", "--cum", "2,1,1", "--eps", "inf"], "eps must be finite and positive, got inf"),
+        (["probe", "--cum", "2,1,1", "--eps", "0"],
+         "need scores without NaN and positive rates, got [2. 1. 1.] and 0.0"),
         (["run", "--config", None], "seed 0: params expect 3 experts, game has 2"),
         # a missing number ended in a ValueError traceback
         (["probe", "--cum", "1,,2", "--eps", "0.5"],
@@ -841,7 +843,9 @@ class TestCli:
         # a traceback under -W error::RuntimeWarning
         (["probe", "--cum", "2,1,1", "--eps", "1e308"],
          "scaled scores eps * s must be finite, got eps = 1e+308 and s = [2. 1. 1.]"),
-    ], ids=["infinite-rate", "expert-count", "empty-cum-entry", "overflowing-rate"])
+        # e^(3/a) overflowed: an OverflowError traceback
+        (["adversary", "--eps", "0.5", "--a", "0.001"], "a must leave e^(3/a) finite, got 0.001"),
+    ], ids=["zero-rate", "expert-count", "empty-cum-entry", "overflowing-rate", "overflowing-a"])
     def test_game_errors_end_in_one_line(self, tmp_path, command, message):
         # a bad flag or config used to end in a Python traceback
         cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5, "seed": 1},
@@ -972,3 +976,10 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["exact"][0] == pytest.approx(first, abs=1e-6)
         assert payload["max_deviation_in_se"] <= max_se
+
+    def test_probe_at_an_infinite_rate_follows_the_leader(self, capsys):
+        # the exact half rejected eps = inf, and the command exited 2
+        assert cli_main(["probe", "--cum", "2,1,1", "--eps", "inf"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exact"] == payload["monte_carlo"] == [0.0, 1.0, 0.0]
+        assert payload["max_deviation_in_se"] == 0.0

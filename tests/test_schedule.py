@@ -615,6 +615,29 @@ class TestScheduleParams:
         with pytest.raises(ScheduleError):
             ScheduleParams(a=0.0, num_experts=2, gamma=GammaSchedule.power(1.0))
 
+    @pytest.mark.parametrize("loss_mode", LOSS_MODES)
+    def test_least_a_whose_exponential_is_finite(self, loss_mode):
+        # math.expm1(3/a) overflowed in coef_A, mu_t and target_eps: a bare
+        # OverflowError.  The least such a is bisected with expm1 itself.
+        def overflows(a):
+            try:
+                math.expm1(3.0 / a)
+            except OverflowError:
+                return True
+            return False
+        lo, hi = 1e-3, 1e-2
+        assert overflows(lo) and not overflows(hi)
+        while math.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if overflows(mid) else (lo, mid)
+        p = params_power(a=hi, loss_mode=loss_mode)
+        assert math.isfinite(p.target_eps) and math.isfinite(mu_t(p, 1))
+        assert not p.alpha_domain_ok(1)
+        for a in (lo, 1e-3, 1e-320, 5e-324):
+            message = rf"^a must leave e\^\(3/a\) finite, got {a!r}$"
+            with pytest.raises(ScheduleError, match=message):
+                params_power(a=a, loss_mode=loss_mode)
+
     def test_config_round_trip(self):
         p = ScheduleParams(a=5.0, num_experts=4, gamma=GammaSchedule.constant(0.1),
                            v0=2.0, loss_mode="nonnegative")
