@@ -1,9 +1,12 @@
-"""Command-line surface: run, adversary, trading, hannan, probe.
+"""Command-line surface: run, adversary, trading, probe.
 
 Config comes from a JSON file (--config) with flag overrides; flags win.
 Every command builds its schedule through ``ScheduleParams.from_config``,
 so the schedule flags mean the same in each.
-Outputs are CSV/JSON files under --out.
+Outputs are CSV/JSON files under --out.  ``run``'s report carries the
+Hannan-consistency trend in its ``hannan`` section; that section and
+trace.csv belong to the first seed, so they are not invariant to the
+order of the seeds.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import sys
 import numpy as np
 
 from .adversary import AdversaryConfig, prop1_run, prot_probability_callback
-from .engine import selection_probabilities_exact, selection_probabilities_mc
+from .engine import REGIMES, selection_probabilities_exact, selection_probabilities_mc
 from .game import GameError
-from .harness import ExperimentConfig, hannan_check, parse_seeds, resolve_game, run_experiment
+from .harness import ExperimentConfig, parse_seeds, run_experiment
 from .perturbation import RngSpec
 from .schedule import LOSS_MODES, ScheduleParams
 from .trading import PriceSeries, TradingConfig, fbm_generate, run_trading_experiment
@@ -65,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seeds = run.add_mutually_exclusive_group()
     seeds.add_argument("--seed", type=int, help="single seed override")
     seeds.add_argument("--seeds", type=int, help="number of seeds (base 0)")
-    run.add_argument("--regime", choices=["once", "per-step"])
+    run.add_argument("--regime", choices=REGIMES)
     run.add_argument("--out")
     _schedule_flags(run)
 
@@ -88,11 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trd.add_argument("--v0", type=float, default=1.0)
     trd.add_argument("--target-eps", type=float, default=1.0, dest="target_eps")
     trd.add_argument("--out")
-
-    han = sub.add_parser("hannan", help="single-trajectory consistency trend")
-    han.add_argument("--config", required=True)
-    han.add_argument("--seed", type=int, default=0)
-    han.add_argument("--out")
 
     prb = sub.add_parser("probe", help="exact vs Monte-Carlo selection probabilities")
     prb.add_argument("--cum", required=True, help="comma-separated cumulative losses")
@@ -160,22 +158,6 @@ def _cmd_trading(args) -> int:
     return 0
 
 
-def _cmd_hannan(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    losses = resolve_game(config.game)
-    params = ScheduleParams.from_config(config.schedule)
-    report = hannan_check(losses, params, RngSpec(args.seed), regime=config.regime)
-    if report["warning"]:
-        print(f"warning: {report['warning']}", file=sys.stderr)
-    out = json.dumps(report, indent=2)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "hannan.json"), "w") as fh:
-            fh.write(out + "\n")
-    print(out)
-    return 0
-
-
 def _cmd_probe(args) -> int:
     try:
         cum = np.array([float(x) for x in args.cum.split(",")])
@@ -196,7 +178,6 @@ _COMMANDS = {
     "run": _cmd_run,
     "adversary": _cmd_adversary,
     "trading": _cmd_trading,
-    "hannan": _cmd_hannan,
     "probe": _cmd_probe,
 }
 

@@ -545,10 +545,10 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
 
     Returns an array of shape (num_runs, len(checkpoints)); ``checkpoints``
     is a sequence of integers in 1..T and defaults to [T] (zeros for a game
-    with no steps).  Only valid for oblivious games (fixed loss matrix),
-    where volumes and rates do not depend on the perturbations.  A single run draws the doubles
-    ``prot_run`` draws from the same ``rng``, so it reproduces that run's
-    total loss exactly.
+    with no steps, one column per checkpoint).  Only valid for oblivious
+    games (fixed loss matrix), where volumes and rates do not depend on the
+    perturbations.  A single run draws the doubles ``prot_run`` draws from
+    the same ``rng``, so it reproduces that run's total loss exactly.
 
     The scaled scores and the follow-the-leader steps' leaders are formed
     once per call; each chunk of whole runs then forms its scores in its
@@ -571,7 +571,7 @@ def batch_cumulative_losses(losses, params: ScheduleParams, num_runs: int, rng,
         raise GameError(f"checkpoints must lie in 1..{T}, got {cps}")
     gen = as_generator(rng)
     if T == 0:
-        return np.zeros((num_runs, 1))
+        return np.zeros((num_runs, len(cps)))
     base, rate, _ = _deterministic_rates(game, params, infeasible)
     scaled, ftl, leaders = _scaled_scores(base, rate)
 

@@ -3,6 +3,8 @@
 Everything here is deterministic per (config, seeds): randomness funnels
 through :class:`~volfpl.perturbation.RngSpec`, aggregation is
 permutation-invariant in the seeds, and reports embed the resolved config.
+The trace and the report's ``hannan`` section belong to the first seed, so
+they are not invariant to the order of the seeds.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .engine import REGIMES, RunRecord, _mean_se, ifpl_run, monte_carlo_regret, prot_run
+from .engine import REGIMES, RunRecord, _mean_se, ifpl_run, prot_run
 from .game import (GameError, LossMatrix, check_fluctuation_bound, check_keys, require_choice,
-                   require_count, require_object, require_real, row_peaks, volume_trace,
-                   write_csv)
+                   require_count, require_object, require_real, row_peaks, write_csv)
 from .perturbation import RngSpec, as_generator
 from .schedule import LOSS_MODES, ScheduleParams, ifpl_regret_bound, regret_bound
 
@@ -215,7 +216,12 @@ def resolve_game(game_cfg: dict, seed: int = 0) -> LossMatrix:
 
 @dataclass
 class AggregateReport:
-    """Seed-averaged trajectory statistics plus bound evaluations."""
+    """Seed-averaged trajectory statistics plus bound evaluations, and the
+    first seed's Hannan trend (:func:`hannan_check`'s dict).
+
+    The trend stays out of ``checks``: a decreasing trend is evidence, not
+    a bound, and a valid run may lack it.
+    """
 
     mean_cum_loss: np.ndarray
     se_cum_loss: np.ndarray
@@ -225,6 +231,7 @@ class AggregateReport:
     bounds: dict
     checks: dict
     config: dict
+    hannan: dict | None = None
     first_trace: RunRecord = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -235,6 +242,7 @@ class AggregateReport:
             "bounds": self.bounds,
             "checks": self.checks,
             "config": self.config,
+            "hannan": self.hannan,
         }
 
     def write(self, out_dir) -> None:
@@ -252,8 +260,10 @@ class AggregateReport:
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Run PROT (and optionally IFPL) for every seed and aggregate.
 
-    Writes report.json / trace.csv / aggregate.csv when ``config.out`` is
-    set.  Errors from any module surface with the offending seed attached.
+    The first seed's record is the trace and gives the ``hannan`` section,
+    :func:`hannan_check` of that seed's run.  Writes report.json /
+    trace.csv / aggregate.csv when ``config.out`` is set.  Errors from any
+    module surface with the offending seed attached.
     """
     losses = resolve_game(config.game)
     params = ScheduleParams.from_config(config.schedule)
@@ -302,6 +312,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         bounds=bounds,
         checks=checks,
         config=config.to_dict(),
+        hannan=_hannan_trend(first, losses, params),
         first_trace=first,
     )
     if config.out:
@@ -320,13 +331,24 @@ def _seeded_run(run, losses, params, seed, rng, regime) -> RunRecord:
 
 def hannan_check(losses: LossMatrix, params: ScheduleParams, rng,
                  regime: str = "per-step") -> dict:
-    """Single-trajectory consistency trend report.
+    """Single-trajectory consistency trend report of the seeded PROT run
+    ``prot_run(losses, params, rng, regime=regime)``.
 
     Verifies sum gamma(t)^2 < infinity (analytically for power/constant
     schedules) and reports the normalized regret (s_{1:T} - min_i s^i_{1:T})
     / v_T at checkpoints T in {2^k}.  A decreasing trend is evidence, not
     proof.  ``losses`` is a :class:`LossMatrix` or a (T, N) array.
     """
+    # the rng first: a missing one raises as_generator's "got None"
+    gen = as_generator(rng)
+    game = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
+    return _hannan_trend(prot_run(game, params, gen, regime=regime), game, params)
+
+
+def _hannan_trend(record: RunRecord, game: LossMatrix, params: ScheduleParams) -> dict:
+    """:func:`hannan_check`'s report read from ``record``, a run of ``game``:
+    its cumulative loss and volume, and the experts' cumulative losses, at
+    the power-of-two checkpoints and T."""
     summable = params.gamma.square_summable()
     warning = None
     if summable is False:
@@ -334,14 +356,13 @@ def hannan_check(losses: LossMatrix, params: ScheduleParams, rng,
     elif summable is None:
         warning = "gamma table: square-summability undecidable from a finite prefix"
 
-    losses = losses if isinstance(losses, LossMatrix) else LossMatrix(losses)
-    T = losses.num_steps
+    T = record.num_steps
     checkpoints = [2**k for k in range(1, T.bit_length())]
     if checkpoints and checkpoints[-1] != T:
         checkpoints.append(T)
-    # one run of the Monte-Carlo kernel is the seeded run prot_run plays
-    regret, _ = monte_carlo_regret(losses, params, 1, rng, regime=regime, checkpoints=checkpoints)
-    v = volume_trace(losses, params.v0)[0][checkpoints]
+    idx = np.array(checkpoints, dtype=int) - 1
+    regret = record.cum_loss[idx] - np.cumsum(game.values, axis=0)[idx].min(axis=1)
+    v = record.v[idx]
     # v_t = 0 only while every loss so far is 0, so the regret is 0 too: 0/0 = 0, as for fluc
     ratio = np.divide(regret, v, out=np.zeros(len(checkpoints)), where=v > 0)
     rows = [{"T": t, "normalized_regret": r} for t, r in zip(checkpoints, ratio.tolist())]

@@ -1013,6 +1013,10 @@ class TestBatchMonteCarlo:
         empty = np.zeros((0, 2))
         assert np.array_equal(batch_cumulative_losses(empty, p, 5, RngSpec(0)),
                               np.zeros((5, 1)))
+        # one column per checkpoint, as at T > 0: none for an empty list
+        assert batch_cumulative_losses(empty, p, 3, RngSpec(0), checkpoints=[]).shape == (3, 0)
+        assert batch_cumulative_losses(np.ones((3, 2)), p, 3, RngSpec(0),
+                                       checkpoints=[]).shape == (3, 0)
         assert monte_carlo_regret(empty, p, 5, RngSpec(0)) == (0.0, 0.0)
         assert prot_run(empty, p, rng=RngSpec(0)).regret == 0.0
 

@@ -296,6 +296,26 @@ class TestRunExperiment:
         assert hannan_check(losses, params, RngSpec(7), regime=regime)["checkpoints"] == \
             reference_hannan_rows(losses, params, RngSpec(7), regime)
 
+    @pytest.mark.parametrize("seeds", [[3, 1], [1, 3]])
+    @pytest.mark.parametrize("T", [0, 1, 64, 2000])
+    @pytest.mark.parametrize("v0", [0.0, 1.0])
+    @pytest.mark.parametrize("regime", ["per-step", "once"])
+    def test_hannan_section_is_the_first_seeds_check(self, tmp_path, regime, v0, T, seeds):
+        # the section follows the first seed, as trace.csv does
+        game = {"kind": "random", "n_experts": 3, "num_steps": T, "seed": 2}
+        schedule = {"target_eps": 1.0, "N": 3, "gamma": {"kind": "power", "delta": 1.0},
+                    "v0": v0}
+        config = ExperimentConfig.from_dict({"game": game, "schedule": schedule,
+                                             "seeds": seeds, "regime": regime,
+                                             "out": str(tmp_path)})
+        expected = hannan_check(resolve_game(game), ScheduleParams.from_config(schedule),
+                                RngSpec(seeds[0]), regime)
+        assert json.dumps(run_experiment(config).hannan) == json.dumps(expected)
+        # report.json sorts its keys
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert json.dumps(report["hannan"]) == json.dumps(expected, sort_keys=True)
+        assert "hannan" not in report["checks"]
+
     def test_seed_count_expansion(self):
         cfg = base_config(seeds={"count": 3, "base": 10})
         assert cfg.seeds == [10, 11, 12]
@@ -866,8 +886,7 @@ class TestCli:
         ("run", {"game": [1]}, "game config must be a JSON object, got [1]"),
         ("run", {"gamma": 5}, "gamma config must be a JSON object, got 5"),
         ("run", None, "experiment config must be a JSON object, got 5"),
-        ("hannan", {"schedule": 5}, "schedule config must be a JSON object, got 5"),
-    ], ids=["run-schedule", "run-game", "run-gamma", "run-top-level", "hannan-schedule"])
+    ], ids=["run-schedule", "run-game", "run-gamma", "run-top-level"])
     def test_config_sections_must_be_objects(self, tmp_path, capsys, command, change, message):
         # each ended in a TypeError or AttributeError traceback
         cfg = {"game": {"kind": "bounded", "n_experts": 2, "num_steps": 5},
@@ -882,7 +901,7 @@ class TestCli:
         assert cli.console_main([command, "--config", str(tmp_path / "cfg.json")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"volfpl: error: {message}"]
 
-    @pytest.mark.parametrize("command", ["run", "hannan"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize("content", [None, "{", b"\xff"],
                              ids=["missing", "not-json", "not-utf8"])
     def test_unreadable_config_file_ends_in_one_line(self, tmp_path, capsys, command, content):
@@ -956,13 +975,20 @@ class TestCli:
          "schedule": {"target_eps": 1.0, "N": 2, "gamma": _POWER_GAMMA, "v0": 1.0}},
         _RUN_CONFIGS["random-with-ifpl"],
     ], ids=["random-n2", "random-n3-run-config"])
-    def test_hannan_subcommand(self, tmp_path, capsys, cfg):
+    def test_run_reports_the_hannan_trend(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        rc = cli_main(["hannan", "--config", str(cfg_path), "--seed", "0"])
+        rc = cli_main(["run", "--config", str(cfg_path), "--seed", "0"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["square_summable"] is True
+        assert payload["hannan"]["square_summable"] is True
+
+    def test_hannan_command_is_gone(self, tmp_path, capsys):
+        # run reports the trend; the command that played the run again is gone
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["hannan", "--config", self.small_run_config(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'hannan'" in capsys.readouterr().err
 
     # five experts sample in 26214-row chunks: the running-minimum argmin
     @pytest.mark.parametrize("cum, eps, first, max_se", [

@@ -57,7 +57,7 @@ def command_lines():
 def test_command_block_has_every_command():
     # an empty list would leave the test below with no case to run
     commands = {shlex.split(line)[1] for line in command_lines()}
-    assert commands == {"run", "adversary", "trading", "hannan", "probe"}
+    assert commands == {"run", "adversary", "trading", "probe"}
 
 
 @pytest.mark.parametrize("line", command_lines())
