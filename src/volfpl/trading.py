@@ -9,6 +9,7 @@ deterministically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,39 +52,72 @@ class PriceSeries:
         write_csv(path, _PRICE_HEADER, [self.prices])
 
 
-def _fgn(hurst: float, z: np.ndarray) -> np.ndarray:
-    """L @ z for the lower Cholesky factor L of the unit-spacing fractional
-    Gaussian noise covariance, without forming L.
+# A few keys at 64 KB each at M = 4096; callers sweep about three H values.
+@functools.lru_cache(maxsize=8)
+def _fgn_cholesky(hurst: float, m: int):
+    """(kappa, sqrt_v) of the unit-spacing fractional Gaussian noise
+    covariance with M = m: the reflection coefficients kappa_n = phi_{n,n},
+    stored at index n - 1, and the innovation standard deviations sqrt(v_n),
+    which are the diagonal L_nn of its lower Cholesky factor L.
 
-    The Durbin-Levinson recursion (Brockwell & Davis, section 5.2) writes
-    x_n = sum_j phi_{n,j} x_{n-j} + sqrt(v_n) z_n: the best linear predictor
-    of x_n from x_0..x_{n-1}, plus the innovation, whose standard deviation
-    sqrt(v_n) is the diagonal L_nn.  O(M) memory, O(M^2) time.
+    Both depend on (H, M) alone, so the Durbin-Levinson recursion (Brockwell
+    & Davis, section 5.2) runs once per key, and the bounded cache holds the
+    two read-only arrays: O(M) memory, O(M^2) time.  A covariance that is
+    numerically singular raises GameError, and nothing is cached.
     """
-    m = len(z)
     # g(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2
     k = np.arange(m, dtype=float)
     two_h = 2.0 * hurst
     acov = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
-    # Both dot products read contiguous slices: acov_rev[m-1-j] = acov[j]
-    # and x_rev[m-1-j] = x_j.  The scalars stay Python floats.
+    # The dot product reads a contiguous slice: acov_rev[m-1-j] = acov[j].
+    # The scalars stay Python floats.
     acov_rev = acov[::-1].copy()
-    g, zs = acov.tolist(), z.tolist()
-    x_rev = np.empty(m)
+    g = acov.tolist()
     phi = np.empty(m)  # phi[j - 1] = phi_{n,j}
     scratch = np.empty(m)
+    kappas, sqrt_v = np.empty(m - 1), np.empty(m)
     v = g[0]
-    x_rev[m - 1] = math.sqrt(v) * zs[0]
+    sqrt_v[0] = math.sqrt(v)
     for n in range(1, m):
         prev = phi[:n - 1]
-        kappa = (g[n] - float(prev @ acov_rev[m - n:m - 1])) / v
+        kappa = (g[n] - float(prev.dot(acov_rev[m - n:m - 1]))) / v
         prev -= np.multiply(prev[::-1], kappa, out=scratch[:n - 1])
         phi[n - 1] = kappa
         v *= 1.0 - kappa * kappa
         if not v > 0:
             raise GameError(f"fGn covariance is numerically singular at step {n + 1} "
                             f"(Hurst exponent {hurst} is too close to 1)")
-        x_rev[m - 1 - n] = float(phi[:n] @ x_rev[m - n:]) + math.sqrt(v) * zs[n]
+        kappas[n - 1] = kappa
+        sqrt_v[n] = math.sqrt(v)
+    kappas.flags.writeable = sqrt_v.flags.writeable = False
+    return kappas, sqrt_v
+
+
+def _fgn(hurst: float, z: np.ndarray) -> np.ndarray:
+    """L @ z for the lower Cholesky factor L of the unit-spacing fractional
+    Gaussian noise covariance, without forming L.
+
+    The Durbin-Levinson filter writes x_n = sum_j phi_{n,j} x_{n-j} +
+    sqrt(v_n) z_n: the best linear predictor of x_n from x_0..x_{n-1}, plus
+    the innovation.  kappa_n and sqrt(v_n) come from :func:`_fgn_cholesky`,
+    computed once per (H, M) and held in a bounded cache; each path rebuilds
+    the rows phi_n from them with the recursion's own update.  O(M) memory,
+    O(M^2) time.
+    """
+    m = len(z)
+    kappa, sqrt_v = _fgn_cholesky(hurst, m)
+    # Step n sets phi[n - 1] = kappa_n and updates phi[:n - 1] alone, so phi
+    # starts as kappa.  The dot product reads a contiguous slice:
+    # x_rev[m-1-j] = x_j.  The scalars stay Python floats.
+    phi = kappa.copy()  # phi[j - 1] = phi_{n,j}
+    scratch = np.empty(m)
+    noise = (sqrt_v * z).tolist()  # the innovations sqrt(v_n) z_n
+    x_rev = np.empty(m)
+    x_rev[m - 1] = noise[0]
+    for n, kappa_n, e in zip(range(1, m), kappa.tolist(), noise[1:]):
+        prev = phi[:n - 1]
+        prev -= np.multiply(prev[::-1], kappa_n, out=scratch[:n - 1])
+        x_rev[m - 1 - n] = float(phi[:n].dot(x_rev[m - n:])) + e
     return x_rev[::-1].copy()
 
 
@@ -93,7 +127,9 @@ def fbm_generate(hurst: float, steps: int, scale: float = 1.0, drift: float = 0.
 
     S_t = s0 + scale * B_H(t/M) + drift * t/M.  The increments are the
     Cholesky factor of the fGn covariance times M standard normals, formed by
-    the Durbin-Levinson recursion in O(M) memory.  Deterministic per seed.
+    the Durbin-Levinson recursion in O(M) memory.  Its factorization depends
+    on (H, M) alone, so it is computed once per (H, M) and held in a bounded
+    cache; later paths run the filter alone.  Deterministic per seed.
     """
     hurst = require_real(hurst, "hurst", 0, 1)
     scale = require_real(scale, "scale")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import volfpl
+from volfpl import trading
 from volfpl import (
     GameError,
     GammaSchedule,
@@ -100,7 +101,9 @@ class TestFbm:
         assert np.max(np.abs(inc - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_memory_is_linear_in_steps(self):
-        # a dense 4096 x 4096 factor alone takes 134 MB
+        # a dense 4096 x 4096 factor alone takes 134 MB; a cold cache makes
+        # the call pay for the factorization, not read a cached one
+        trading._fgn_cholesky.cache_clear()
         tracemalloc.start()
         try:
             fbm_generate(0.8, 4096)
@@ -108,11 +111,25 @@ class TestFbm:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert sum(a.nbytes for a in trading._fgn_cholesky(0.8, 4096)) <= 2 * 8 * 4096
+
+    def test_cached_factorization_is_read_only(self):
+        # every path of one (H, M) shares the cached arrays
+        for a in trading._fgn_cholesky(0.7, 64):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # the benchmark's set-up clears the cache through this name
+        assert callable(trading._fgn_cholesky.cache_clear)
 
     def test_singular_covariance_raises(self):
-        # H this close to 1 makes the fGn covariance numerically singular
-        with pytest.raises(GameError, match="singular"):
-            fbm_generate(1 - 1e-10, 2000)
+        # H this close to 1 makes the fGn covariance numerically singular;
+        # a failed factorization is not cached, so a second call raises alike
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(GameError, match="singular at step ") as err:
+                fbm_generate(1 - 1e-10, 2000)
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
     def test_runs_without_scipy(self):
         code = textwrap.dedent("""

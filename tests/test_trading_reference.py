@@ -1,5 +1,5 @@
-"""run_trading_experiment and learner_gain against the implementations they
-replaced: every output bit for bit.
+"""run_trading_experiment, learner_gain and fbm_generate against the
+implementations they replaced: every output bit for bit.
 
 The references are the former trading run and its engine pass, kept as
 they were: the game (-s1, s1) as a loss matrix, a second cumsum for each
@@ -8,6 +8,9 @@ expert curve, the volume and the cumulative table built by
 mu_t from a gamma array, a second gamma array for the fluctuation flags, the
 defensive bound taken after the pass, and the probabilities from the frozen
 N-expert kernel of ``test_exact_reference``, not the kernel under test.
+The fBm reference is the fused Durbin-Levinson loop, which ran the whole
+recursion for every path, where ``fbm_generate`` now reads the cached
+factorization and runs the filter alone.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from volfpl import trading
 from volfpl import (
     GameError,
     GammaSchedule,
@@ -32,9 +36,43 @@ from volfpl import (
     volatility_identity_check,
 )
 from volfpl.game import row_peaks
+from volfpl.perturbation import as_generator
 from volfpl.schedule import _checked_mu, _main_coef, epsilon_values
 
 from test_exact_reference import reference_selection_probabilities_exact
+
+
+def reference_fgn(hurst, z):
+    m = len(z)
+    k = np.arange(m, dtype=float)
+    two_h = 2.0 * hurst
+    acov = 0.5 * (np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h)
+    acov_rev = acov[::-1].copy()
+    g, zs = acov.tolist(), z.tolist()
+    x_rev = np.empty(m)
+    phi = np.empty(m)
+    scratch = np.empty(m)
+    v = g[0]
+    x_rev[m - 1] = math.sqrt(v) * zs[0]
+    for n in range(1, m):
+        prev = phi[:n - 1]
+        kappa = (g[n] - float(prev @ acov_rev[m - n:m - 1])) / v
+        prev -= np.multiply(prev[::-1], kappa, out=scratch[:n - 1])
+        phi[n - 1] = kappa
+        v *= 1.0 - kappa * kappa
+        if not v > 0:
+            raise GameError(f"fGn covariance is numerically singular at step {n + 1} "
+                            f"(Hurst exponent {hurst} is too close to 1)")
+        x_rev[m - 1 - n] = float(phi[:n] @ x_rev[m - n:]) + math.sqrt(v) * zs[n]
+    return x_rev[::-1].copy()
+
+
+def reference_fbm_prices(hurst, steps, seed):
+    z = as_generator(seed).standard_normal(steps)
+    increments = reference_fgn(hurst, z) * float(steps) ** -hurst
+    t = np.arange(steps + 1) / steps
+    bh = np.concatenate([[0.0], np.cumsum(increments)])
+    return 1.0 + 1.0 * bh + 0.0 * t
 
 
 def reference_volume_trace(losses, v0=0.0):
@@ -242,3 +280,41 @@ class TestTradingRunMatchesReference:
         assert messages == {"defensive bound assumes a constant gamma schedule"}
         for g, w in zip(learner_gain(ps, cfg), reference_learner_gain(ps, cfg)):
             assert_same(g, w)
+
+
+_FBM_HURSTS = (0.01, 0.3, 0.5, 0.8, 0.99)
+_FBM_STEPS = (1, 2, 3, 257, 4096)
+_FBM_SEEDS = (0, 1)
+
+
+@pytest.fixture(scope="module")
+def reference_fbm():
+    return {(h, m, seed): reference_fbm_prices(h, m, seed)
+            for h in _FBM_HURSTS for m in _FBM_STEPS for seed in _FBM_SEEDS}
+
+
+class TestFbmMatchesReference:
+    @pytest.mark.parametrize("steps", _FBM_STEPS)
+    @pytest.mark.parametrize("hurst", _FBM_HURSTS)
+    def test_cold_and_warm_cache(self, reference_fbm, hurst, steps):
+        trading._fgn_cholesky.cache_clear()
+        # the first seed's path factorizes, the second and the repeat hit
+        for seed in _FBM_SEEDS + _FBM_SEEDS[:1]:
+            assert_same(fbm_generate(hurst, steps, seed=seed).prices,
+                        reference_fbm[hurst, steps, seed])
+        info = trading._fgn_cholesky.cache_info()
+        assert (info.misses, info.hits) == (1, len(_FBM_SEEDS))
+
+    def test_evicted_keys_are_factorized_again(self, reference_fbm):
+        keys = [(h, m) for h in _FBM_HURSTS for m in _FBM_STEPS]
+        assert len(keys) > trading._fgn_cholesky.cache_info().maxsize
+        trading._fgn_cholesky.cache_clear()
+        # a cycle longer than the cache evicts every key before it comes back
+        for _ in range(2):
+            for h, m in keys:
+                for seed in _FBM_SEEDS:
+                    assert_same(fbm_generate(h, m, seed=seed).prices, reference_fbm[h, m, seed])
+        info = trading._fgn_cholesky.cache_info()
+        assert info.misses == 2 * len(keys)
+        assert info.hits == 2 * len(keys) * (len(_FBM_SEEDS) - 1)
+        assert info.currsize == info.maxsize
